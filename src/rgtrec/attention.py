@@ -6,10 +6,18 @@ softmax over k's neighborhood.  Head-averaged directed scores are symmetrized
 per undirected edge and normalized over the whole edge set to produce a
 probability distribution used for rationale sampling.
 
-The propagation block is a light self-attention: per-head linear value
-transforms aggregated with the attention weights, concatenated and passed
-through an output projection; no feed-forward sublayer, no layer norm.
-Stacked blocks share one parameter set and combine through residual links.
+The propagation block is a light self-attention: linear value transforms
+aggregated with the attention weights and passed through an output
+projection; no feed-forward sublayer, no layer norm.  Stacked blocks share
+one parameter set and combine through residual links.
+
+The heads are fused.  Query, key and value are each one ``latdim x latdim``
+matrix whose rows ``h * head_dim:(h + 1) * head_dim`` belong to head h.  The
+edge scores of all heads come from one sampled dense-dense product
+(``tensor.edge_dot``, SDDMM) over the graph's CSR slots and one segment
+softmax over the resulting ``(num_slots, heads)`` table; the aggregation is
+one sparse-dense product (``tensor.edge_spmm``, SpMM).  A layer therefore
+records the same, fixed number of tape entries whatever the head count.
 """
 
 from __future__ import annotations
@@ -27,7 +35,12 @@ log = logging.getLogger(__name__)
 
 
 class AttentionParams:
-    """Per-head query/key/value transforms plus a shared output projection."""
+    """Fused query/key/value transforms plus a shared output projection.
+
+    Each of ``wq``, ``wk`` and ``wv`` is ``latdim x latdim``; head h owns
+    rows ``h * head_dim:(h + 1) * head_dim``.  They are drawn in that order,
+    then ``wo``, so each equals the per-head draws stacked by row.
+    """
 
     def __init__(self, latdim: int, heads: int, seed: int, prefix: str = "attn"):
         if latdim % heads != 0:
@@ -38,21 +51,17 @@ class AttentionParams:
         rng = substream(seed, "attn-init", prefix)
         scale = 1.0 / np.sqrt(latdim)
 
-        def mk(name, shape):
-            return T.parameter(rng.uniform(-scale, scale, size=shape), name=f"{prefix}.{name}")
+        def mk(name):
+            return T.parameter(rng.uniform(-scale, scale, size=(latdim, latdim)),
+                               name=f"{prefix}.{name}")
 
-        self.wq = [mk(f"wq.{h}", (self.head_dim, latdim)) for h in range(heads)]
-        self.wk = [mk(f"wk.{h}", (self.head_dim, latdim)) for h in range(heads)]
-        self.wv = [mk(f"wv.{h}", (self.head_dim, latdim)) for h in range(heads)]
-        self.wo = mk("wo", (latdim, latdim))
+        self.wq = mk("wq")
+        self.wk = mk("wk")
+        self.wv = mk("wv")
+        self.wo = mk("wo")
 
     def parameters(self) -> dict[str, T.Tensor]:
-        out = {}
-        for mats in (self.wq, self.wk, self.wv):
-            for w in mats:
-                out[w.name] = w
-        out[self.wo.name] = self.wo
-        return out
+        return {w.name: w for w in (self.wq, self.wk, self.wv, self.wo)}
 
 
 @dataclass
@@ -69,41 +78,33 @@ def _log_isolated(g: BipartiteGraph) -> None:
         log.debug("attention skipping %d isolated nodes", isolated)
 
 
-def attention_scores(h_bar: T.Tensor, g: BipartiteGraph, params: AttentionParams) -> list[T.Tensor]:
-    """Per-head neighbor-normalized attention over directed CSR slots."""
+def attention_scores(h_bar: T.Tensor, g: BipartiteGraph, params: AttentionParams) -> T.Tensor:
+    """Neighbor-normalized attention over directed CSR slots, shape
+    (num_slots, heads)."""
     _log_isolated(g)
-    src = g.directed_src
-    dst = g.csr_neighbors
-    inv_sqrt = 1.0 / np.sqrt(params.head_dim)
-    out = []
-    for h in range(params.heads):
-        q = T.matmul(h_bar, T.transpose(params.wq[h]))
-        k = T.matmul(h_bar, T.transpose(params.wk[h]))
-        raw = T.mul(T.tsum(T.mul(T.take(q, src), T.take(k, dst)), axis=1), inv_sqrt)
-        out.append(T.segment_softmax(raw, src, g.num_nodes))
-    return out
+    q = T.matmul(h_bar, T.transpose(params.wq))
+    k = T.matmul(h_bar, T.transpose(params.wk))
+    raw = T.mul(T.edge_dot(q, k, g, params.heads), 1.0 / np.sqrt(params.head_dim))
+    return T.segment_softmax(raw, g.directed_src, g.num_nodes)
 
 
-def edge_rationale_probs(head_scores: list[T.Tensor], g: BipartiteGraph) -> EdgeScoreTable:
+def edge_rationale_probs(head_scores: T.Tensor, g: BipartiteGraph) -> EdgeScoreTable:
     """Probability of each undirected edge being a rationale.
 
+    ``head_scores`` is the (num_slots, heads) output of ``attention_scores``.
     Head scores are averaged, the two directions of every edge are averaged,
     and the result is normalized over the edge set so it sums to one.
     """
     if g.num_edges == 0:
         raise ValueError("rationale probabilities need a non-empty edge set")
-    mean = head_scores[0]
-    for hs in head_scores[1:]:
-        mean = T.add(mean, hs)
-    mean = T.div(mean, float(len(head_scores)))
-
+    mean = T.tmean(head_scores, axis=1)
     per_edge = T.div(T.segment_sum(mean, g.csr_edge_ids, g.num_edges), 2.0)
     total = float(per_edge.values.sum())
     if total <= 0.0:
         raise ValueError("degenerate attention: edge scores sum to zero")
     probs = T.div(per_edge, total)
-    stacked = np.stack([hs.values for hs in head_scores], axis=0)
-    return EdgeScoreTable(probs=probs.values.copy(), head_scores=stacked)
+    return EdgeScoreTable(probs=probs.values.copy(),
+                          head_scores=np.ascontiguousarray(head_scores.values.T))
 
 
 def light_self_attention(h_in: T.Tensor, g: BipartiteGraph, params: AttentionParams) -> T.Tensor:
@@ -112,15 +113,9 @@ def light_self_attention(h_in: T.Tensor, g: BipartiteGraph, params: AttentionPar
     Isolated nodes receive a zero row (their neighborhood is empty).
     """
     alphas = attention_scores(h_in, g, params)
-    src = g.directed_src
-    dst = g.csr_neighbors
-    head_outputs = []
-    for h in range(params.heads):
-        v = T.matmul(h_in, T.transpose(params.wv[h]))
-        weighted = T.mul(T.take(v, dst), T.reshape(alphas[h], (-1, 1)))
-        head_outputs.append(T.segment_sum(weighted, src, g.num_nodes))
-    stacked = T.concat(head_outputs, axis=1) if len(head_outputs) > 1 else head_outputs[0]
-    return T.matmul(stacked, T.transpose(params.wo))
+    v = T.matmul(h_in, T.transpose(params.wv))
+    heads_out = T.edge_spmm(alphas, v, g, params.heads)
+    return T.matmul(heads_out, T.transpose(params.wo))
 
 
 def residual_gt(h_in: T.Tensor, g: BipartiteGraph, params: AttentionParams,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -181,9 +182,10 @@ class BipartiteGraph:
     def neighbors(self, node: int) -> np.ndarray:
         return self.csr_neighbors[self.csr_offsets[node]:self.csr_offsets[node + 1]]
 
-    @property
+    @cached_property
     def directed_src(self) -> np.ndarray:
-        """Source node of every directed CSR slot (repeats each node by degree)."""
+        """Source node of every directed CSR slot (repeats each node by degree).
+        Computed once per graph; the CSR arrays are never modified."""
         return np.repeat(np.arange(self.num_nodes), np.diff(self.csr_offsets))
 
     def edge_subgraph(self, edge_indices: np.ndarray) -> "BipartiteGraph":

@@ -95,13 +95,17 @@ def evaluate(s: np.ndarray, ds: InteractionDataset, split: int,
         scores = s[batch] @ item_table.T
         for row, u in enumerate(batch):
             scores[row, train_items[u]] = -np.inf
-        order = np.argsort(-scores, axis=1, kind="stable")[:, :max_k]
+        np.negative(scores, out=scores)
+        order = np.argsort(scores, axis=1, kind="stable")[:, :max_k]
         topk[start:start + len(batch)] = order
         for row, u in enumerate(batch):
             relevant = set(int(i) for i in relevant_items[u])
             for k in ks:
                 recall[k][start + row] = recall_at_k(order[row], relevant, k)
                 ndcg[k][start + row] = ndcg_at_k(order[row], relevant, k)
+        # free this chunk's score matrix and full argsort before the next
+        # chunk allocates its own, so the peak holds one chunk, not two
+        del scores, order
 
     return RankingResult(ks=tuple(ks), user_ids=users, topk=topk,
                          recall=recall, ndcg=ndcg)

@@ -3,7 +3,7 @@
 Every term is a mean over its index set so the weights keep their meaning
 regardless of batch size.  Log-sigmoid terms are computed through softplus
 (-log sigmoid(x) = softplus(-x)) so nothing saturates, and the contrastive
-term uses a shifted log-sum-exp.
+and recommendation terms use a shifted log-sum-exp.
 """
 
 from __future__ import annotations
@@ -57,20 +57,25 @@ class LossReport:
         return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
 
-def sample_non_neighbors(g: BipartiteGraph, user_node: int, count: int,
+def sample_non_neighbors(g: BipartiteGraph, user_nodes: np.ndarray,
                          rng: np.random.Generator, max_tries: int = 200) -> np.ndarray:
-    """Item nodes the user has no train edge to, by rejection sampling."""
-    positives = set(int(x) for x in g.neighbors(user_node))
+    """One item node per entry of ``user_nodes`` that the user has no train
+    edge to, by rejection sampling in order of ``user_nodes``.  Each user's
+    neighbor set is built once per call."""
     lo, hi = g.num_users, g.num_users + g.num_items
-    out = np.empty(count, dtype=np.int64)
-    for j in range(count):
+    positives: dict[int, set] = {}
+    out = np.empty(len(user_nodes), dtype=np.int64)
+    for j, user in enumerate(user_nodes.tolist()):
+        pos = positives.get(user)
+        if pos is None:
+            pos = positives[user] = set(g.neighbors(user).tolist())
         for _ in range(max_tries):
             cand = int(rng.integers(lo, hi))
-            if cand not in positives:
+            if cand not in pos:
                 out[j] = cand
                 break
         else:
-            raise ValueError(f"user node {user_node} interacts with every item")
+            raise ValueError(f"user node {user} interacts with every item")
     return out
 
 
@@ -100,7 +105,7 @@ def loss_mae(s: T.Tensor, masked_out_edges: np.ndarray, g: BipartiteGraph,
 
     loss = T.softplus(T.neg(pos))
     for _ in range(negatives_per_edge):
-        negs = np.array([sample_non_neighbors(g, int(u), 1, rng)[0] for u in users])
+        negs = sample_non_neighbors(g, users, rng)
         loss = T.add(loss, T.softplus(_pair_scores(s, users, negs)))
     return T.tmean(loss)
 
@@ -147,9 +152,7 @@ def loss_rec(s: T.Tensor, batch_pairs: np.ndarray,
     u = T.take(s, users)
     cands = T.take(s, candidate_item_nodes)
     scores = T.matmul(u, T.transpose(cands))
-    row_max = scores.values.max(axis=1, keepdims=True)
-    lse = T.add(T.log(T.tsum(T.exp(T.sub(scores, T.Tensor(row_max, dtype=s.dtype))), axis=1)),
-                T.Tensor(row_max[:, 0], dtype=s.dtype))
+    lse = T.logsumexp_rows(scores)
     pos_scores = _pair_scores(s, users, positives)
     return T.tmean(T.sub(lse, pos_scores))
 

@@ -3,9 +3,11 @@
 Propagation follows the parameter-free neighborhood averaging of LightGCN:
 each layer replaces a node's embedding with the sum of its neighbors'
 embeddings weighted by 1/sqrt(deg_k * deg_k'), with degrees taken on the
-graph actually being propagated.  Zero-degree nodes keep their embedding
-unchanged.  The encoder chains this with the topology encoder and the
-residual transformer on the masked graph.
+graph actually being propagated.  A layer is one sparse-dense product
+(``tensor.edge_spmm``) over the graph's CSR arrays with those constant
+weights.  Zero-degree nodes keep their embedding unchanged.  The encoder
+chains this with the topology encoder and the residual transformer on the
+masked graph.
 """
 
 from __future__ import annotations
@@ -55,15 +57,11 @@ def lightgcn_propagate(g: BipartiteGraph, s0: T.Tensor, cfg: PropagationConfig) 
                   int(isolated.sum()))
     beta = T.Tensor(symmetric_edge_weights(g).reshape(-1, 1), dtype=s0.dtype)
     keep = T.Tensor(isolated.astype(s0.values.dtype).reshape(-1, 1), dtype=s0.dtype)
-    src = g.directed_src
-    dst = g.csr_neighbors
 
     layers = [s0]
     s = s0
     for _ in range(cfg.num_layers):
-        messages = T.mul(T.take(s, dst), beta)
-        agg = T.segment_sum(messages, src, g.num_nodes)
-        s = T.add(agg, T.mul(keep, s))
+        s = T.add(T.edge_spmm(beta, s, g, 1), T.mul(keep, s))
         layers.append(s)
 
     if cfg.combination == "last_layer":

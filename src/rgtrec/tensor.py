@@ -188,7 +188,11 @@ def active_tape() -> Tape | None:
 
 
 def _emit(out_values, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
-    """Wrap an op result, recording it on the active tape when grads are needed."""
+    """Wrap an op result, recording it on the active tape when grads are needed.
+
+    ``backward_fn`` maps the output gradient to one gradient per input; it
+    may return None for an input that does not require a gradient.
+    """
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(out_values, requires_grad=requires, dtype=out_values.dtype)
     tape = active_tape()
@@ -221,7 +225,8 @@ def add(a, b) -> Tensor:
     out = a.values + b.values
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _emit(out, (a, b), bw)
 
@@ -231,7 +236,8 @@ def sub(a, b) -> Tensor:
     out = a.values - b.values
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _emit(out, (a, b), bw)
 
@@ -242,7 +248,8 @@ def mul(a, b) -> Tensor:
     av, bv = a.values, b.values
 
     def bw(g):
-        return _unbroadcast(g * bv, a.shape), _unbroadcast(g * av, b.shape)
+        return (_unbroadcast(g * bv, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * av, b.shape) if b.requires_grad else None)
 
     return _emit(out, (a, b), bw)
 
@@ -253,7 +260,8 @@ def div(a, b) -> Tensor:
     av, bv = a.values, b.values
 
     def bw(g):
-        return _unbroadcast(g / bv, a.shape), _unbroadcast(-g * av / (bv * bv), b.shape)
+        return (_unbroadcast(g / bv, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g * av / (bv * bv), b.shape) if b.requires_grad else None)
 
     return _emit(out, (a, b), bw)
 
@@ -274,7 +282,8 @@ def matmul(a, b) -> Tensor:
     av, bv = a.values, b.values
 
     def bw(g):
-        return g @ bv.T, av.T @ g
+        return (g @ bv.T if a.requires_grad else None,
+                av.T @ g if b.requires_grad else None)
 
     return _emit(out, (a, b), bw)
 
@@ -421,20 +430,142 @@ def segment_sum(a, idx, num: int) -> Tensor:
 
 
 def segment_softmax(scores, idx, num: int) -> Tensor:
-    """Softmax of a 1-D score vector within segments given by ``idx``.
+    """Softmax of ``scores`` within segments given by ``idx``, per column.
 
-    Stabilized by subtracting the per-segment maximum (treated as a constant,
-    which leaves both the value and the gradient of the softmax unchanged).
-    Segments with no entries simply produce no outputs.
+    ``scores`` is 1-D, or 2-D with one column per head; the rows sharing an
+    ``idx`` entry form one segment.  Stabilized by subtracting the
+    per-segment maximum (a constant, which leaves both the value and the
+    gradient of the softmax unchanged).  Segments with no entries simply
+    produce no outputs.
     """
     scores = as_tensor(scores)
     idx = np.asarray(idx, dtype=np.intp)
-    seg_max = np.full(num, -np.inf, dtype=scores.dtype)
-    np.maximum.at(seg_max, idx, scores.values)
-    shifted = sub(scores, Tensor(seg_max[idx], dtype=scores.dtype))
-    e = exp(shifted)
-    denom = segment_sum(e, idx, num)
-    return div(e, take(denom, idx))
+    if len(idx) != scores.shape[0]:
+        raise ShapeMismatchError(f"segment_softmax: {len(idx)} indices for {scores.shape[0]} rows")
+    sv = scores.values
+    seg_max = np.full((num,) + sv.shape[1:], -np.inf, dtype=sv.dtype)
+    np.maximum.at(seg_max, idx, sv)
+    e = np.exp(sv - seg_max[idx])
+    out = e / _scatter_rows(idx, e, num)[idx]
+
+    def bw(g):
+        inner = _scatter_rows(idx, g * out, num)
+        return (out * (g - inner[idx]),)
+
+    return _emit(out, (scores,), bw)
+
+
+def logsumexp_rows(a) -> Tensor:
+    """log(sum(exp(a), axis=1)) of a 2-D tensor, shifted by each row's maximum.
+
+    The gradient is the row softmax scaled by the incoming gradient; it is
+    recomputed from ``a`` and the output, so the tape keeps no extra matrix.
+    """
+    a = as_tensor(a)
+    if a.values.ndim != 2:
+        raise ShapeMismatchError(f"logsumexp_rows expects a 2-D tensor, got {a.shape}")
+    if a.shape[1] == 0:
+        raise ValueError("logsumexp_rows: empty rows")
+    av = a.values
+    row_max = av.max(axis=1, keepdims=True)
+    e = av - row_max
+    np.exp(e, out=e)
+    out = np.log(e.sum(axis=1)) + row_max[:, 0]
+
+    def bw(g):
+        p = av - out[:, None]
+        np.exp(p, out=p)
+        p *= g[:, None]
+        return (p,)
+
+    return _emit(out, (a,), bw)
+
+
+# Graph kernels.  ``g`` is a CSR graph (``data.BipartiteGraph``): node n's
+# directed slots are ``csr_offsets[n]:csr_offsets[n + 1]``, slot s runs from
+# ``directed_src[s]`` to ``csr_neighbors[s]``.  A dense operand of width
+# ``heads * head_dim`` holds head h in columns ``h * head_dim:(h + 1) * head_dim``.
+
+
+def _check_node_table(g, x: np.ndarray, heads: int, what: str) -> None:
+    if x.ndim != 2 or x.shape[0] != g.num_nodes or x.shape[1] % heads:
+        raise ShapeMismatchError(
+            f"{what}: expected ({g.num_nodes}, a multiple of {heads} heads), got {x.shape}")
+
+
+def _slot_dots(a: np.ndarray, b: np.ndarray, g, heads: int) -> np.ndarray:
+    """Per-head <a[src(s)], b[dst(s)]> for every slot s: shape (num_slots, heads)."""
+    shape = (len(g.csr_neighbors), heads, a.shape[1] // heads)
+    return np.einsum("shd,shd->sh", np.take(a, g.directed_src, axis=0).reshape(shape),
+                     np.take(b, g.csr_neighbors, axis=0).reshape(shape))
+
+
+def _head_ops(w: np.ndarray, g) -> list[sp.csr_matrix]:
+    """One (num_nodes, num_nodes) CSR matrix per column of the slot weights ``w``."""
+    n = g.num_nodes
+    return [sp.csr_matrix((col, g.csr_neighbors, g.csr_offsets), shape=(n, n))
+            for col in np.ascontiguousarray(w.T)]
+
+
+def _apply_heads(ops: list, x: np.ndarray) -> np.ndarray:
+    """op_h @ x[:, head h] for every head, side by side."""
+    if len(ops) == 1:
+        return ops[0] @ x
+    width = x.shape[1] // len(ops)
+    out = np.empty((ops[0].shape[0], x.shape[1]), dtype=np.result_type(ops[0].dtype, x.dtype))
+    for h, op in enumerate(ops):
+        cols = slice(h * width, (h + 1) * width)
+        out[:, cols] = op @ x[:, cols]
+    return out
+
+
+def edge_dot(q, k, g, heads: int) -> Tensor:
+    """Sampled dense-dense product (SDDMM) over the directed slots of ``g``.
+
+    Returns (num_slots, heads): per head, the dot product of the slot
+    source's block of ``q`` with the slot destination's block of ``k``.  The
+    backward forms one CSR matrix per head from the incoming gradient and
+    multiplies it into ``k`` and (transposed) into ``q``; all heads share one
+    tape record.
+    """
+    q, k = as_tensor(q), as_tensor(k)
+    _check_node_table(g, q.values, heads, "edge_dot q")
+    if k.shape != q.shape:
+        raise ShapeMismatchError(f"edge_dot: q {q.shape} vs k {k.shape}")
+    qv, kv = q.values, k.values
+    out = _slot_dots(qv, kv, g, heads)
+
+    def bw(grad):
+        ops = _head_ops(grad, g)
+        return (_apply_heads(ops, kv) if q.requires_grad else None,
+                _apply_heads([op.T for op in ops], qv) if k.requires_grad else None)
+
+    return _emit(out, (q, k), bw)
+
+
+def edge_spmm(w, x, g, heads: int) -> Tensor:
+    """Weighted neighbour sums (SpMM) over ``g``, one weight column per head.
+
+    ``w`` is (num_slots, heads).  Row n, head block h of the output is the
+    sum over n's slots s of ``w[s, h] * x[dst(s), block h]``; a node without
+    neighbours gets a zero row.  The backward is ``op_h.T @ grad`` for ``x``
+    and, only when ``w`` requires a gradient, the per-slot dot products
+    ``<grad[src(s)], x[dst(s)]>`` per head.  All heads share one tape record.
+    """
+    w, x = as_tensor(w), as_tensor(x)
+    _check_node_table(g, x.values, heads, "edge_spmm x")
+    if w.shape != (len(g.csr_neighbors), heads):
+        raise ShapeMismatchError(
+            f"edge_spmm: expected weights ({len(g.csr_neighbors)}, {heads}), got {w.shape}")
+    xv = x.values
+    ops = _head_ops(w.values, g)
+    out = _apply_heads(ops, xv)
+
+    def bw(grad):
+        return (_slot_dots(grad, xv, g, heads) if w.requires_grad else None,
+                _apply_heads([op.T for op in ops], grad) if x.requires_grad else None)
+
+    return _emit(out, (w, x), bw)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 1) -> Tensor:

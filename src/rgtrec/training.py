@@ -379,25 +379,29 @@ def negative_sample(ds: InteractionDataset, batch_users: np.ndarray,
     The positive is uniform over the user's train items; the negative is
     rejection-sampled uniformly from items the user never interacted with in
     train.  Users interacting with every item are skipped with a warning.
+    Each user's positive set is built once per call.
     """
     if positives is None:
         positives = ds.positives_by_user(TRAIN)
     triples = []
     skipped = 0
-    for u in batch_users:
-        pos_items = positives[int(u)]
+    pos_sets: dict[int, set] = {}
+    for u in batch_users.tolist():
+        pos_items = positives[u]
         if len(pos_items) == 0:
             continue
         if len(pos_items) >= ds.num_items:
             skipped += 1
             continue
         pos = int(pos_items[rng.integers(len(pos_items))])
-        pos_set = set(int(x) for x in pos_items)
+        pos_set = pos_sets.get(u)
+        if pos_set is None:
+            pos_set = pos_sets[u] = set(pos_items.tolist())
         while True:
             neg = int(rng.integers(ds.num_items))
             if neg not in pos_set:
                 break
-        triples.append((int(u), ds.num_users + pos, ds.num_users + neg))
+        triples.append((u, ds.num_users + pos, ds.num_users + neg))
     if skipped:
         log.warning("skipped %d users that interact with every item", skipped)
     return np.asarray(triples, dtype=np.int64).reshape(-1, 3)
@@ -641,7 +645,7 @@ def _fit_inner(ds, cfg, out_path, graph):
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"RGTR"
-_VERSION = 1
+_VERSION = 2  # 2: fused attention matrices attn.wq/wk/wv replace per-head wq.<h>
 _DTYPE_CODES = {np.dtype("float32"): 1, np.dtype("float64"): 2, np.dtype("int64"): 3}
 _CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("<i8")}
 

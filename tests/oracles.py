@@ -90,6 +90,34 @@ def check_gradients(build_loss, params: dict[str, T.Tensor], h: float = 1e-5,
     return worst
 
 
+def per_head_light_self_attention(h_in: T.Tensor, g, params) -> T.Tensor:
+    """Light self-attention as one loop over heads (the unfused layout).
+
+    Head h uses rows ``h * head_dim:(h + 1) * head_dim`` of the fused
+    ``wq``/``wk``/``wv`` matrices, gathered per slot and normalized with a
+    composed per-segment softmax; head outputs are concatenated by column.
+    Built from elementwise tape ops only, not from the graph kernels.
+    """
+    src = np.repeat(np.arange(g.num_nodes), np.diff(g.csr_offsets))
+    dst = g.csr_neighbors
+    dh = params.head_dim
+    head_outputs = []
+    for hd in range(params.heads):
+        rows = np.arange(hd * dh, (hd + 1) * dh)
+        q = T.matmul(h_in, T.transpose(T.take(params.wq, rows)))
+        k = T.matmul(h_in, T.transpose(T.take(params.wk, rows)))
+        v = T.matmul(h_in, T.transpose(T.take(params.wv, rows)))
+        raw = T.mul(T.tsum(T.mul(T.take(q, src), T.take(k, dst)), axis=1), 1.0 / np.sqrt(dh))
+        seg_max = np.full(g.num_nodes, -np.inf)
+        np.maximum.at(seg_max, src, raw.values)
+        e = T.exp(T.sub(raw, T.Tensor(seg_max[src], dtype=raw.dtype)))
+        alpha = T.div(e, T.take(T.segment_sum(e, src, g.num_nodes), src))
+        weighted = T.mul(T.take(v, dst), T.reshape(alpha, (-1, 1)))
+        head_outputs.append(T.segment_sum(weighted, src, g.num_nodes))
+    stacked = T.concat(head_outputs, axis=1) if len(head_outputs) > 1 else head_outputs[0]
+    return T.matmul(stacked, T.transpose(params.wo))
+
+
 def bfs_distances(num_nodes: int, neighbors: dict[int, list[int]], source: int,
                   cutoff: int | None = None) -> np.ndarray:
     """Unweighted single-source shortest hop distances (inf beyond cutoff)."""

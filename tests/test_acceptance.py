@@ -208,7 +208,7 @@ def test_c2_oracle_equivalence():
         for hd in range(2):
             for slot in range(len(src)):
                 key = (hd, int(src[slot]), int(dst[slot]))
-                assert abs(alphas[hd].values[slot] - directed[key]) < 1e-6
+                assert abs(alphas.values[slot, hd] - directed[key]) < 1e-6
         table = A.edge_rationale_probs(alphas, g)
         np.testing.assert_allclose(table.probs, probs_oracle, atol=1e-6)
 

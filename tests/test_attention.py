@@ -4,7 +4,8 @@ import pytest
 from rgtrec import attention as A
 from rgtrec import tensor as T
 from rgtrec.data import build_graph_from_edges
-from oracles import check_gradients
+from rgtrec.seeding import substream
+from oracles import check_gradients, per_head_light_self_attention
 
 
 def line_graph():
@@ -26,7 +27,8 @@ def brute_force_scores(h, g, params):
     dh = params.head_dim
     directed = {}  # (h, k, k2) -> alpha
     for hd in range(heads):
-        wq, wk = params.wq[hd].values, params.wk[hd].values
+        rows = slice(hd * dh, (hd + 1) * dh)
+        wq, wk = params.wq.values[rows], params.wk.values[rows]
         for k in range(g.num_nodes):
             nbrs = list(g.neighbors(k))
             if not nbrs:
@@ -54,8 +56,8 @@ class TestAttentionScores:
         params = A.AttentionParams(latdim=4, heads=2, seed=0)
         h = T.Tensor(np.random.default_rng(0).normal(size=(2, 4)))
         alphas = A.attention_scores(h, g, params)
-        for a in alphas:
-            np.testing.assert_allclose(a.values, 1.0, atol=1e-12)
+        for hd in range(params.heads):
+            np.testing.assert_allclose(alphas.values[:, hd], 1.0, atol=1e-12)
 
     def test_identical_keys_give_uniform_attention(self):
         g = build_graph_from_edges(1, 4, np.array([[0, 1], [0, 2], [0, 3], [0, 4]]))
@@ -63,7 +65,7 @@ class TestAttentionScores:
         h = np.random.default_rng(1).normal(size=(5, 4))
         h[1:] = h[1]  # all item embeddings identical
         alphas = A.attention_scores(T.Tensor(h), g, params)
-        row = alphas[0].values[:4]  # u0's four directed slots
+        row = alphas.values[:4, 0]  # u0's four directed slots
         np.testing.assert_allclose(row, 0.25, atol=1e-9)
 
     def test_matches_per_pair_oracle(self):
@@ -77,7 +79,7 @@ class TestAttentionScores:
         for hd in range(params.heads):
             for slot in range(len(src)):
                 key = (hd, int(src[slot]), int(dst[slot]))
-                assert abs(alphas[hd].values[slot] - directed[key]) < 1e-6
+                assert abs(alphas.values[slot, hd] - directed[key]) < 1e-6
 
     def test_shift_invariance(self):
         # adding a constant to all raw scores of one node leaves alphas unchanged;
@@ -86,10 +88,10 @@ class TestAttentionScores:
         g = random_graph(rng, 3, 3, p=0.7)
         params = A.AttentionParams(latdim=4, heads=1, seed=3)
         h = rng.normal(size=(g.num_nodes, 4))
-        base = A.attention_scores(T.Tensor(h), g, params)[0].values
+        base = A.attention_scores(T.Tensor(h), g, params).values[:, 0]
 
         # recompute raw scores, add a per-node constant, softmax again
-        wq, wk = params.wq[0].values, params.wk[0].values
+        wq, wk = params.wq.values[:4], params.wk.values[:4]
         src, dst = g.directed_src, g.csr_neighbors
         raw = np.array([(wq @ h[s]) @ (wk @ h[d]) for s, d in zip(src, dst)]) / np.sqrt(4)
         raw += 13.7 * src  # constant per source node
@@ -114,13 +116,14 @@ class TestEdgeRationaleProbs:
     def test_identical_heads_mean_equals_single_head(self):
         g = line_graph()
         params = A.AttentionParams(latdim=4, heads=2, seed=5)
+        dh = params.head_dim
         for w_src, w_dst in ((params.wq, params.wq), (params.wk, params.wk), (params.wv, params.wv)):
-            w_dst[1].values[:] = w_src[0].values
+            w_dst.values[dh:2 * dh] = w_src.values[:dh]
         h = T.Tensor(np.random.default_rng(5).normal(size=(3, 4)))
         alphas = A.attention_scores(h, g, params)
-        np.testing.assert_allclose(alphas[0].values, alphas[1].values, atol=1e-12)
+        np.testing.assert_allclose(alphas.values[:, 0], alphas.values[:, 1], atol=1e-12)
         table = A.edge_rationale_probs(alphas, g)
-        single = A.edge_rationale_probs([alphas[0]], g)
+        single = A.edge_rationale_probs(T.Tensor(alphas.values[:, :1]), g)
         np.testing.assert_allclose(table.probs, single.probs, atol=1e-12)
 
     def test_matches_brute_force_and_sums_to_one(self):
@@ -139,7 +142,7 @@ class TestLightSelfAttention:
     def test_single_neighbor_identity_construction(self):
         g = build_graph_from_edges(1, 1, np.array([[0, 1]]))
         params = A.AttentionParams(latdim=2, heads=1, seed=7)
-        params.wv[0].values[:] = np.eye(2)
+        params.wv.values[0:2] = np.eye(2)
         params.wo.values[:] = np.eye(2)
         h = np.random.default_rng(7).normal(size=(2, 2))
         out = A.light_self_attention(T.Tensor(h), g, params)
@@ -149,8 +152,9 @@ class TestLightSelfAttention:
     def test_zero_value_matrices_give_zero_output(self):
         g = line_graph()
         params = A.AttentionParams(latdim=4, heads=2, seed=8)
-        for w in params.wv:
-            w.values[:] = 0.0
+        dh = params.head_dim
+        for hd in range(params.heads):
+            params.wv.values[hd * dh:(hd + 1) * dh] = 0.0
         h = T.Tensor(np.random.default_rng(8).normal(size=(3, 4)))
         out = A.light_self_attention(h, g, params)
         np.testing.assert_allclose(out.values, 0.0)
@@ -180,9 +184,10 @@ class TestResidualGT:
     def test_zero_attention_params_give_identity(self):
         g = line_graph()
         params = A.AttentionParams(latdim=4, heads=2, seed=11)
+        dh = params.head_dim
         for plist in (params.wv,):
-            for w in plist:
-                w.values[:] = 0.0
+            for hd in range(params.heads):
+                plist.values[hd * dh:(hd + 1) * dh] = 0.0
         params.wo.values[:] = 0.0
         h = T.Tensor(np.random.default_rng(11).normal(size=(3, 4)))
         out = A.residual_gt(h, g, params, n_layers=3)
@@ -229,6 +234,60 @@ class TestResidualGT:
         plain = A.residual_gt(h, g, params, n_layers=1, residual=False)
         attn = A.light_self_attention(h, g, params)
         np.testing.assert_allclose(plain.values, attn.values)
+
+
+def graph_with_isolated_user(rng, num_users=4, num_items=4, p=0.6):
+    """Random graph in which the last user has no edges."""
+    edges = [(u, num_users + i)
+             for u in range(num_users - 1) for i in range(num_items) if rng.random() < p]
+    edges.append((0, num_users))
+    return build_graph_from_edges(num_users, num_items, np.array(sorted(set(edges))))
+
+
+class TestFusedHeads:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_per_head_loop(self, heads):
+        rng = np.random.default_rng(30 + heads)
+        g = graph_with_isolated_user(rng)
+        params = A.AttentionParams(latdim=8, heads=heads, seed=heads)
+        h = T.parameter(rng.normal(size=(g.num_nodes, 8)), name="h")
+        tensors = {"h": h, **params.parameters()}
+        results = []
+        for layer in (A.light_self_attention, per_head_light_self_attention):
+            for t in tensors.values():
+                t.grad = None
+            with T.Tape() as tape:
+                out = layer(h, g, params)
+                T.backward(T.tsum(T.square(out)), tape)
+            results.append((out.values, {k: t.grad for k, t in tensors.items()}))
+        (fused, fused_grads), (loop, loop_grads) = results
+        np.testing.assert_allclose(fused, loop, rtol=1e-12, atol=1e-12)
+        for name in tensors:
+            np.testing.assert_allclose(fused_grads[name], loop_grads[name],
+                                       rtol=1e-10, atol=1e-12, err_msg=name)
+
+    def test_tape_records_do_not_grow_with_heads(self):
+        g = graph_with_isolated_user(np.random.default_rng(40), 5, 5)
+        h_values = np.random.default_rng(41).normal(size=(g.num_nodes, 8))
+        records = []
+        for heads in (1, 8):
+            params = A.AttentionParams(latdim=8, heads=heads, seed=0)
+            with T.Tape() as tape:
+                A.light_self_attention(T.parameter(h_values, name="h"), g, params)
+            records.append(len(tape))
+        assert records[0] == records[1]
+
+    def test_fused_init_equals_per_head_draws_stacked_by_row(self):
+        latdim, heads, seed = 16, 4, 3
+        params = A.AttentionParams(latdim, heads, seed)
+        rng = substream(seed, "attn-init", "attn")
+        scale = 1.0 / np.sqrt(latdim)
+        for name in ("wq", "wk", "wv"):
+            draws = [rng.uniform(-scale, scale, size=(latdim // heads, latdim))
+                     for _ in range(heads)]
+            np.testing.assert_array_equal(getattr(params, name).values, np.vstack(draws))
+        np.testing.assert_array_equal(params.wo.values,
+                                      rng.uniform(-scale, scale, size=(latdim, latdim)))
 
 
 class TestAttentionParams:

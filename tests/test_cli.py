@@ -125,6 +125,16 @@ class TestEvaluate:
                      "--checkpoint", str(tmp_path / "none.ckpt")] + TINY_FLAGS[:-1])
         assert code == 1
 
+    def test_version_one_checkpoint_exits_one_without_traceback(self, prepared,
+                                                                v1_checkpoint):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rgtrec.cli", "evaluate", "--data", str(prepared),
+             "--checkpoint", str(v1_checkpoint)] + TINY_FLAGS[:-1],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "error: unsupported checkpoint version 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestAblate:
     def test_emits_rows_per_variant_per_seed(self, prepared, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rgtrec import tensor as T
+from rgtrec.data import build_graph_from_edges
 from oracles import check_gradients, matmul_triple_loop, max_rel_err
 
 
@@ -257,3 +258,89 @@ class TestDtypeControl:
     def test_rejects_non_float(self):
         with pytest.raises(ValueError):
             T.set_default_dtype(np.int32)
+
+
+def kernel_graph():
+    """Users 0-2, items 3-6; user 1 and item 6 have no edges."""
+    return build_graph_from_edges(3, 4, np.array([[0, 3], [0, 4], [0, 5], [2, 3], [2, 5]]))
+
+
+def slot_pairs(g):
+    src = np.repeat(np.arange(g.num_nodes), np.diff(g.csr_offsets))
+    return src, g.csr_neighbors
+
+
+class TestGraphKernels:
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_edge_dot_values_and_gradients(self, heads):
+        g = kernel_graph()
+        rng = np.random.default_rng(heads)
+        q = T.parameter(rng.normal(size=(g.num_nodes, 2 * heads)), name="q")
+        k = T.parameter(rng.normal(size=(g.num_nodes, 2 * heads)), name="k")
+        out = T.edge_dot(q, k, g, heads)
+        src, dst = slot_pairs(g)
+        assert out.shape == (len(dst), heads)
+        for s, (a, b) in enumerate(zip(src, dst)):
+            for hd in range(heads):
+                cols = slice(2 * hd, 2 * hd + 2)
+                assert abs(out.values[s, hd] - q.values[a, cols] @ k.values[b, cols]) < 1e-12
+        weights = T.Tensor(rng.normal(size=(len(dst), heads)))
+        check_gradients(lambda: T.tsum(T.mul(T.edge_dot(q, k, g, heads), weights)),
+                        {"q": q, "k": k})
+
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_edge_spmm_values_and_gradients(self, heads):
+        g = kernel_graph()
+        rng = np.random.default_rng(10 + heads)
+        w = T.parameter(rng.normal(size=(len(g.csr_neighbors), heads)), name="w")
+        x = T.parameter(rng.normal(size=(g.num_nodes, 2 * heads)), name="x")
+        out = T.edge_spmm(w, x, g, heads)
+        src, dst = slot_pairs(g)
+        expect = np.zeros((g.num_nodes, 2 * heads))
+        for s, (a, b) in enumerate(zip(src, dst)):
+            for hd in range(heads):
+                cols = slice(2 * hd, 2 * hd + 2)
+                expect[a, cols] += w.values[s, hd] * x.values[b, cols]
+        np.testing.assert_allclose(out.values, expect, atol=1e-12)
+        np.testing.assert_array_equal(out.values[[1, 6]], 0.0)  # isolated nodes
+        check_gradients(lambda: T.tsum(T.square(T.edge_spmm(w, x, g, heads))),
+                        {"w": w, "x": x})
+
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_edge_spmm_constant_weights_get_no_gradient(self, heads):
+        g = kernel_graph()
+        rng = np.random.default_rng(20 + heads)
+        w = T.Tensor(rng.normal(size=(len(g.csr_neighbors), heads)))
+        x = T.parameter(rng.normal(size=(g.num_nodes, 2 * heads)), name="x")
+        check_gradients(lambda: T.tsum(T.square(T.edge_spmm(w, x, g, heads))), {"x": x})
+        assert w.grad is None
+
+    def test_kernels_reject_mismatched_shapes(self):
+        g = kernel_graph()
+        x = T.Tensor(np.zeros((g.num_nodes, 4)))
+        with pytest.raises(T.ShapeMismatchError):
+            T.edge_dot(x, x, g, heads=3)
+        with pytest.raises(T.ShapeMismatchError):
+            T.edge_spmm(T.Tensor(np.zeros((len(g.csr_neighbors) + 1, 2))), x, g, heads=2)
+
+    def test_logsumexp_rows_values_and_gradient(self):
+        from scipy.special import logsumexp
+        rng = np.random.default_rng(5)
+        a = T.parameter(rng.normal(size=(4, 6)) * 5, name="a")
+        np.testing.assert_allclose(T.logsumexp_rows(a).values,
+                                   logsumexp(a.values, axis=1), atol=1e-12)
+        weights = T.Tensor(rng.normal(size=4))
+        check_gradients(lambda: T.tsum(T.mul(T.logsumexp_rows(a), weights)), {"a": a})
+
+    def test_segment_softmax_two_dimensional(self):
+        rng = np.random.default_rng(6)
+        a = T.parameter(rng.normal(size=(7, 3)) * 3, name="a")
+        idx = np.array([0, 0, 0, 1, 1, 3, 3])
+        out = T.segment_softmax(a, idx, 4)
+        for col in range(3):
+            np.testing.assert_allclose(out.values[:, col],
+                                       T.segment_softmax(a.values[:, col], idx, 4).values,
+                                       atol=1e-15)
+        weights = T.Tensor(rng.normal(size=(7, 3)))
+        check_gradients(lambda: T.tsum(T.mul(T.segment_softmax(a, idx, 4), weights)),
+                        {"a": a})

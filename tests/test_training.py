@@ -288,6 +288,10 @@ class TestCheckpoint:
         for key, arr in snap.items():
             np.testing.assert_array_equal(blocks[f"teacher/{key}"], arr)
 
+    def test_version_one_rejected(self, v1_checkpoint):
+        with pytest.raises(ValueError, match=r"^unsupported checkpoint version 1$"):
+            TR.read_checkpoint(v1_checkpoint)
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.ckpt"
         p.write_bytes(b"NOPE" + b"\x00" * 16)

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 
 import rgtrec.tensor as T
-from rgtrec.data import build_graph, split
-from rgtrec.evaluation import ndcg_at_k, rank_items, recall_at_k
+from rgtrec.data import TEST, InteractionDataset, build_graph, split
+from rgtrec.evaluation import evaluate, ndcg_at_k, recall_at_k
 from rgtrec.synthetic import make_block_dataset
 from rgtrec.training import (TrainConfig, fit, init_pair, load_checkpoint_into,
                              predict_embeddings, read_checkpoint)
@@ -28,8 +28,12 @@ expect = (1 / math.log2(3) + 1 / math.log2(5)) / (1 + 1 / math.log2(3))
 print(f"  ndcg@4 by hand = {expect:.4f}")
 
 # ties break toward the smaller item id, so rankings are reproducible
-scores = np.array([1.0, 5.0, 5.0, 0.0])
-print("\ntie handling:", rank_items(scores, 4).tolist(), "(items 1 and 2 tie)")
+# one user, four items scored 1, 5, 5, 0 by 1-d embeddings; item 3 is its test item
+tie_ds = InteractionDataset(1, 4, np.array([[0, 3]]),
+                            split_assignment=np.array([TEST], dtype=np.int8))
+tie_s = np.array([[1.0], [1.0], [5.0], [5.0], [0.0]])
+print("\ntie handling:", evaluate(tie_s, tie_ds, TEST, ks=(4,)).topk[0].tolist(),
+      "(items 1 and 2 tie)")
 
 # --- checkpoints: train briefly, save, reload, compare -----------------------
 ds = split(make_block_dataset(40, 40, 4, 0.9, 12, seed=1), seed=1)

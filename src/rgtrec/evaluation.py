@@ -19,23 +19,6 @@ DEFAULT_KS = (10, 20, 40)
 _CHUNK = 256
 
 
-def score_all_items(s: np.ndarray, user: int, train_items: np.ndarray,
-                    num_users: int) -> np.ndarray:
-    """Dot-product scores of one user against every item; train items -> -inf."""
-    num_items = s.shape[0] - num_users
-    scores = s[num_users:] @ s[user]
-    assert scores.shape == (num_items,)
-    scores = scores.copy()
-    scores[train_items] = -np.inf
-    return scores
-
-
-def rank_items(scores: np.ndarray, k: int) -> np.ndarray:
-    """Top-k item indices by score, ties broken by ascending item id."""
-    order = np.argsort(-scores, kind="stable")
-    return order[:k]
-
-
 def recall_at_k(topk: np.ndarray, relevant: set, k: int) -> float:
     if not relevant:
         raise ValueError("recall needs at least one relevant item")
@@ -74,39 +57,76 @@ class RankingResult:
         return out
 
 
+def _top_k(neg: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's ``k`` smallest values in ascending order,
+    ties broken by ascending column: the first ``k`` of a stable argsort
+    (``1 <= k <= neg.shape[1]``).
+
+    A partition finds each row's k-th smallest value v.  The top ``k`` are
+    every entry below v plus, in ascending column order, as many entries
+    equal to v as places are left; a stable sort of those ``k`` columns by
+    value orders them.  Nothing else is sorted.
+    """
+    rows, n = neg.shape
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+    if np.isnan(kth).any():
+        raise ValueError("scores are NaN: the embeddings are not finite")
+    below = neg < kth
+    places = k - np.count_nonzero(below, axis=1)
+    tied = np.flatnonzero(neg == kth)      # row-major: columns ascend per row
+    tied_row = tied // n
+    rank_in_row = np.arange(len(tied)) - np.searchsorted(tied_row, tied_row)
+    flat = np.sort(np.concatenate([np.flatnonzero(below),
+                                   tied[rank_in_row < places[tied_row]]]))
+    cand = (flat % n).reshape(rows, k)
+    order = np.argsort(neg.reshape(-1)[flat].reshape(rows, k), axis=1, kind="stable")
+    return np.take_along_axis(cand, order, axis=1)
+
+
 def evaluate(s: np.ndarray, ds: InteractionDataset, split: int,
              ks: tuple[int, ...] = DEFAULT_KS) -> RankingResult:
-    """Macro-averaged Recall@K / NDCG@K over users with relevant items in ``split``."""
+    """Macro-averaged Recall@K / NDCG@K over users with relevant items in ``split``.
+
+    Users are scored in chunks of rows against every item, train items are
+    set to -inf, and each row's top ``max(ks)`` is taken by a partition plus a
+    sort of those items only (``_top_k``); the ranking equals a full stable
+    sort by descending score, ties going to the smaller item id.  Both
+    metrics come from one users × max(ks) hit matrix.
+    """
     if split not in (VAL, TEST):
         raise ValueError("evaluate on the val or test split")
     max_k = min(max(ks), ds.num_items)
-    train_items = ds.positives_by_user(TRAIN)
-    relevant_items = ds.positives_by_user(split)
-    users = np.array([u for u in range(ds.num_users) if len(relevant_items[u])],
-                     dtype=np.int64)
+    pairs = ds.pairs(split)
+    relevant = np.unique(pairs[:, 0] * ds.num_items + pairs[:, 1])
+    num_relevant = np.bincount(relevant // ds.num_items, minlength=ds.num_users)
+    users = np.flatnonzero(num_relevant).astype(np.int64)
+    row_of = np.full(ds.num_users, -1, dtype=np.int64)
+    row_of[users] = np.arange(len(users))
+    train = ds.pairs(TRAIN)
+    train_rows, train_items = row_of[train[:, 0]], train[:, 1]
 
     topk = np.zeros((len(users), max_k), dtype=np.int64)
-    recall = {k: np.zeros(len(users)) for k in ks}
-    ndcg = {k: np.zeros(len(users)) for k in ks}
-
     item_table = s[ds.num_users:]
     for start in range(0, len(users), _CHUNK):
         batch = users[start:start + _CHUNK]
         scores = s[batch] @ item_table.T
-        for row, u in enumerate(batch):
-            scores[row, train_items[u]] = -np.inf
+        in_chunk = (train_rows >= start) & (train_rows < start + len(batch))
+        scores[train_rows[in_chunk] - start, train_items[in_chunk]] = -np.inf
         np.negative(scores, out=scores)
-        order = np.argsort(scores, axis=1, kind="stable")[:, :max_k]
-        topk[start:start + len(batch)] = order
-        for row, u in enumerate(batch):
-            relevant = set(int(i) for i in relevant_items[u])
-            for k in ks:
-                recall[k][start + row] = recall_at_k(order[row], relevant, k)
-                ndcg[k][start + row] = ndcg_at_k(order[row], relevant, k)
-        # free this chunk's score matrix and full argsort before the next
-        # chunk allocates its own, so the peak holds one chunk, not two
-        del scores, order
+        topk[start:start + len(batch)] = _top_k(scores, max_k)
+        # free this chunk's score matrix before the next chunk allocates its
+        # own, so the peak holds one chunk, not two
+        del scores
 
+    hits = np.isin(users[:, None] * ds.num_items + topk, relevant)
+    num_relevant = num_relevant[users]
+    discounts = 1.0 / np.log2(np.arange(max_k) + 2)
+    ideal = np.cumsum(discounts)
+    recall, ndcg = {}, {}
+    for k in ks:
+        recall[k] = np.count_nonzero(hits[:, :k], axis=1) / num_relevant
+        dcg = (hits[:, :k] * discounts[:k]).sum(axis=1)
+        ndcg[k] = dcg / ideal[np.minimum(k, num_relevant) - 1]
     return RankingResult(ks=tuple(ks), user_ids=users, topk=topk,
                          recall=recall, ndcg=ndcg)
 

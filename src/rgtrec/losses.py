@@ -140,7 +140,15 @@ def loss_cir(emb_rationale: T.Tensor, emb_complement: T.Tensor,
 def loss_rec(s: T.Tensor, batch_pairs: np.ndarray,
              candidate_item_nodes: np.ndarray) -> T.Tensor:
     """Softmax cross-entropy of each (user, positive item) pair against the
-    candidate item set (the full item set by default upstream)."""
+    candidate item set (the full item set by default upstream), averaged
+    over pairs.
+
+    The candidate scores and their log-sum-exp are computed once per
+    distinct batch user (``U × candidates``, not ``pairs × candidates``) and
+    gathered back to one value per pair; the gather's backward adds each
+    pair's gradient into its user's row, so a user's softmax is weighted by
+    its pair count, exactly as if the row were repeated.
+    """
     if len(batch_pairs) == 0:
         raise ValueError("recommendation loss needs a non-empty batch")
     users = batch_pairs[:, 0]
@@ -149,10 +157,10 @@ def loss_rec(s: T.Tensor, batch_pairs: np.ndarray,
     if missing.size:
         raise ValueError(f"positive items missing from candidate set: {missing[:5]}")
 
-    u = T.take(s, users)
+    uniq, inverse = np.unique(users, return_inverse=True)
     cands = T.take(s, candidate_item_nodes)
-    scores = T.matmul(u, T.transpose(cands))
-    lse = T.logsumexp_rows(scores)
+    scores = T.matmul(T.take(s, uniq), T.transpose(cands))
+    lse = T.take(T.logsumexp_rows(scores), inverse)
     pos_scores = _pair_scores(s, users, positives)
     return T.tmean(T.sub(lse, pos_scores))
 

@@ -9,6 +9,7 @@ embeddings, and the result is injected additively into the input table.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import logging
 import os
@@ -191,7 +192,10 @@ def _cached_shortest_paths(g: BipartiteGraph, anchors: AnchorSet, q: int,
                            cache_dir) -> DistanceTable:
     if cache_dir is None:
         return shortest_paths(g, anchors, q)
-    key = f"dist_{g.content_hash()}_a{anchors.seed}_q{q}.npz"
+    # the table depends on the graph, the anchor nodes and q, so the key names
+    # all three; the anchor seed alone would not tell two anchor sets apart
+    anchor_digest = hashlib.sha256(anchors.node_indices.astype("<i8").tobytes()).hexdigest()
+    key = f"dist_{g.content_hash()}_a{len(anchors)}-{anchor_digest[:16]}_q{q}.npz"
     path = Path(cache_dir) / key
     if path.exists():
         payload = np.load(path)

@@ -675,24 +675,33 @@ def write_checkpoint(path, pair: DistillPair) -> None:
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
+    """Named blocks of a checkpoint.  Every read is checked against the file
+    size first, so a file cut short raises ``ValueError`` naming the byte
+    where it ends, never a ``struct.error`` or a huge allocation."""
     path = Path(path)
     blocks: dict[str, np.ndarray] = {}
     with path.open("rb") as fh:
-        if fh.read(4) != _MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            if fh.tell() + n > size:
+                raise ValueError(f"{path}: truncated at byte {size}")
+            return fh.read(n)
+
+        if read(4) != _MAGIC:
             raise ValueError(f"{path} is not a checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", read(4))
         if version != _VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            (name_len,) = struct.unpack("<I", head)
-            name = fh.read(name_len).decode("utf-8")
-            code, ndim = struct.unpack("<BI", fh.read(5))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
-            (nbytes,) = struct.unpack("<Q", fh.read(8))
-            arr = np.frombuffer(fh.read(nbytes), dtype=_CODE_DTYPES[code]).reshape(shape)
+        while fh.tell() < size:
+            (name_len,) = struct.unpack("<I", read(4))
+            name = read(name_len).decode("utf-8")
+            code, ndim = struct.unpack("<BI", read(5))
+            if code not in _CODE_DTYPES:
+                raise ValueError(f"{path}: block {name!r} has unknown dtype code {code}")
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
+            (nbytes,) = struct.unpack("<Q", read(8))
+            arr = np.frombuffer(read(nbytes), dtype=_CODE_DTYPES[code]).reshape(shape)
             blocks[name] = arr.copy()
     return blocks
 

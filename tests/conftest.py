@@ -28,3 +28,18 @@ def v1_checkpoint(tmp_path):
                                       np.zeros((4, 8)))
         training._write_block(fh, "teacher/param/attn.wo", np.zeros((8, 8)))
     return path
+
+
+@pytest.fixture
+def truncated_checkpoint(tmp_path):
+    """A current-version checkpoint cut inside the shape field of a block header."""
+    path = tmp_path / "truncated.ckpt"
+    with path.open("wb") as fh:
+        fh.write(b"RGTR")
+        fh.write(struct.pack("<I", training._VERSION))
+        training._write_block(fh, "epoch", np.asarray([1], dtype=np.int64))
+        training._write_block(fh, "teacher/param/emb", np.zeros((4, 8)))
+    epoch_block = 4 + len("epoch") + 5 + 4 + 8 + 8
+    cut = 8 + epoch_block + 4 + len("teacher/param/emb") + 5 + 2  # 2 bytes into the shape
+    path.write_bytes(path.read_bytes()[:cut])
+    return path

@@ -12,6 +12,7 @@ from collections import deque
 import numpy as np
 
 from rgtrec import tensor as T
+from rgtrec.data import TRAIN
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,6 +117,61 @@ def per_head_light_self_attention(h_in: T.Tensor, g, params) -> T.Tensor:
         head_outputs.append(T.segment_sum(weighted, src, g.num_nodes))
     stacked = T.concat(head_outputs, axis=1) if len(head_outputs) > 1 else head_outputs[0]
     return T.matmul(stacked, T.transpose(params.wo))
+
+
+def per_pair_loss_rec(s: T.Tensor, batch_pairs: np.ndarray,
+                      candidate_item_nodes: np.ndarray) -> T.Tensor:
+    """The recommendation loss with one candidate score row per (user,
+    positive) pair, so a user with several positives is scored once per pair."""
+    users, positives = batch_pairs[:, 0], batch_pairs[:, 1]
+    cands = T.take(s, candidate_item_nodes)
+    lse = T.logsumexp_rows(T.matmul(T.take(s, users), T.transpose(cands)))
+    pos = T.tsum(T.mul(T.take(s, users), T.take(s, positives)), axis=1)
+    return T.tmean(T.sub(lse, pos))
+
+
+def score_all_items(s: np.ndarray, user: int, train_items: np.ndarray,
+                    num_users: int) -> np.ndarray:
+    """Dot-product scores of one user against every item; train items -> -inf."""
+    num_items = s.shape[0] - num_users
+    scores = s[num_users:] @ s[user]
+    assert scores.shape == (num_items,)
+    scores = scores.copy()
+    scores[train_items] = -np.inf
+    return scores
+
+
+def rank_items(scores: np.ndarray, k: int) -> np.ndarray:
+    """Top-k item indices by score, ties broken by ascending item id."""
+    order = np.argsort(-scores, kind="stable")
+    return order[:k]
+
+
+def per_user_evaluate(s: np.ndarray, ds, split: int, ks: tuple[int, ...]):
+    """All-rank evaluation one user at a time: a full stable argsort of each
+    user's scores and the set-based Recall@K / NDCG@K formulas.
+
+    Returns ``(user_ids, topk, recall, ndcg)`` laid out as ``RankingResult``.
+    """
+    max_k = min(max(ks), ds.num_items)
+    train_items = ds.positives_by_user(TRAIN)
+    relevant_items = ds.positives_by_user(split)
+    users = np.array([u for u in range(ds.num_users) if len(relevant_items[u])],
+                     dtype=np.int64)
+    topk = np.zeros((len(users), max_k), dtype=np.int64)
+    recall = {k: np.zeros(len(users)) for k in ks}
+    ndcg = {k: np.zeros(len(users)) for k in ks}
+    for row, u in enumerate(users):
+        order = rank_items(score_all_items(s, u, train_items[u], ds.num_users), max_k)
+        topk[row] = order
+        relevant = set(int(i) for i in relevant_items[u])
+        for k in ks:
+            hits = [int(item) in relevant for item in order[:k]]
+            recall[k][row] = sum(hits) / len(relevant)
+            dcg = sum(1.0 / math.log2(r + 2) for r, hit in enumerate(hits) if hit)
+            ideal = sum(1.0 / math.log2(r + 2) for r in range(min(k, len(relevant))))
+            ndcg[k][row] = dcg / ideal
+    return users, topk, recall, ndcg
 
 
 def bfs_distances(num_nodes: int, neighbors: dict[int, list[int]], source: int,

@@ -135,6 +135,17 @@ class TestEvaluate:
         assert "error: unsupported checkpoint version 1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_truncated_checkpoint_exits_one_without_traceback(self, prepared,
+                                                             truncated_checkpoint):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rgtrec.cli", "evaluate", "--data", str(prepared),
+             "--checkpoint", str(truncated_checkpoint)] + TINY_FLAGS[:-1],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        size = truncated_checkpoint.stat().st_size
+        assert proc.stderr.splitlines() == [
+            f"error: {truncated_checkpoint}: truncated at byte {size}"]
+
 
 class TestAblate:
     def test_emits_rows_per_variant_per_seed(self, prepared, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from rgtrec import evaluation as E
 from rgtrec.data import InteractionDataset, TRAIN, VAL, TEST, split
 from rgtrec.synthetic import make_block_dataset
+from oracles import per_user_evaluate, rank_items, score_all_items
 
 
 class TestScoreAllItems:
@@ -16,24 +17,24 @@ class TestScoreAllItems:
         s[1] = [0.2, 0, 0]      # item 0
         s[2] = [1.0, 0, 0]      # item 1, same direction as the user
         s[3] = [0, 1, 0]        # item 2, orthogonal
-        scores = E.score_all_items(s, 0, np.array([], dtype=np.int64), num_users)
-        assert E.rank_items(scores, 1)[0] == 1
+        scores = score_all_items(s, 0, np.array([], dtype=np.int64), num_users)
+        assert rank_items(scores, 1)[0] == 1
 
     def test_train_items_masked(self):
         s = np.ones((4, 2))
-        scores = E.score_all_items(s, 0, np.array([1]), 1)
+        scores = score_all_items(s, 0, np.array([1]), 1)
         assert scores[1] == -np.inf
 
     def test_tie_break_ascending_item_id(self):
         s = np.ones((5, 2))  # every item scores identically
-        scores = E.score_all_items(s, 0, np.array([], dtype=np.int64), 1)
-        np.testing.assert_array_equal(E.rank_items(scores, 4), [0, 1, 2, 3])
+        scores = score_all_items(s, 0, np.array([], dtype=np.int64), 1)
+        np.testing.assert_array_equal(rank_items(scores, 4), [0, 1, 2, 3])
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(0)
         s = rng.normal(size=(5 + 8, 4))
         for user in range(5):
-            scores = E.score_all_items(s, user, np.array([], dtype=np.int64), 5)
+            scores = score_all_items(s, user, np.array([], dtype=np.int64), 5)
             expect = np.array([s[user] @ s[5 + j] for j in range(8)])
             np.testing.assert_allclose(scores, expect, atol=1e-6)
 
@@ -144,6 +145,78 @@ class TestEvaluate:
         ds = two_user_toy()
         with pytest.raises(ValueError):
             E.evaluate(np.zeros((6, 2)), ds, TRAIN)
+
+
+def random_dataset(num_users, num_items, per_user, seed):
+    """Random interactions, about half train, the rest split over val/test."""
+    rng = np.random.default_rng(seed)
+    inter = np.array([[u, i] for u in range(num_users)
+                      for i in rng.choice(num_items, size=per_user[u], replace=False)])
+    assignment = rng.choice([TRAIN, VAL, TEST], size=len(inter),
+                            p=[0.5, 0.25, 0.25]).astype(np.int8)
+    return InteractionDataset(num_users, num_items, inter, split_assignment=assignment)
+
+
+class TestEvaluateMatchesOracle:
+    """``evaluate`` (partition top-k, hit-matrix metrics) against the
+    per-user full argsort and set-based metrics of ``oracles.per_user_evaluate``."""
+
+    KS = (5, 20, 40)
+
+    def assert_matches(self, s, ds, split=TEST):
+        result = E.evaluate(s, ds, split, ks=self.KS)
+        users, topk, recall, ndcg = per_user_evaluate(s, ds, split, self.KS)
+        assert len(users) > 0
+        np.testing.assert_array_equal(result.user_ids, users)
+        np.testing.assert_array_equal(result.topk, topk)
+        for k in self.KS:
+            np.testing.assert_array_equal(result.recall[k], recall[k])
+            np.testing.assert_allclose(result.ndcg[k], ndcg[k], rtol=0, atol=1e-12)
+        return result
+
+    def test_random_embeddings(self):
+        ds = random_dataset(300, 500, np.full(300, 30), seed=1)
+        s = np.random.default_rng(2).normal(size=(800, 8))
+        self.assert_matches(s, ds)
+        self.assert_matches(s, ds, VAL)
+
+    def test_forced_ties(self):
+        # integer entries make every score exact, so ties are exact ties
+        rng = np.random.default_rng(3)
+        ds = random_dataset(300, 200, np.full(300, 20), seed=4)
+        s = rng.integers(-2, 3, size=(500, 4)).astype(np.float64)
+        s[300 + 100:] = s[300:300 + 100]      # every item row appears twice
+        s[:300:3] = 0.0                       # every third user scores all items 0
+        result = self.assert_matches(s, ds)
+        zero_rows = np.flatnonzero(result.user_ids % 3 == 0)
+        assert len(zero_rows) > 0
+        train = ds.positives_by_user(TRAIN)
+        for row in zero_rows[:5]:
+            u = result.user_ids[row]
+            want = np.setdiff1d(np.arange(ds.num_items), train[u])[:40]
+            np.testing.assert_array_equal(result.topk[row], want)
+
+    def test_fewer_unseen_items_than_max_k(self):
+        # 60 items, users with up to 55 interactions: many have under 40
+        # non-train items, so their top-40 runs into the -inf train items
+        rng = np.random.default_rng(5)
+        ds = random_dataset(200, 60, rng.integers(5, 56, size=200), seed=6)
+        train = ds.positives_by_user(TRAIN)
+        assert min(60 - len(t) for t in train) < 40
+        s = rng.normal(size=(260, 8))
+        self.assert_matches(s, ds)
+
+    def test_nan_embeddings_rejected(self):
+        ds = random_dataset(20, 60, np.full(20, 10), seed=9)
+        s = np.random.default_rng(10).normal(size=(80, 4))
+        s[ds.pairs(TEST)[0, 0]] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            E.evaluate(s, ds, TEST, ks=self.KS)
+
+    def test_fewer_items_than_max_k(self):
+        ds = random_dataset(50, 30, np.full(50, 12), seed=7)
+        s = np.random.default_rng(8).normal(size=(80, 4))
+        self.assert_matches(s, ds)
 
 
 class TestWriters:

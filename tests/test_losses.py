@@ -7,7 +7,7 @@ from rgtrec import losses as L
 from rgtrec import tensor as T
 from rgtrec.data import build_graph_from_edges
 from rgtrec.seeding import substream
-from oracles import check_gradients
+from oracles import check_gradients, per_pair_loss_rec
 
 
 def softplus(x):
@@ -183,6 +183,65 @@ class TestLossRec:
             return L.loss_rec(s, batch, items)
 
         check_gradients(build, {"s": s})
+
+
+class TestLossRecPerUser:
+    """``loss_rec`` scores each distinct batch user once; the per-pair form
+    in ``oracles.per_pair_loss_rec`` scores one row per pair."""
+
+    NUM_USERS, NUM_ITEMS = 12, 30
+    ALL_ITEMS = np.arange(NUM_USERS, NUM_USERS + NUM_ITEMS)
+
+    def value_and_grad(self, fn, s0, batch, cands):
+        s = T.parameter(s0.copy(), name="s")
+        with T.Tape() as tape:
+            loss = fn(s, batch, cands)
+            T.backward(loss, tape)
+        return float(loss.values), s.grad
+
+    def assert_matches_oracle(self, batch, cands, seed):
+        s0 = np.random.default_rng(seed).normal(size=(self.NUM_USERS + self.NUM_ITEMS, 6))
+        value, grad = self.value_and_grad(L.loss_rec, s0, batch, cands)
+        want_value, want_grad = self.value_and_grad(per_pair_loss_rec, s0, batch, cands)
+        assert grad.dtype == np.float64
+        assert abs(value - want_value) <= 1e-12
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
+
+    def pairs(self, users, seed):
+        rng = np.random.default_rng(seed)
+        items = self.NUM_USERS + rng.integers(0, self.NUM_ITEMS, size=len(users))
+        return np.stack([np.asarray(users), items], axis=1)
+
+    def test_repeated_users(self):
+        users = np.random.default_rng(1).integers(0, self.NUM_USERS, size=80)
+        assert len(np.unique(users)) < len(users)
+        self.assert_matches_oracle(self.pairs(users, 2), self.ALL_ITEMS, seed=3)
+
+    def test_single_repeated_user(self):
+        self.assert_matches_oracle(self.pairs(np.full(9, 5), 4), self.ALL_ITEMS, seed=5)
+
+    def test_all_distinct_users(self):
+        users = np.random.default_rng(6).permutation(self.NUM_USERS)
+        self.assert_matches_oracle(self.pairs(users, 7), self.ALL_ITEMS, seed=8)
+
+    def test_sampled_candidate_set(self):
+        # as with rec_candidates > 0: the batch positives plus sampled items
+        rng = np.random.default_rng(9)
+        batch = self.pairs(rng.integers(0, self.NUM_USERS, size=40), 10)
+        sampled = self.NUM_USERS + rng.choice(self.NUM_ITEMS, size=8, replace=False)
+        cands = np.union1d(batch[:, 1], sampled)
+        assert len(cands) < self.NUM_ITEMS
+        self.assert_matches_oracle(batch, cands, seed=11)
+
+    def test_score_matrix_has_one_row_per_distinct_user(self):
+        batch = self.pairs(np.array([3, 3, 7, 3, 0, 7, 7, 3]), 12)
+        s = T.parameter(np.random.default_rng(13).normal(
+            size=(self.NUM_USERS + self.NUM_ITEMS, 4)), name="s")
+        with T.Tape() as tape:
+            L.loss_rec(s, batch, self.ALL_ITEMS)
+        shapes = [r.out.shape for r in tape.records
+                  if r.backward_fn.__qualname__.split(".")[0] == "matmul"]
+        assert shapes == [(3, self.NUM_ITEMS)]
 
 
 class TestLossBpr:

@@ -221,3 +221,22 @@ class TestTopologyEncoder:
         _, enc2 = self.make_encoder(seed=6, cache_dir=tmp_path)
         np.testing.assert_array_equal(enc.distance_table.distances,
                                       enc2.distance_table.distances)
+
+    def test_distance_cache_names_the_anchors(self, tmp_path):
+        # same graph, seed and q into one cache directory: a different anchor
+        # count, then a different set of the same size, must each get their
+        # own table, equal to the uncached one
+        g = random_bipartite(np.random.default_rng(7), 30, 40, p=0.1)
+        first = topo.TopologyEncoder(g, num_anchors=8, q=2, latdim=3, num_layers=1,
+                                     seed=6, cache_dir=tmp_path)
+        fewer = topo.TopologyEncoder(g, num_anchors=4, q=2, latdim=3, num_layers=1,
+                                     seed=6, cache_dir=tmp_path)
+        other = topo.AnchorSet(np.setdiff1d(np.arange(g.num_nodes),
+                                            fewer.anchors.node_indices)[:4], seed=6)
+        moved = topo.TopologyEncoder(g, num_anchors=4, q=2, latdim=3, num_layers=1,
+                                     seed=6, anchors=other, cache_dir=tmp_path)
+        for enc in (first, fewer, moved):
+            np.testing.assert_array_equal(
+                enc.distance_table.distances,
+                topo.shortest_paths(g, enc.anchors, 2).distances)
+        assert len(list(tmp_path.glob("dist_*.npz"))) == 3

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -291,6 +292,44 @@ class TestCheckpoint:
     def test_version_one_rejected(self, v1_checkpoint):
         with pytest.raises(ValueError, match=r"^unsupported checkpoint version 1$"):
             TR.read_checkpoint(v1_checkpoint)
+
+    def test_truncated_file_rejected_at_every_part(self, tmp_path):
+        ds = tiny_dataset(seed=12)
+        whole = tmp_path / "whole.ckpt"
+        TR.write_checkpoint(whole, TR.init_pair(build_graph(ds), tiny_cfg()))
+        data = whole.read_bytes()
+        # layout: magic(4) version(4), then per block: name length(4), name,
+        # dtype code(1) ndim(4), shape(4 * ndim), payload length(8), payload
+        (name_len,) = struct.unpack("<I", data[8:12])
+        name_end = 12 + name_len
+        (ndim,) = struct.unpack("<I", data[name_end + 1:name_end + 5])
+        shape_end = name_end + 5 + 4 * ndim
+        payload_start = shape_end + 8
+        (nbytes,) = struct.unpack("<Q", data[shape_end:payload_start])
+        # inside the magic, the first name, shape and payload, and the last payload
+        cuts = {2, 12 + name_len // 2, shape_end - 2, payload_start + 3, len(data) - 1}
+        # every byte up to 24 bytes into the second block, except the two block
+        # boundaries there: a file cut at one reads as a shorter checkpoint
+        boundaries = {8, payload_start + nbytes}
+        cuts |= set(range(payload_start + nbytes + 24)) - boundaries
+        for cut in sorted(cuts):
+            part = tmp_path / "part.ckpt"
+            part.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match=rf"truncated at byte {cut}$"):
+                TR.read_checkpoint(part)
+        assert TR.read_checkpoint(whole)
+
+    def test_unknown_dtype_code_rejected(self, tmp_path):
+        path = tmp_path / "odd.ckpt"
+        with path.open("wb") as fh:
+            fh.write(b"RGTR")
+            fh.write(struct.pack("<I", TR._VERSION))
+            TR._write_block(fh, "epoch", np.asarray([1], dtype=np.int64))
+        data = bytearray(path.read_bytes())
+        data[8 + 4 + len("epoch")] = 9    # the block's dtype code byte
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="'epoch' has unknown dtype code 9"):
+            TR.read_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.ckpt"

@@ -7,6 +7,8 @@ within-block items near the top.  Takes ~10 seconds on a laptop CPU.
 Run:  python demos/04_train_synthetic.py
 """
 
+from pathlib import Path
+
 import numpy as np
 
 import rgtrec.tensor as T
@@ -19,7 +21,8 @@ from rgtrec.training import TrainConfig, fit, load_config, predict_embeddings
 ds = split(make_block_dataset(200, 200, 10, 0.9, 15, seed=0), seed=0)
 print(f"{ds.num_users} users, {ds.num_items} items, {ds.num_interactions} interactions")
 
-cfg = load_config("configs/synthetic.cfg",
+config_path = Path(__file__).resolve().parent.parent / "configs" / "synthetic.cfg"
+cfg = load_config(config_path,
                   overrides={"epochs": 40, "patience": 0, "seed": 0})
 pair, history = fit(ds, cfg)
 

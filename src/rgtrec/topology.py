@@ -1,43 +1,29 @@
 """Global topology encoding via anchor nodes and hop-distance weights.
 
 A fixed set of anchor nodes is sampled from the whole node set.  Hop
-distances from every node to every anchor (truncated Dijkstra, unit edge
-weights) turn into correlation weights w = 1/(d+1) for d <= q and 0 beyond
-the cutoff.  Stacked anchor-aggregation layers then refine the node
-embeddings, and the result is injected additively into the input table.
+distances from every node to every anchor (one unweighted
+``scipy.sparse.csgraph.dijkstra`` call, truncated past q + 1 hops) turn into
+correlation weights w = 1/(d+1) for d <= q and 0 beyond the cutoff.
+Stacked anchor-aggregation layers then refine the node embeddings, and the
+result is injected additively into the input table.
 """
 
 from __future__ import annotations
 
-import hashlib
-import heapq
-import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 from . import tensor as T
 from .data import BipartiteGraph
 from .seeding import substream
 
-log = logging.getLogger(__name__)
-
-
-def worker_threads() -> int:
-    """Worker-thread cap from RGTREC_THREADS (defaults to the CPU count)."""
-    env = os.environ.get("RGTREC_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
 
 @dataclass(frozen=True)
 class AnchorSet:
     node_indices: np.ndarray
-    seed: int
 
     def __len__(self) -> int:
         return len(self.node_indices)
@@ -49,7 +35,7 @@ def sample_anchors(g: BipartiteGraph, m: int, seed: int) -> AnchorSet:
         raise ValueError(f"cannot sample {m} anchors from {g.num_nodes} nodes")
     rng = substream(seed, "anchors")
     idx = rng.choice(g.num_nodes, size=m, replace=False)
-    return AnchorSet(node_indices=np.sort(idx).astype(np.int64), seed=seed)
+    return AnchorSet(node_indices=np.sort(idx).astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -60,44 +46,20 @@ class DistanceTable:
     hop_cutoff: int  # distances are exact up to hop_cutoff + 1
 
 
-def _dijkstra_truncated(g: BipartiteGraph, source: int, max_depth: int) -> np.ndarray:
-    """Single-source unit-weight Dijkstra, abandoned past max_depth."""
-    dist = np.full(g.num_nodes, np.inf)
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u] or d >= max_depth:
-            continue
-        nd = d + 1.0
-        for v in g.neighbors(u):
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
 def shortest_paths(g: BipartiteGraph, anchors: AnchorSet, q: int) -> DistanceTable:
     """Exact hop distances from all nodes to each anchor, up to depth q + 1.
 
-    Anchor searches are independent and run on a small thread pool; the
-    result table is assembled in anchor order so the merge is deterministic.
+    One unweighted Dijkstra over the graph's CSR adjacency, started from
+    every anchor and abandoned past q + 1 hops; farther nodes get inf.
     """
     if q < 1:
         raise ValueError(f"hop cutoff must be >= 1, got {q}")
-    max_depth = q + 1
-    table = np.full((g.num_nodes, len(anchors)), np.inf)
-    workers = min(worker_threads(), max(1, len(anchors)))
-    if workers == 1:
-        for col, a in enumerate(anchors.node_indices):
-            table[:, col] = _dijkstra_truncated(g, int(a), max_depth)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cols = pool.map(lambda a: _dijkstra_truncated(g, int(a), max_depth),
-                            anchors.node_indices)
-            for col, result in enumerate(cols):
-                table[:, col] = result
-    return DistanceTable(distances=table, hop_cutoff=q)
+    adjacency = sp.csr_matrix(
+        (np.ones(len(g.csr_neighbors)), g.csr_neighbors, g.csr_offsets),
+        shape=(g.num_nodes, g.num_nodes))
+    dist = dijkstra(adjacency, directed=False, indices=anchors.node_indices,
+                    unweighted=True, limit=q + 1)
+    return DistanceTable(distances=np.ascontiguousarray(dist.T), hop_cutoff=q)
 
 
 def correlation_weight(d: float, q: int) -> float:
@@ -149,7 +111,7 @@ class TopologyEncoder:
 
     def __init__(self, g: BipartiteGraph, num_anchors: int, q: int, latdim: int,
                  num_layers: int, seed: int, anchors: AnchorSet | None = None,
-                 cache_dir=None, tables: "tuple[DistanceTable, CorrelationWeights] | None" = None):
+                 tables: "tuple[DistanceTable, CorrelationWeights] | None" = None):
         if num_layers < 1:
             raise ValueError("topology encoder needs at least one layer")
         self.q = q
@@ -157,7 +119,7 @@ class TopologyEncoder:
         if tables is not None:
             self.distance_table, self.weights = tables
         else:
-            self.distance_table = _cached_shortest_paths(g, self.anchors, q, cache_dir)
+            self.distance_table = shortest_paths(g, self.anchors, q)
             self.weights = correlation_weights(self.distance_table, q)
         rng = substream(seed, "topo-init")
         scale = 1.0 / np.sqrt(latdim)
@@ -171,10 +133,10 @@ class TopologyEncoder:
     def tables(self) -> "tuple[DistanceTable, CorrelationWeights]":
         return self.distance_table, self.weights
 
-    def refresh_tables(self, g: BipartiteGraph, anchors: AnchorSet, cache_dir=None) -> None:
+    def refresh_tables(self, g: BipartiteGraph, anchors: AnchorSet) -> None:
         """Swap in distance tables for a new anchor set (keeps the weights)."""
         self.anchors = anchors
-        self.distance_table = _cached_shortest_paths(g, anchors, self.q, cache_dir)
+        self.distance_table = shortest_paths(g, anchors, self.q)
         self.weights = correlation_weights(self.distance_table, self.q)
 
     def parameters(self) -> dict[str, T.Tensor]:
@@ -187,21 +149,3 @@ class TopologyEncoder:
             h = pgnn_layer(h, self.anchors, self.weights, w)
         return T.add(h_id, h)
 
-
-def _cached_shortest_paths(g: BipartiteGraph, anchors: AnchorSet, q: int,
-                           cache_dir) -> DistanceTable:
-    if cache_dir is None:
-        return shortest_paths(g, anchors, q)
-    # the table depends on the graph, the anchor nodes and q, so the key names
-    # all three; the anchor seed alone would not tell two anchor sets apart
-    anchor_digest = hashlib.sha256(anchors.node_indices.astype("<i8").tobytes()).hexdigest()
-    key = f"dist_{g.content_hash()}_a{len(anchors)}-{anchor_digest[:16]}_q{q}.npz"
-    path = Path(cache_dir) / key
-    if path.exists():
-        payload = np.load(path)
-        log.debug("distance table cache hit: %s", path)
-        return DistanceTable(distances=payload["distances"], hop_cutoff=int(payload["q"]))
-    table = shortest_paths(g, anchors, q)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, distances=table.distances, q=q)
-    return table

@@ -30,7 +30,7 @@ from .losses import (EmbeddingBundle, LossReport, LossWeights, loss_bpr, loss_ci
 from .propagation import PropagationConfig, encode_masked, lightgcn_propagate
 from .sampling import build_masked_graph, sample_complement, sample_rationale
 from .seeding import substream
-from .topology import TopologyEncoder, sample_anchors
+from .topology import AnchorSet, TopologyEncoder, sample_anchors
 
 log = logging.getLogger(__name__)
 
@@ -76,7 +76,6 @@ class TrainConfig:
     rec_candidates: int = 0  # 0 = score against the full item set
     # behavior switches
     seed: int = 0
-    determinism: bool = False
     precision: str = "float32"
     use_topology: bool = True
     use_residual: bool = True
@@ -87,10 +86,6 @@ class TrainConfig:
     # mae, and total_loss still rejects a non-finite mae.
     literal_mae: bool = False
     self_distill_ema: float = 0.0  # > 0 switches to EMA self-distillation
-    # tuning-sweep keys kept for config compatibility; not bound to a term
-    ssl_reg: float = 0.5
-    b2: float = 1.0
-    gtw: float = 0.1
 
     def validate(self) -> None:
         c = self
@@ -206,7 +201,7 @@ class ModelState:
     """All learnable parameters of one model plus its optimizer."""
 
     def __init__(self, graph: BipartiteGraph, cfg: TrainConfig, role: str,
-                 anchors=None, topo_tables=None, cache_dir=None):
+                 anchors=None, topo_tables=None):
         self.role = role
         self.graph = graph
         seed = _role_seed(cfg.seed, role)
@@ -218,7 +213,7 @@ class ModelState:
         if cfg.use_topology:
             self.topo = TopologyEncoder(graph, cfg.anchor_set, cfg.q, cfg.latdim,
                                         cfg.pnn_layers, seed=seed, anchors=anchors,
-                                        tables=topo_tables, cache_dir=cache_dir)
+                                        tables=topo_tables)
         self.attn = AttentionParams(cfg.latdim, cfg.heads, seed=seed)
         self.optimizer = T.Adam(self.parameters(), lr=cfg.lr,
                                 betas=(cfg.adam_beta1, cfg.adam_beta2), eps=cfg.adam_eps)
@@ -235,41 +230,41 @@ class ModelState:
             if not np.isfinite(p.values).all():
                 raise FloatingPointError(f"parameter {name} became non-finite")
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        out = {f"param/{k}": p.values.copy() for k, p in self.parameters().items()}
-        out.update({f"adam/m/{k}": v.copy() for k, v in self.optimizer.m.items()})
-        out.update({f"adam/v/{k}": v.copy() for k, v in self.optimizer.v.items()})
+    def _arrays(self) -> dict[str, np.ndarray]:
+        """The live arrays behind a snapshot, under their snapshot keys."""
+        out = {f"param/{k}": p.values for k, p in self.parameters().items()}
+        out.update({f"adam/m/{k}": v for k, v in self.optimizer.m.items()})
+        out.update({f"adam/v/{k}": v for k, v in self.optimizer.v.items()})
         out["adam/t"] = np.asarray([self.optimizer.t], dtype=np.int64)
         if self.topo is not None:
-            out["anchors"] = self.topo.anchors.node_indices.copy()
+            out["anchors"] = self.topo.anchors.node_indices
         return out
 
+    def snapshot(self) -> dict[str, np.ndarray]:
+        return {k: v.copy() for k, v in self._arrays().items()}
+
     def load_snapshot(self, snap: dict[str, np.ndarray]) -> None:
-        params = self.parameters()
+        """Restore from a snapshot with exactly the keys of ``snapshot()``;
+        a missing or extra key raises ``ValueError`` before anything loads."""
+        targets = self._arrays()
+        for problem, keys in (("missing", targets.keys() - snap.keys()),
+                              ("unexpected", snap.keys() - targets.keys())):
+            if keys:
+                raise ValueError(f"{self.role} snapshot: {problem} "
+                                 + ", ".join(sorted(keys)))
         for key, arr in snap.items():
-            if key == "adam/t":
-                self.optimizer.t = int(arr[0])
-                continue
+            target = targets[key]
             if key == "anchors":
-                if self.topo is None:
-                    raise ValueError("snapshot has anchors but topology is disabled")
-                if not np.array_equal(arr, self.topo.anchors.node_indices):
-                    from .topology import AnchorSet
-                    self.topo.refresh_tables(self.graph, AnchorSet(arr.copy(), seed=-1))
+                if not np.array_equal(arr, target):
+                    self.topo.refresh_tables(self.graph, AnchorSet(arr.copy()))
                 continue
-            section, _, name = key.partition("/")
-            if section == "param":
-                target = params[name].values
-            elif key.startswith("adam/m/"):
-                target = self.optimizer.m[key[len("adam/m/"):]]
-            elif key.startswith("adam/v/"):
-                target = self.optimizer.v[key[len("adam/v/"):]]
-            else:
-                raise ValueError(f"unknown snapshot key {key!r}")
             if target.shape != arr.shape:
                 raise ValueError(f"snapshot shape mismatch for {key}: "
                                  f"{arr.shape} vs {target.shape}")
-            target[...] = arr
+            if key == "adam/t":
+                self.optimizer.t = int(arr[0])
+            else:
+                target[...] = arr
 
 
 @dataclass
@@ -290,9 +285,9 @@ class DistillPair:
         return out
 
 
-def init_pair(graph: BipartiteGraph, cfg: TrainConfig, cache_dir=None) -> DistillPair:
+def init_pair(graph: BipartiteGraph, cfg: TrainConfig) -> DistillPair:
     anchors = sample_anchors(graph, cfg.anchor_set, cfg.seed) if cfg.use_topology else None
-    teacher = ModelState(graph, cfg, "teacher", anchors=anchors, cache_dir=cache_dir)
+    teacher = ModelState(graph, cfg, "teacher", anchors=anchors)
     tables = teacher.topo.tables if teacher.topo is not None else None
     student = None
     ema = None
@@ -547,24 +542,13 @@ def fit(ds: InteractionDataset, cfg: TrainConfig, out_dir=None,
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    prev_threads = os.environ.get("RGTREC_THREADS")
-    if cfg.determinism:
-        os.environ["RGTREC_THREADS"] = "1"
-    try:
-        with T.using_dtype(cfg.precision):
-            return _fit_inner(ds, cfg, out_path, graph)
-    finally:
-        if cfg.determinism:
-            if prev_threads is None:
-                os.environ.pop("RGTREC_THREADS", None)
-            else:
-                os.environ["RGTREC_THREADS"] = prev_threads
+    with T.using_dtype(cfg.precision):
+        return _fit_inner(ds, cfg, out_path, graph)
 
 
 def _fit_inner(ds, cfg, out_path, graph):
     graph = graph if graph is not None else build_graph(ds)
-    cache_dir = out_path / "cache" if out_path is not None else None
-    pair = init_pair(graph, cfg, cache_dir=cache_dir)
+    pair = init_pair(graph, cfg)
     positives = ds.positives_by_user(TRAIN)
 
     has_val = bool((ds.split_assignment == VAL).any())
@@ -707,14 +691,25 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
 
 
 def load_checkpoint_into(path, pair: DistillPair) -> None:
+    """Load every model role of ``pair`` from a checkpoint.  Raises
+    ``ValueError`` when the epoch block or a role of the pair is missing, when
+    the file holds a role the pair lacks, or when a role's keys differ from
+    its snapshot's."""
     blocks = read_checkpoint(path)
-    pair.epoch = int(blocks.pop("epoch")[0])
+    if "epoch" not in blocks:
+        raise ValueError(f"{path}: checkpoint has no epoch block")
+    epoch = int(blocks.pop("epoch")[0])
     per_role: dict[str, dict[str, np.ndarray]] = {}
     for name, arr in blocks.items():
         role, _, key = name.partition("/")
         per_role.setdefault(role, {})[key] = arr
     states = pair.states()
-    for role, snap in per_role.items():
-        if role not in states:
-            raise ValueError(f"checkpoint contains unknown model role {role!r}")
-        states[role].load_snapshot(snap)
+    unknown = sorted(per_role.keys() - states.keys())
+    if unknown:
+        raise ValueError(f"checkpoint contains unknown model role {unknown[0]!r}")
+    missing = sorted(states.keys() - per_role.keys())
+    if missing:
+        raise ValueError(f"{path}: checkpoint has no blocks for model role {missing[0]!r}")
+    for role, state in states.items():
+        state.load_snapshot(per_role[role])
+    pair.epoch = epoch

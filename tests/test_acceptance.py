@@ -423,9 +423,9 @@ def test_c8_engineering_contracts(tmp_path):
                                   interactions_per_user=16, seed=5), seed=5)
     cfg = TrainConfig(latdim=8, heads=2, gcn_layers=1, gt_layers=1, pnn_layers=1,
                       anchor_set=6, batch_size=256, lr=0.01, epochs=2, patience=0,
-                      seed=3, determinism=True, precision="float64")
+                      seed=3, precision="float64")
 
-    # deterministic mode: bit-identical epoch losses across two runs
+    # reruns: bit-identical epoch losses across two runs
     _, h1 = fit(ds, cfg)
     pair, h2 = fit(ds, cfg, out_dir=tmp_path)
     assert h1 == h2

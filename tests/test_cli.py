@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 from rgtrec.cli import main
 from rgtrec.synthetic import make_block_dataset
+from rgtrec.training import _VERSION
 
 
 @pytest.fixture
@@ -29,7 +31,7 @@ def prepared(raw_file, tmp_path):
 
 TINY_FLAGS = ["--latdim", "8", "--heads", "2", "--anchor-set", "6",
               "--pnn-layers", "1", "--epochs", "1", "--patience", "0",
-              "--batch-size", "256", "--determinism"]
+              "--batch-size", "256"]
 
 
 class TestPrepare:
@@ -114,7 +116,7 @@ class TestEvaluate:
         capsys.readouterr()
         code = main(["evaluate", "--data", str(prepared),
                      "--checkpoint", str(out / "model.ckpt"),
-                     "--split", "test"] + TINY_FLAGS[:-1])
+                     "--split", "test"] + TINY_FLAGS)
         assert code == 0
         output = capsys.readouterr().out
         assert output.startswith("split,K,recall,ndcg")
@@ -122,14 +124,14 @@ class TestEvaluate:
 
     def test_missing_checkpoint_exits_one(self, prepared, tmp_path):
         code = main(["evaluate", "--data", str(prepared),
-                     "--checkpoint", str(tmp_path / "none.ckpt")] + TINY_FLAGS[:-1])
+                     "--checkpoint", str(tmp_path / "none.ckpt")] + TINY_FLAGS)
         assert code == 1
 
     def test_version_one_checkpoint_exits_one_without_traceback(self, prepared,
                                                                 v1_checkpoint):
         proc = subprocess.run(
             [sys.executable, "-m", "rgtrec.cli", "evaluate", "--data", str(prepared),
-             "--checkpoint", str(v1_checkpoint)] + TINY_FLAGS[:-1],
+             "--checkpoint", str(v1_checkpoint)] + TINY_FLAGS,
             capture_output=True, text=True)
         assert proc.returncode == 1
         assert "error: unsupported checkpoint version 1" in proc.stderr
@@ -139,12 +141,23 @@ class TestEvaluate:
                                                              truncated_checkpoint):
         proc = subprocess.run(
             [sys.executable, "-m", "rgtrec.cli", "evaluate", "--data", str(prepared),
-             "--checkpoint", str(truncated_checkpoint)] + TINY_FLAGS[:-1],
+             "--checkpoint", str(truncated_checkpoint)] + TINY_FLAGS,
             capture_output=True, text=True)
         assert proc.returncode == 1
         size = truncated_checkpoint.stat().st_size
         assert proc.stderr.splitlines() == [
             f"error: {truncated_checkpoint}: truncated at byte {size}"]
+
+    def test_checkpoint_without_blocks_exits_one_without_traceback(self, prepared,
+                                                                  tmp_path):
+        path = tmp_path / "header_only.ckpt"
+        path.write_bytes(b"RGTR" + struct.pack("<I", _VERSION))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rgtrec.cli", "evaluate", "--data", str(prepared),
+             "--checkpoint", str(path)] + TINY_FLAGS,
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: {path}: checkpoint has no epoch block"]
 
 
 class TestAblate:

@@ -50,7 +50,7 @@ class TestShortestPaths:
     def test_two_hop_path(self):
         # u0 - p0 - u1: users 0,1 and one item
         g = build_graph_from_edges(2, 1, np.array([[0, 2], [1, 2]]))
-        anchors = topo.AnchorSet(node_indices=np.array([0]), seed=0)
+        anchors = topo.AnchorSet(node_indices=np.array([0]))
         table = topo.shortest_paths(g, anchors, q=3)
         assert table.distances[1, 0] == 2.0
 
@@ -81,16 +81,6 @@ class TestShortestPaths:
         anchors = topo.sample_anchors(g, 2, seed=0)
         with pytest.raises(ValueError, match="cutoff"):
             topo.shortest_paths(g, anchors, q=0)
-
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("RGTREC_THREADS", "1")
-        assert topo.worker_threads() == 1
-        g = random_bipartite(np.random.default_rng(7), 10, 10)
-        anchors = topo.sample_anchors(g, 4, seed=1)
-        serial = topo.shortest_paths(g, anchors, q=2)
-        monkeypatch.setenv("RGTREC_THREADS", "4")
-        pooled = topo.shortest_paths(g, anchors, q=2)
-        np.testing.assert_array_equal(serial.distances, pooled.distances)
 
 
 class TestCorrelationWeight:
@@ -124,7 +114,7 @@ class TestPgnnLayer:
         rng = substream(seed, "test-pgnn")
         h = T.parameter(rng.normal(size=(num_nodes, d)), name="h")
         anchors = topo.AnchorSet(node_indices=np.sort(
-            rng.choice(num_nodes, size=num_anchors, replace=False)), seed=seed)
+            rng.choice(num_nodes, size=num_anchors, replace=False)))
         omega = rng.uniform(0, 1, size=(num_nodes, num_anchors))
         weights = topo.CorrelationWeights(omega=omega, hop_cutoff=2)
         w = T.parameter(rng.normal(size=(d, 2 * d)), name="w")
@@ -139,7 +129,7 @@ class TestPgnnLayer:
     def test_identity_construction(self):
         d = 3
         h = T.Tensor(np.random.default_rng(1).normal(size=(4, d)))
-        anchors = topo.AnchorSet(node_indices=np.array([0, 1, 2, 3]), seed=0)
+        anchors = topo.AnchorSet(node_indices=np.array([0, 1, 2, 3]))
         # anchor a == k only: w[k,a] = 1 on the diagonal, W = [I | 0]
         weights = topo.CorrelationWeights(omega=np.eye(4), hop_cutoff=2)
         w = T.Tensor(np.concatenate([np.eye(d), np.zeros((d, d))], axis=1))
@@ -178,11 +168,11 @@ class TestPgnnLayer:
 
 
 class TestTopologyEncoder:
-    def make_encoder(self, num_layers=2, seed=0, cache_dir=None):
+    def make_encoder(self, num_layers=2, seed=0):
         rng = np.random.default_rng(seed)
         g = random_bipartite(rng, 8, 8, p=0.25)
         enc = topo.TopologyEncoder(g, num_anchors=4, q=2, latdim=3,
-                                   num_layers=num_layers, seed=seed, cache_dir=cache_dir)
+                                   num_layers=num_layers, seed=seed)
         return g, enc
 
     def test_zero_weights_reduce_to_identity(self):
@@ -214,29 +204,17 @@ class TestTopologyEncoder:
         with pytest.raises(ValueError, match="layer"):
             self.make_encoder(num_layers=0)
 
-    def test_distance_cache_round_trip(self, tmp_path):
-        g, enc = self.make_encoder(seed=6, cache_dir=tmp_path)
-        files = list(tmp_path.glob("dist_*.npz"))
-        assert len(files) == 1
-        _, enc2 = self.make_encoder(seed=6, cache_dir=tmp_path)
-        np.testing.assert_array_equal(enc.distance_table.distances,
-                                      enc2.distance_table.distances)
-
-    def test_distance_cache_names_the_anchors(self, tmp_path):
-        # same graph, seed and q into one cache directory: a different anchor
-        # count, then a different set of the same size, must each get their
-        # own table, equal to the uncached one
+    def test_distance_cache_names_the_anchors(self):
+        # same graph, seed and q: a different anchor count, then a different
+        # set of the same size, must each get the table of their own anchors
         g = random_bipartite(np.random.default_rng(7), 30, 40, p=0.1)
-        first = topo.TopologyEncoder(g, num_anchors=8, q=2, latdim=3, num_layers=1,
-                                     seed=6, cache_dir=tmp_path)
-        fewer = topo.TopologyEncoder(g, num_anchors=4, q=2, latdim=3, num_layers=1,
-                                     seed=6, cache_dir=tmp_path)
+        first = topo.TopologyEncoder(g, num_anchors=8, q=2, latdim=3, num_layers=1, seed=6)
+        fewer = topo.TopologyEncoder(g, num_anchors=4, q=2, latdim=3, num_layers=1, seed=6)
         other = topo.AnchorSet(np.setdiff1d(np.arange(g.num_nodes),
-                                            fewer.anchors.node_indices)[:4], seed=6)
+                                            fewer.anchors.node_indices)[:4])
         moved = topo.TopologyEncoder(g, num_anchors=4, q=2, latdim=3, num_layers=1,
-                                     seed=6, anchors=other, cache_dir=tmp_path)
+                                     seed=6, anchors=other)
         for enc in (first, fewer, moved):
             np.testing.assert_array_equal(
                 enc.distance_table.distances,
                 topo.shortest_paths(g, enc.anchors, 2).distances)
-        assert len(list(tmp_path.glob("dist_*.npz"))) == 3

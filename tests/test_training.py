@@ -16,7 +16,7 @@ from rgtrec.training import TrainConfig
 def tiny_cfg(**kw):
     base = dict(latdim=8, heads=2, gcn_layers=1, gt_layers=1, pnn_layers=1,
                 anchor_set=6, q=2, batch_size=256, lr=0.01, epochs=3, patience=0,
-                precision="float64", seed=1, determinism=True)
+                precision="float64", seed=1)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -58,7 +58,7 @@ class TestConfig:
         with pytest.raises(TR.ConfigError, match="rho_c"):
             tiny_cfg(rho_c=0.5).validate()
         with pytest.raises(TR.ConfigError, match="boolean"):
-            TR.parse_config_text("determinism = maybe\n")
+            TR.parse_config_text("use_residual = maybe\n")
 
 
 class TestNegativeSample:
@@ -318,6 +318,37 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match=rf"truncated at byte {cut}$"):
                 TR.read_checkpoint(part)
         assert TR.read_checkpoint(whole)
+
+        # a cut at a block boundary reads as a shorter file; loading it must
+        # still fail, whichever blocks it lost
+        block_ends = []
+        pos = 8
+        while pos < len(data):
+            (name_len,) = struct.unpack("<I", data[pos:pos + 4])
+            pos += 4 + name_len
+            (ndim,) = struct.unpack("<I", data[pos + 1:pos + 5])
+            pos += 5 + 4 * ndim
+            (nbytes,) = struct.unpack("<Q", data[pos:pos + 8])
+            pos += 8 + nbytes
+            block_ends.append(pos)
+        assert block_ends[-1] == len(data)
+        pair = TR.init_pair(build_graph(ds), tiny_cfg())
+        assert pair.student is not None
+        for cut in [8] + block_ends[:-1]:
+            part = tmp_path / "part.ckpt"
+            part.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match="no epoch block|no blocks for model "
+                                                 "role|snapshot: missing"):
+                TR.load_checkpoint_into(part, pair)
+        TR.load_checkpoint_into(whole, pair)
+
+    def test_snapshot_keys_must_match_exactly(self):
+        state = TR.init_pair(build_graph(tiny_dataset(seed=12)), tiny_cfg()).teacher
+        snap = state.snapshot()
+        with pytest.raises(ValueError, match=r"^teacher snapshot: missing adam/t$"):
+            state.load_snapshot({k: v for k, v in snap.items() if k != "adam/t"})
+        with pytest.raises(ValueError, match=r"^teacher snapshot: unexpected param/extra$"):
+            state.load_snapshot({**snap, "param/extra": np.zeros(1)})
 
     def test_unknown_dtype_code_rejected(self, tmp_path):
         path = tmp_path / "odd.ckpt"

@@ -36,17 +36,17 @@ from .training import (ConfigError, TrainConfig, dump_config, fit, init_pair,
 log = logging.getLogger(__name__)
 
 COMPONENT_VARIANTS = {
-    # plain transformer -> + topology & residual light attention -> + distillation
-    "gt": dict(use_topology=False, use_residual=False, use_distillation=False),
-    "rgt_la": dict(use_topology=True, use_residual=True, use_distillation=False),
-    "ad": dict(use_topology=True, use_residual=True, use_distillation=True),
+    # plain transformer -> + topology & residual light attention -> + EMA mean teacher
+    "gt": dict(use_topology=False, use_residual=False, self_distill_ema=0.0),
+    "rgt_la": dict(use_topology=True, use_residual=True, self_distill_ema=0.0),
+    "ad": dict(use_topology=True, use_residual=True, self_distill_ema=0.99),
 }
 
 LOSS_VARIANTS = {
     "full": {},
     "no_ranking": dict(lambda_ranking=0.0),
     "no_rec": dict(lambda_rec=0.0),
-    "no_distill": dict(lambda_distill=0.0, use_distillation=False),
+    "no_distill": dict(lambda_distill=0.0, self_distill_ema=0.0),
     "no_reg": dict(lambda_reg=0.0),
 }
 

@@ -25,7 +25,7 @@ _NORM_EPS = 1e-12
 class LossWeights:
     rec: float = 1.0        # recommendation cross-entropy
     mae: float = 1.0        # masked-edge reconstruction
-    distill: float = 0.1    # teacher/student embedding matching
+    distill: float = 0.1    # online model / EMA teacher embedding matching
     ranking: float = 1.0    # pairwise ranking on the rationale pathway
     contrast: float = 0.005  # rationale/complement separation
     reg: float = 1e-4       # Frobenius norm of all parameters
@@ -176,7 +176,8 @@ def loss_bpr(s_pathway: T.Tensor, triples: np.ndarray) -> T.Tensor:
 
 @dataclass
 class EmbeddingBundle:
-    """The four embedding groups matched between teacher and student."""
+    """The four embedding groups matched between the online model and its
+    EMA teacher."""
 
     user: T.Tensor
     item: T.Tensor

@@ -3,10 +3,10 @@
 One epoch: score every edge with the current attention parameters, draw
 fresh rationale/masked/complement subgraphs, then iterate mini-batches.
 Each batch runs the forward pipeline under a tape, assembles the weighted
-objective, and applies one Adam step to the main model; a separately
-initialized mimic model then matches the main model's embedding bundles
-through the distillation loss and takes its own Adam step.  Evaluation and
-checkpointing always use the main model.
+objective, and applies one Adam step to the model.  With ``self_distill_ema``
+on, the distillation term matches the model to an exponential moving average
+of its own parameters (a mean teacher).  Evaluation and checkpointing use the
+trained model.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ class TrainConfig:
     precision: str = "float32"
     use_topology: bool = True
     use_residual: bool = True
-    use_distillation: bool = True
     resample_anchors_per_epoch: bool = False
     # literal_mae: reconstruction as the unbounded mean of raw negative scores.
     # mae (and so total) may then go negative; the per-step sign guard skips
@@ -243,9 +242,9 @@ class ModelState:
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self._arrays().items()}
 
-    def load_snapshot(self, snap: dict[str, np.ndarray]) -> None:
-        """Restore from a snapshot with exactly the keys of ``snapshot()``;
-        a missing or extra key raises ``ValueError`` before anything loads."""
+    def check_snapshot(self, snap: dict[str, np.ndarray]) -> None:
+        """Raise ``ValueError`` unless ``snap`` has the keys and array shapes of
+        ``snapshot()`` and its anchors are nodes of the graph."""
         targets = self._arrays()
         for problem, keys in (("missing", targets.keys() - snap.keys()),
                               ("unexpected", snap.keys() - targets.keys())):
@@ -253,33 +252,37 @@ class ModelState:
                 raise ValueError(f"{self.role} snapshot: {problem} "
                                  + ", ".join(sorted(keys)))
         for key, arr in snap.items():
-            target = targets[key]
+            if targets[key].shape != arr.shape:
+                raise ValueError(f"{self.role} snapshot: shape mismatch for {key}: "
+                                 f"{arr.shape} vs {targets[key].shape}")
+        anchors = snap.get("anchors")
+        if anchors is not None and not ((anchors >= 0) & (anchors < self.graph.num_nodes)).all():
+            raise ValueError(f"{self.role} snapshot: anchors outside the graph's nodes")
+
+    def load_snapshot(self, snap: dict[str, np.ndarray]) -> None:
+        """Restore from a snapshot; ``check_snapshot`` runs before anything loads."""
+        self.check_snapshot(snap)
+        targets = self._arrays()
+        for key, arr in snap.items():
             if key == "anchors":
-                if not np.array_equal(arr, target):
+                if not np.array_equal(arr, targets[key]):
                     self.topo.refresh_tables(self.graph, AnchorSet(arr.copy()))
-                continue
-            if target.shape != arr.shape:
-                raise ValueError(f"snapshot shape mismatch for {key}: "
-                                 f"{arr.shape} vs {target.shape}")
-            if key == "adam/t":
+            elif key == "adam/t":
                 self.optimizer.t = int(arr[0])
             else:
-                target[...] = arr
+                targets[key][...] = arr
 
 
 @dataclass
 class DistillPair:
-    """Main model plus the auxiliary model used by the distillation loss."""
+    """The trained model, ``teacher``, plus its EMA copy ``ema`` in self-distillation mode."""
 
     teacher: ModelState
-    student: ModelState | None = None
     ema: ModelState | None = None
     epoch: int = 0
 
     def states(self) -> dict[str, ModelState]:
         out = {"teacher": self.teacher}
-        if self.student is not None:
-            out["student"] = self.student
         if self.ema is not None:
             out["ema"] = self.ema
         return out
@@ -289,15 +292,12 @@ def init_pair(graph: BipartiteGraph, cfg: TrainConfig) -> DistillPair:
     anchors = sample_anchors(graph, cfg.anchor_set, cfg.seed) if cfg.use_topology else None
     teacher = ModelState(graph, cfg, "teacher", anchors=anchors)
     tables = teacher.topo.tables if teacher.topo is not None else None
-    student = None
     ema = None
     if cfg.self_distill_ema > 0.0:
-        ema = ModelState(graph, cfg, "teacher", anchors=anchors, topo_tables=tables)
+        ema = ModelState(graph, cfg, "ema", anchors=anchors, topo_tables=tables)
         for name, p in ema.parameters().items():
             p.values[...] = teacher.parameters()[name].values
-    elif cfg.use_distillation:
-        student = ModelState(graph, cfg, "student", anchors=anchors, topo_tables=tables)
-    return DistillPair(teacher=teacher, student=student, ema=ema)
+    return DistillPair(teacher=teacher, ema=ema)
 
 
 # ---------------------------------------------------------------------------
@@ -497,20 +497,6 @@ def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph
                 p.values *= mu
                 p.values += (1.0 - mu) * teacher.parameters()[name].values
 
-        if pair.student is not None:
-            teacher_bundle = make_bundle(out, ds.num_users).detached()
-            with T.Tape() as tape:
-                student_out = run_pipeline(pair.student, graph, g_masked, g_rationale,
-                                           g_complement, cfg)
-                distill = loss_distill(make_bundle(student_out, ds.num_users),
-                                       teacher_bundle)
-                student_loss = T.mul(distill, weights.distill)
-                T.backward(student_loss, tape)
-            pair.student.optimizer.step()
-            pair.student.assert_finite()
-            report.distill = float(distill.values)
-            report.total += weights.distill * report.distill
-
         _check_report(report, graph.num_nodes, cfg.temperature, cfg.literal_mae)
         if step_writer is not None:
             step_writer({"epoch": epoch, "step": step, **report.as_dict()})
@@ -629,7 +615,7 @@ def _fit_inner(ds, cfg, out_path, graph):
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"RGTR"
-_VERSION = 2  # 2: fused attention matrices attn.wq/wk/wv replace per-head wq.<h>
+_VERSION = 3  # 2: fused attention wq/wk/wv; 3: roles teacher and optional ema only
 _DTYPE_CODES = {np.dtype("float32"): 1, np.dtype("float64"): 2, np.dtype("int64"): 3}
 _CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("<i8")}
 
@@ -647,15 +633,25 @@ def _write_block(fh, name: str, arr: np.ndarray) -> None:
 
 
 def write_checkpoint(path, pair: DistillPair) -> None:
+    """Write a synced temporary file beside ``path``, then replace ``path`` with
+    it, so a failed write leaves the previous checkpoint intact."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        _write_block(fh, "epoch", np.asarray([pair.epoch], dtype=np.int64))
-        for role, state in pair.states().items():
-            for key, arr in state.snapshot().items():
-                _write_block(fh, f"{role}/{key}", arr)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<I", _VERSION))
+            _write_block(fh, "epoch", np.asarray([pair.epoch], dtype=np.int64))
+            for role, state in pair.states().items():
+                for key, arr in state.snapshot().items():
+                    _write_block(fh, f"{role}/{key}", arr)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
@@ -691,10 +687,10 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
 
 
 def load_checkpoint_into(path, pair: DistillPair) -> None:
-    """Load every model role of ``pair`` from a checkpoint.  Raises
-    ``ValueError`` when the epoch block or a role of the pair is missing, when
-    the file holds a role the pair lacks, or when a role's keys differ from
-    its snapshot's."""
+    """Load every model role of ``pair`` from a checkpoint, all or nothing:
+    ``ValueError``, raised before anything loads, when the epoch block or a
+    role of the pair is missing, when the file holds a role the pair lacks, or
+    when a role's keys or shapes differ from its snapshot's."""
     blocks = read_checkpoint(path)
     if "epoch" not in blocks:
         raise ValueError(f"{path}: checkpoint has no epoch block")
@@ -710,6 +706,8 @@ def load_checkpoint_into(path, pair: DistillPair) -> None:
     missing = sorted(states.keys() - per_role.keys())
     if missing:
         raise ValueError(f"{path}: checkpoint has no blocks for model role {missing[0]!r}")
+    for role, state in states.items():
+        state.check_snapshot(per_role[role])
     for role, state in states.items():
         state.load_snapshot(per_role[role])
     pair.epoch = epoch

@@ -14,20 +14,27 @@ def float64_mode():
         yield
 
 
-@pytest.fixture
-def v1_checkpoint(tmp_path):
-    """A checkpoint in the version-1 layout, with per-head attention blocks."""
-    path = tmp_path / "v1.ckpt"
+@pytest.fixture(params=[1, 2])
+def old_checkpoint(request, tmp_path):
+    """A checkpoint in a retired layout: version 1, with per-head attention
+    blocks, or version 2, which also holds a mimic model's blocks."""
+    version = request.param
+    path = tmp_path / f"v{version}.ckpt"
     with path.open("wb") as fh:
         fh.write(b"RGTR")
-        fh.write(struct.pack("<I", 1))
+        fh.write(struct.pack("<I", version))
         training._write_block(fh, "epoch", np.asarray([1], dtype=np.int64))
-        for name in ("wq", "wk", "wv"):
-            for head in range(2):
-                training._write_block(fh, f"teacher/param/attn.{name}.{head}",
-                                      np.zeros((4, 8)))
+        if version == 1:
+            for name in ("wq", "wk", "wv"):
+                for head in range(2):
+                    training._write_block(fh, f"teacher/param/attn.{name}.{head}",
+                                          np.zeros((4, 8)))
+        else:
+            for prefix in ("teacher/param/attn.", "student/param/attn."):
+                for name in ("wq", "wk", "wv"):
+                    training._write_block(fh, prefix + name, np.zeros((8, 8)))
         training._write_block(fh, "teacher/param/attn.wo", np.zeros((8, 8)))
-    return path
+    return version, path
 
 
 @pytest.fixture

@@ -375,26 +375,23 @@ def test_c7_ablation_ordering():
 
     # component chain in a converged regime
     converged = dataclasses.replace(SYNTH_CFG, epochs=30)
-    chain = {"full": [], "no_distill": [], "plain_gt": []}
+    chain = {"full": [], "plain_gt": []}
     for seed in seeds:
         for name, patch in (
             ("full", {}),
-            ("no_distill", dict(use_distillation=False)),
-            ("plain_gt", dict(use_topology=False, use_residual=False,
-                              use_distillation=False)),
+            ("plain_gt", dict(use_topology=False, use_residual=False)),
         ):
             cfg = dataclasses.replace(converged, **patch)
             _, result = train_synthetic(cfg, seed)
             chain[name].append(result.macro("recall", 40))
     mean = {k: float(np.mean(v)) for k, v in chain.items()}
-    assert mean["full"] >= mean["no_distill"] >= mean["plain_gt"], mean
+    assert mean["full"] >= mean["plain_gt"], mean
 
     # loss removals in an undertrained regime where the margins are visible
     undertrained = dataclasses.replace(SYNTH_CFG, epochs=3, lr=0.003)
     removals = {
         "no_ranking": dict(lambda_ranking=0.0),
         "no_rec": dict(lambda_rec=0.0),
-        "no_distill": dict(use_distillation=False),
         "no_reg": dict(lambda_reg=0.0),
     }
     margins = {name: [] for name in removals}

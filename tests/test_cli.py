@@ -127,15 +127,15 @@ class TestEvaluate:
                      "--checkpoint", str(tmp_path / "none.ckpt")] + TINY_FLAGS)
         assert code == 1
 
-    def test_version_one_checkpoint_exits_one_without_traceback(self, prepared,
-                                                                v1_checkpoint):
+    def test_old_version_checkpoint_exits_one_without_traceback(self, prepared,
+                                                                old_checkpoint):
+        version, path = old_checkpoint
         proc = subprocess.run(
             [sys.executable, "-m", "rgtrec.cli", "evaluate", "--data", str(prepared),
-             "--checkpoint", str(v1_checkpoint)] + TINY_FLAGS,
+             "--checkpoint", str(path)] + TINY_FLAGS,
             capture_output=True, text=True)
         assert proc.returncode == 1
-        assert "error: unsupported checkpoint version 1" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [f"error: unsupported checkpoint version {version}"]
 
     def test_truncated_checkpoint_exits_one_without_traceback(self, prepared,
                                                              truncated_checkpoint):

@@ -8,7 +8,7 @@ The package is organized as a small numpy/scipy library:
 - ``attention``   sparse multi-head attention and edge rationale scores
 - ``sampling``    rationale / masked / complement subgraph draws
 - ``propagation`` degree-normalized propagation and the masked encoder
-- ``losses``      all objective terms and their weighted combination
+- ``losses``      all objective terms and their weighted sum
 - ``training``    configs, model state, the epoch loop and checkpoints
 - ``evaluation``  all-rank Recall@K / NDCG@K
 - ``mf_baseline`` pairwise matrix-factorization reference baseline

@@ -27,10 +27,9 @@ from . import tensor as T
 from .data import (DataFormatError, TEST, VAL, build_graph, load_interactions,
                    load_prepared, save_prepared, split)
 from .evaluation import evaluate, write_metrics_csv, write_metric_series_csv
-from .sampling import build_masked_graph, dump_subgraph_tsv, sample_complement, sample_rationale
-from .seeding import substream
-from .training import (ConfigError, TrainConfig, dump_config, fit, init_pair,
-                       load_checkpoint_into, load_config, predict_embeddings,
+from .sampling import dump_subgraph_tsv
+from .training import (ConfigError, TrainConfig, draw_subgraphs, dump_config, fit,
+                       init_pair, load_checkpoint_into, load_config, predict_embeddings,
                        rationale_score_table)
 
 log = logging.getLogger(__name__)
@@ -187,13 +186,7 @@ def _dump_first_epoch_subgraphs(ds, cfg, out_dir) -> None:
     with T.using_dtype(cfg.precision):
         pair = init_pair(graph, cfg)
         table = rationale_score_table(pair.teacher, graph, cfg)
-    seed = int(substream(cfg.seed, "subgraphs", 0).integers(0, 2**31 - 1))
-    subs = [
-        sample_rationale(table, cfg.rho_r, seed),
-        build_masked_graph(table, cfg.rho_m, seed, rho_r=cfg.rho_r),
-        sample_complement(table, cfg.rho_c, seed, rho_m=cfg.rho_m),
-    ]
-    for sub in subs:
+    for sub in draw_subgraphs(table, cfg, epoch=0):
         dump_subgraph_tsv(sub, graph, Path(out_dir) / f"{sub.kind}.tsv")
 
 

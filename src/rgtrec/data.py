@@ -258,34 +258,57 @@ def save_prepared(ds: InteractionDataset, out_dir) -> None:
             fh.write(f"item\t{tok}\t{idx}\n")
 
 
+def _tsv_rows(path: Path, columns: int):
+    """(line number, fields) of each row after the header line; a file with no
+    header or a row without exactly ``columns`` fields raises ``DataFormatError``."""
+    with path.open("r", encoding="utf-8") as fh:
+        if not fh.readline():
+            raise DataFormatError(f"{path}: empty file; expected a header line")
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != columns:
+                raise DataFormatError(f"{path}:{lineno}: expected {columns} tab-separated "
+                                      f"fields, got {len(fields)}")
+            yield lineno, fields
+
+
 def load_prepared(data_dir) -> InteractionDataset:
-    """Rebuild a split dataset from ``splits.tsv`` + ``ids.tsv``."""
+    """Rebuild a split dataset from ``splits.tsv`` + ``ids.tsv``.  A malformed
+    row raises ``DataFormatError`` naming its file and line."""
     data = Path(data_dir)
-    users: dict[str, int] = {}
-    items: dict[str, int] = {}
-    with (data / "ids.tsv").open("r", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            kind, token, idx = line.rstrip("\n").split("\t")
-            (users if kind == "user" else items)[token] = int(idx)
+    ids: dict[str, dict[str, int]] = {"user": {}, "item": {}}
+    path = data / "ids.tsv"
+    for lineno, (kind, token, idx) in _tsv_rows(path, 3):
+        table = ids.get(kind)
+        if table is None:
+            raise DataFormatError(f"{path}:{lineno}: unknown kind {kind!r}; "
+                                  "expected user or item")
+        if token in table or idx != str(len(table)):
+            raise DataFormatError(f"{path}:{lineno}: expected a new {kind} token "
+                                  f"with index {len(table)}")
+        table[token] = len(table)
 
     pairs: list[tuple[int, int]] = []
     assignment: list[int] = []
     split_code = {name: code for code, name in enumerate(SPLIT_NAMES)}
-    with (data / "splits.tsv").open("r", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            u_tok, i_tok, s_name = line.rstrip("\n").split("\t")
-            pairs.append((users[u_tok], items[i_tok]))
-            assignment.append(split_code[s_name])
+    path = data / "splits.tsv"
+    for lineno, (u_tok, i_tok, s_name) in _tsv_rows(path, 3):
+        for kind, token in (("user", u_tok), ("item", i_tok)):
+            if token not in ids[kind]:
+                raise DataFormatError(f"{path}:{lineno}: {kind} {token!r} is not in ids.tsv")
+        if s_name not in split_code:
+            raise DataFormatError(f"{path}:{lineno}: unknown split {s_name!r}; "
+                                  "expected train, val or test")
+        pairs.append((ids["user"][u_tok], ids["item"][i_tok]))
+        assignment.append(split_code[s_name])
+    if not pairs:
+        raise DataFormatError(f"{path}: no interactions")
 
-    user_tokens = [t for t, _ in sorted(users.items(), key=lambda kv: kv[1])]
-    item_tokens = [t for t, _ in sorted(items.items(), key=lambda kv: kv[1])]
     return InteractionDataset(
-        num_users=len(users),
-        num_items=len(items),
+        num_users=len(ids["user"]),
+        num_items=len(ids["item"]),
         interactions=np.asarray(pairs, dtype=np.int64),
-        user_tokens=user_tokens,
-        item_tokens=item_tokens,
+        user_tokens=list(ids["user"]),
+        item_tokens=list(ids["item"]),
         split_assignment=np.asarray(assignment, dtype=np.int8),
     )

@@ -145,19 +145,6 @@ def write_metrics_csv(path, results: dict[str, RankingResult]) -> None:
                                  f"{result.macro('ndcg', k):.6f}"])
 
 
-def write_per_user_tsv(path, result: RankingResult) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        header = ["user"] + [f"recall@{k}" for k in result.ks] + [f"ndcg@{k}" for k in result.ks]
-        fh.write("\t".join(header) + "\n")
-        for row, u in enumerate(result.user_ids):
-            cells = [str(int(u))]
-            cells += [f"{result.recall[k][row]:.6f}" for k in result.ks]
-            cells += [f"{result.ndcg[k][row]:.6f}" for k in result.ks]
-            fh.write("\t".join(cells) + "\n")
-
-
 def write_metric_series_csv(path, rows: list[dict]) -> None:
     """Generic long-format series emitter (e.g. ablation variants per seed)."""
     path = Path(path)

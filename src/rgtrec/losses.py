@@ -1,4 +1,4 @@
-"""All training objectives and their weighted combination.
+"""All training objectives and their weighted sum.
 
 Every term is a mean over its index set so the weights keep their meaning
 regardless of batch size.  Log-sigmoid terms are computed through softplus
@@ -84,29 +84,22 @@ def _pair_scores(s: T.Tensor, left: np.ndarray, right: np.ndarray) -> T.Tensor:
 
 
 def loss_mae(s: T.Tensor, masked_out_edges: np.ndarray, g: BipartiteGraph,
-             rng: np.random.Generator, negatives_per_edge: int = 1,
-             literal: bool = False) -> T.Tensor:
+             rng: np.random.Generator) -> T.Tensor:
     """Reconstruction of masked-out edges against sampled non-edges.
 
     Mean over masked-out edges of -log sigmoid(score) for the edge plus
-    -log sigmoid(-score) for each negative.  ``literal`` switches to the
-    unbounded mean of raw negative scores (for comparison runs only); that
-    value, and so the total loss, may be negative, so the training loop's
-    sign guard skips it, while ``total_loss`` still requires it to be finite.
+    -log sigmoid(-score) for one non-edge of the same user.  The positive
+    terms are recorded before the negatives are drawn and scored; the tape
+    order fixes the order in which ``backward`` sums gradients.
     """
     if len(masked_out_edges) == 0:
         log.warning("masked-out edge set is empty; reconstruction loss is 0")
         return T.Tensor(0.0)
     users = masked_out_edges[:, 0]
     items = masked_out_edges[:, 1]
-    pos = _pair_scores(s, users, items)
-    if literal:
-        return T.neg(T.tmean(pos))
-
-    loss = T.softplus(T.neg(pos))
-    for _ in range(negatives_per_edge):
-        negs = sample_non_neighbors(g, users, rng)
-        loss = T.add(loss, T.softplus(_pair_scores(s, users, negs)))
+    loss = T.softplus(T.neg(_pair_scores(s, users, items)))
+    negs = sample_non_neighbors(g, users, rng)
+    loss = T.add(loss, T.softplus(_pair_scores(s, users, negs)))
     return T.tmean(loss)
 
 
@@ -214,7 +207,7 @@ def frobenius_penalty(params: dict[str, T.Tensor]) -> T.Tensor:
 def total_loss(rec: T.Tensor, mae: T.Tensor, distill: T.Tensor, ranking: T.Tensor,
                contrast: T.Tensor, weights: LossWeights,
                params: dict[str, T.Tensor]) -> tuple[T.Tensor, LossReport]:
-    """Weighted combination of all terms plus the Frobenius penalty."""
+    """Weighted sum of all terms plus the Frobenius penalty."""
     reg = frobenius_penalty(params)
     terms = {"rec": rec, "mae": mae, "distill": distill,
              "ranking": ranking, "contrast": contrast, "reg": reg}

@@ -44,10 +44,6 @@ def set_default_dtype(dtype) -> None:
     _DEFAULT_DTYPE = dt.type
 
 
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
 @contextlib.contextmanager
 def using_dtype(dtype):
     """Temporarily switch the default tensor dtype."""
@@ -313,21 +309,6 @@ def sqrt(a) -> Tensor:
     return _emit(out, (a,), lambda g: (g * 0.5 / out,))
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    av = a.values
-    out = np.empty_like(av)
-    pos = av >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-av[pos]))
-    ex = np.exp(av[~pos])
-    out[~pos] = ex / (1.0 + ex)
-
-    def bw(g):
-        return (g * out * (1.0 - out),)
-
-    return _emit(out, (a,), bw)
-
-
 def softplus(a) -> Tensor:
     """log(1 + exp(x)), computed without overflow; the stable -log(sigmoid(-x))."""
     a = as_tensor(a)
@@ -584,18 +565,6 @@ def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     old = a.shape
     return _emit(a.values.reshape(shape), (a,), lambda g: (g.reshape(old),))
-
-
-def clip_min(a, floor: float) -> Tensor:
-    """max(a, floor) elementwise; gradient passes only where a > floor."""
-    a = as_tensor(a)
-    av = a.values
-    out = np.maximum(av, floor)
-
-    def bw(g):
-        return (g * (av > floor),)
-
-    return _emit(out, (a,), bw)
 
 
 def detach(a) -> Tensor:

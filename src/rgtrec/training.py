@@ -22,13 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionParams, attention_scores, edge_rationale_probs, residual_gt
+from .attention import (AttentionParams, EdgeScoreTable, attention_scores,
+                        edge_rationale_probs, residual_gt)
 from .data import InteractionDataset, BipartiteGraph, TRAIN, VAL, build_graph
 from .evaluation import evaluate
 from .losses import (EmbeddingBundle, LossReport, LossWeights, loss_bpr, loss_cir,
                      loss_distill, loss_mae, loss_rec, total_loss)
 from .propagation import PropagationConfig, encode_masked, lightgcn_propagate
-from .sampling import build_masked_graph, sample_complement, sample_rationale
+from .sampling import (SampledSubgraph, build_masked_graph, sample_complement,
+                       sample_rationale)
 from .seeding import substream
 from .topology import AnchorSet, TopologyEncoder, sample_anchors
 
@@ -51,15 +53,11 @@ class TrainConfig:
     pnn_layers: int = 2
     anchor_set: int = 32
     q: int = 2
-    combination: str = "mean_of_layers"
     # optimization
     batch_size: int = 4096
     lr: float = 0.001
     epochs: int = 100
     patience: int = 20
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     # objective weights
     lambda_rec: float = 1.0
     lambda_mae: float = 1.0
@@ -72,18 +70,12 @@ class TrainConfig:
     rho_r: float = 0.5
     rho_m: float = 0.9
     rho_c: float = 0.1
-    mae_negatives: int = 1
     rec_candidates: int = 0  # 0 = score against the full item set
     # behavior switches
     seed: int = 0
     precision: str = "float32"
     use_topology: bool = True
     use_residual: bool = True
-    resample_anchors_per_epoch: bool = False
-    # literal_mae: reconstruction as the unbounded mean of raw negative scores.
-    # mae (and so total) may then go negative; the per-step sign guard skips
-    # mae, and total_loss still rejects a non-finite mae.
-    literal_mae: bool = False
     self_distill_ema: float = 0.0  # > 0 switches to EMA self-distillation
 
     def validate(self) -> None:
@@ -104,12 +96,10 @@ class TrainConfig:
             (c.temperature > 0, "temperature must be positive"),
             (0 < c.rho_r <= 1, "rho_r must be in (0, 1]"),
             (0 < c.rho_m < 1, "rho_m must be in (0, 1)"),
-            (c.rho_m > c.rho_r or not (0 < c.rho_r < 1), "rho_m must exceed rho_r"),
+            (c.rho_m > c.rho_r, "rho_m must exceed rho_r"),
             (0 < c.rho_c <= c.rho_m / 4, "rho_c must be in (0, rho_m / 4]"),
-            (c.mae_negatives >= 0, "mae_negatives must be >= 0"),
             (c.rec_candidates >= 0, "rec_candidates must be >= 0"),
             (c.precision in ("float32", "float64"), "precision must be float32 or float64"),
-            (c.combination in ("mean_of_layers", "last_layer"), "unknown combination mode"),
             (0.0 <= c.self_distill_ema < 1.0, "self_distill_ema must be in [0, 1)"),
         ]
         for ok, message in checks:
@@ -214,8 +204,7 @@ class ModelState:
                                         cfg.pnn_layers, seed=seed, anchors=anchors,
                                         tables=topo_tables)
         self.attn = AttentionParams(cfg.latdim, cfg.heads, seed=seed)
-        self.optimizer = T.Adam(self.parameters(), lr=cfg.lr,
-                                betas=(cfg.adam_beta1, cfg.adam_beta2), eps=cfg.adam_eps)
+        self.optimizer = T.Adam(self.parameters(), lr=cfg.lr)
 
     def parameters(self) -> dict[str, T.Tensor]:
         params = {"emb": self.emb}
@@ -316,7 +305,7 @@ class PipelineOutputs:
 def run_pipeline(state: ModelState, graph: BipartiteGraph, g_masked: BipartiteGraph,
                  g_rationale: BipartiteGraph, g_complement: BipartiteGraph,
                  cfg: TrainConfig) -> PipelineOutputs:
-    prop = PropagationConfig(cfg.gcn_layers, cfg.combination)
+    prop = PropagationConfig(cfg.gcn_layers)
     h_bar = state.topo.encode(state.emb) if state.topo is not None else state.emb
     h_rgt = residual_gt(h_bar, graph, state.attn, cfg.gt_layers, residual=cfg.use_residual)
 
@@ -354,7 +343,7 @@ def predict_embeddings(state: ModelState, graph: BipartiteGraph,
                        cfg: TrainConfig) -> np.ndarray:
     """Final prediction embeddings with the full observed graph substituted
     for the masked graph."""
-    prop = PropagationConfig(cfg.gcn_layers, cfg.combination)
+    prop = PropagationConfig(cfg.gcn_layers)
     s_local = lightgcn_propagate(graph, state.emb, prop)
     encoded = encode_masked(graph, s_local, state.topo, state.attn, cfg.gt_layers,
                             residual=cfg.use_residual, use_topology=cfg.use_topology)
@@ -364,6 +353,15 @@ def predict_embeddings(state: ModelState, graph: BipartiteGraph,
 # ---------------------------------------------------------------------------
 # sampling helpers
 # ---------------------------------------------------------------------------
+
+
+def draw_subgraphs(table: EdgeScoreTable, cfg: TrainConfig,
+                   epoch: int) -> tuple[SampledSubgraph, SampledSubgraph, SampledSubgraph]:
+    """The rationale, masked and complement edge samples of ``epoch``."""
+    seed = int(substream(cfg.seed, "subgraphs", epoch).integers(0, 2**31 - 1))
+    return (sample_rationale(table, cfg.rho_r, seed),
+            build_masked_graph(table, cfg.rho_m, seed, rho_r=cfg.rho_r),
+            sample_complement(table, cfg.rho_c, seed, rho_m=cfg.rho_m))
 
 
 def negative_sample(ds: InteractionDataset, batch_users: np.ndarray,
@@ -417,14 +415,10 @@ def _candidate_items(ds: InteractionDataset, batch_pairs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _check_report(report: LossReport, num_nodes: int, temperature: float,
-                  literal_mae: bool = False) -> None:
+def _check_report(report: LossReport, num_nodes: int, temperature: float) -> None:
     """Raise FloatingPointError when a loss term leaves its range.  Every
-    term but ``contrast`` must be non-negative, except ``mae`` in literal
-    mode (see ``TrainConfig.literal_mae``)."""
+    term but ``contrast`` must be non-negative."""
     for name in ("rec", "mae", "ranking", "distill", "reg"):
-        if name == "mae" and literal_mae:
-            continue
         value = getattr(report, name)
         if value < -1e-9:
             raise FloatingPointError(f"loss term {name} went negative: {value}")
@@ -450,10 +444,7 @@ def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph
         positives = ds.positives_by_user(TRAIN)
 
     table = rationale_score_table(teacher, graph, cfg)
-    sub_seed = int(substream(cfg.seed, "subgraphs", epoch).integers(0, 2**31 - 1))
-    sub_r = sample_rationale(table, cfg.rho_r, sub_seed)
-    sub_m = build_masked_graph(table, cfg.rho_m, sub_seed, rho_r=cfg.rho_r)
-    sub_c = sample_complement(table, cfg.rho_c, sub_seed, rho_m=cfg.rho_m)
+    sub_r, sub_m, sub_c = draw_subgraphs(table, cfg, epoch)
     g_rationale = sub_r.materialize(graph)
     g_masked = sub_m.materialize(graph)
     g_complement = sub_c.materialize(graph)
@@ -475,8 +466,7 @@ def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph
         with T.Tape() as tape:
             out = run_pipeline(teacher, graph, g_masked, g_rationale, g_complement, cfg)
             rec = loss_rec(out.encoded, batch_nodes, candidates)
-            mae = loss_mae(out.encoded, masked_out, graph, step_rng,
-                           negatives_per_edge=cfg.mae_negatives, literal=cfg.literal_mae)
+            mae = loss_mae(out.encoded, masked_out, graph, step_rng)
             ranking = loss_bpr(out.rationale_pathway, triples)
             contrast = loss_cir(out.emb_rationale, out.emb_complement, cfg.temperature)
             distill_t = T.Tensor(0.0)
@@ -497,7 +487,7 @@ def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph
                 p.values *= mu
                 p.values += (1.0 - mu) * teacher.parameters()[name].values
 
-        _check_report(report, graph.num_nodes, cfg.temperature, cfg.literal_mae)
+        _check_report(report, graph.num_nodes, cfg.temperature)
         if step_writer is not None:
             step_writer({"epoch": epoch, "step": step, **report.as_dict()})
         reports.append(report)
@@ -555,13 +545,6 @@ def _fit_inner(ds, cfg, out_path, graph):
 
     try:
         for epoch in range(cfg.epochs):
-            if cfg.resample_anchors_per_epoch and pair.teacher.topo is not None:
-                anchor_seed = int(substream(cfg.seed, "anchors-epoch", epoch).integers(0, 2**31 - 1))
-                anchors = sample_anchors(graph, cfg.anchor_set, anchor_seed)
-                for state in pair.states().values():
-                    if state.topo is not None:
-                        state.topo.refresh_tables(graph, anchors)
-
             summary = train_epoch(pair, ds, graph, cfg, epoch, positives=positives,
                                   step_writer=step_writer)
             record = {"epoch": epoch, **summary.as_dict()}
@@ -573,7 +556,8 @@ def _fit_inner(ds, cfg, out_path, graph):
                 metric = val.macro("recall", 20)
                 if metric > best_metric:
                     best_metric = metric
-                    best_snapshot = pair.teacher.snapshot()
+                    best_snapshot = {role: state.snapshot()
+                                     for role, state in pair.states().items()}
                     best_epoch = epoch
                     epochs_since_best = 0
                 else:
@@ -603,7 +587,8 @@ def _fit_inner(ds, cfg, out_path, graph):
             step_fh.close()
 
     if best_snapshot is not None:
-        pair.teacher.load_snapshot(best_snapshot)
+        for role, state in pair.states().items():
+            state.load_snapshot(best_snapshot[role])
         pair.epoch = best_epoch + 1
     if out_path is not None:
         write_checkpoint(out_path / "model.ckpt", pair)

@@ -1,3 +1,4 @@
+import re
 import struct
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rgtrec import training as TR
 from rgtrec.cli import main
 from rgtrec.synthetic import make_block_dataset
 from rgtrec.training import _VERSION
@@ -32,6 +34,14 @@ def prepared(raw_file, tmp_path):
 TINY_FLAGS = ["--latdim", "8", "--heads", "2", "--anchor-set", "6",
               "--pnn-layers", "1", "--epochs", "1", "--patience", "0",
               "--batch-size", "256"]
+
+
+# a misspelt key, then keys that older versions accepted, with a value they took
+BAD_KEYS = [
+    ("latdimm", "4"), ("literal_mae", "true"), ("resample_anchors_per_epoch", "true"),
+    ("mae_negatives", "1"), ("combination", "mean_of_layers"),
+    ("adam_beta1", "0.9"), ("adam_beta2", "0.999"), ("adam_eps", "1e-8"),
+]
 
 
 class TestPrepare:
@@ -72,12 +82,49 @@ class TestTrain:
             assert (out / name).exists(), name
         assert "test recall@20" in capsys.readouterr().out
 
-    def test_invalid_config_key_exits_two(self, prepared, tmp_path):
+    @pytest.mark.parametrize("key, value", BAD_KEYS, ids=[k for k, _ in BAD_KEYS])
+    def test_invalid_config_key_exits_two(self, prepared, tmp_path, capsys, key, value):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("latdimm = 4\n")
+        cfg.write_text(f"{key} = {value}\n")
         code = main(["train", "--data", str(prepared), "--out", str(tmp_path / "r"),
                      "--config", str(cfg)])
         assert code == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(prepared), "--out", str(tmp_path / "r"),
+                  "--" + key.replace("_", "-"), value])
+        assert exc.value.code == 2
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("file, edit, message", [
+        ("splits.tsv", lambda rows: rows + ["ghost\ti0\ttrain"],
+         r"splits\.tsv:\d+: user 'ghost' is not in ids\.tsv"),
+        ("splits.tsv", lambda rows: rows + ["u0\tghost\ttrain"],
+         r"splits\.tsv:\d+: item 'ghost' is not in ids\.tsv"),
+        ("splits.tsv", lambda rows: rows[:1] + [rows[1].rsplit("\t", 1)[0] + "\tholdout"],
+         r"splits\.tsv:2: unknown split 'holdout'"),
+        ("splits.tsv", lambda rows: rows + ["u0\ti0"],
+         r"splits\.tsv:\d+: expected 3 tab-separated fields, got 2"),
+        ("splits.tsv", lambda rows: rows[:1], r"splits\.tsv: no interactions"),
+        ("splits.tsv", lambda rows: [], r"splits\.tsv: empty file"),
+        ("ids.tsv", lambda rows: [], r"ids\.tsv: empty file"),
+        ("ids.tsv", lambda rows: rows[:1] + ["user\tu0\t7"] + rows[2:],
+         r"ids\.tsv:2: expected a new user token with index 0"),
+    ], ids=["user", "item", "split", "columns", "no_rows", "empty_splits", "empty_ids",
+            "index"])
+    def test_malformed_prepared_dir_exits_one_without_traceback(self, prepared, tmp_path,
+                                                                file, edit, message):
+        path = prepared / file
+        rows = path.read_text().splitlines()
+        path.write_text("".join(row + "\n" for row in edit(rows)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rgtrec.cli", "train", "--data", str(prepared),
+             "--out", str(tmp_path / "r")] + TINY_FLAGS,
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert re.match(rf"^error: {re.escape(str(prepared))}/{message}", lines[0]), lines[0]
 
     def test_flag_overrides_config_file(self, prepared, tmp_path, capsys):
         cfg = tmp_path / "base.cfg"
@@ -100,13 +147,26 @@ class TestTrain:
             logs.append((out / "train_log.jsonl").read_bytes())
         assert logs[0] == logs[1]
 
-    def test_dump_subgraphs(self, prepared, tmp_path):
+    def test_dump_subgraphs(self, prepared, tmp_path, monkeypatch):
+        drawn = {}
+        draw = TR.draw_subgraphs
+
+        def record(table, cfg, epoch):
+            subs = draw(table, cfg, epoch)
+            drawn.setdefault(epoch, []).append(subs)
+            return subs
+
+        monkeypatch.setattr(TR, "draw_subgraphs", record)
         out = tmp_path / "run"
         code = main(["train", "--data", str(prepared), "--out", str(out),
                      "--dump-subgraphs"] + TINY_FLAGS)
         assert code == 0
-        for kind in ("rationale", "masked", "complement"):
-            assert (out / "subgraphs" / f"{kind}.tsv").exists()
+        assert drawn.keys() == {0}  # training's draws; TINY_FLAGS run one epoch
+        for subs in drawn[0]:
+            for sub in subs:
+                rows = (out / "subgraphs" / f"{sub.kind}.tsv").read_text().splitlines()[2:]
+                dumped = [int(row.split("\t")[0]) for row in rows]
+                assert dumped == sub.edge_indices.tolist(), sub.kind
 
 
 class TestEvaluate:

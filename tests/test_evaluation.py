@@ -230,15 +230,6 @@ class TestWriters:
         assert lines[0] == "split,K,recall,ndcg"
         assert len(lines) == 3
 
-    def test_per_user_tsv(self, tmp_path):
-        ds = two_user_toy()
-        s = np.random.default_rng(9).normal(size=(6, 3))
-        result = E.evaluate(s, ds, VAL, ks=(1,))
-        out = tmp_path / "per_user.tsv"
-        E.write_per_user_tsv(out, result)
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 1 + len(result.user_ids)
-
     def test_series_csv(self, tmp_path):
         rows = [{"variant": "full", "seed": 0, "recall@40": 0.5},
                 {"variant": "full", "seed": 1, "recall@40": 0.6}]

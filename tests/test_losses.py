@@ -62,15 +62,6 @@ class TestLossMae:
         assert float(out.values) == 0.0
         assert "empty" in caplog.text
 
-    def test_literal_form(self):
-        g = complete_minus_one()
-        rng = np.random.default_rng(3)
-        s = rng.normal(size=(g.num_nodes, 3))
-        masked_out = g.edge_list[:3]
-        out = L.loss_mae(T.Tensor(s), masked_out, g, substream(3, "mae"), literal=True)
-        expect = -np.mean([s[u] @ s[i] for u, i in masked_out])
-        assert float(out.values) == pytest.approx(expect, abs=1e-9)
-
     def test_gradients(self):
         g = complete_minus_one()
         rng = np.random.default_rng(4)

@@ -1,19 +1,27 @@
 """Guards for what the benchmark under ``perfbench/`` needs from the program."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from rgtrec.training import load_config
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracing")
 
 
 def test_every_trace_target_exists(tracing):
@@ -22,3 +30,12 @@ def test_every_trace_target_exists(tracing):
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in tracing.TARGETS
                if attr not in vars(owner)]
     assert not missing, missing
+
+
+def test_every_workload_config_loads():
+    # run.py builds each workload's config the same way; a key the program no
+    # longer has would otherwise fail every benchmark run
+    for name, workload in _load("workloads").WORKLOADS.items():
+        cfg = load_config(None, {**workload.config, "seed": 0})
+        for key, value in workload.config.items():
+            assert getattr(cfg, key) == value, (name, key)

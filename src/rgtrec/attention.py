@@ -66,10 +66,9 @@ class AttentionParams:
 
 @dataclass
 class EdgeScoreTable:
-    """Rationale probabilities per undirected edge plus raw per-head scores."""
+    """Rationale probabilities per undirected edge."""
 
-    probs: np.ndarray        # (num_edges,) summing to 1
-    head_scores: np.ndarray  # (heads, num_directed) softmax-normalized per source
+    probs: np.ndarray  # (num_edges,) summing to 1
 
 
 def _log_isolated(g: BipartiteGraph) -> None:
@@ -103,8 +102,7 @@ def edge_rationale_probs(head_scores: T.Tensor, g: BipartiteGraph) -> EdgeScoreT
     if total <= 0.0:
         raise ValueError("degenerate attention: edge scores sum to zero")
     probs = T.div(per_edge, total)
-    return EdgeScoreTable(probs=probs.values.copy(),
-                          head_scores=np.ascontiguousarray(head_scores.values.T))
+    return EdgeScoreTable(probs=probs.values.copy())
 
 
 def light_self_attention(h_in: T.Tensor, g: BipartiteGraph, params: AttentionParams) -> T.Tensor:

@@ -188,6 +188,32 @@ class BipartiteGraph:
         Computed once per graph; the CSR arrays are never modified."""
         return np.repeat(np.arange(self.num_nodes), np.diff(self.csr_offsets))
 
+    @cached_property
+    def _non_neighbor_keys(self) -> np.ndarray:
+        """``u * (num_items + 1) + (p_k - k)`` for the k-th sorted neighbour
+        item ``p_k`` of every user ``u``: ``p_k - k`` counts the user's
+        non-neighbours below ``p_k``, so the array is sorted.  User rows only;
+        item rows would break the order."""
+        slots = np.arange(self.csr_offsets[self.num_users])
+        users = self.directed_src[:len(slots)]
+        below = self.csr_neighbors[slots] - self.num_users - (slots - self.csr_offsets[users])
+        return users * (self.num_items + 1) + below
+
+    def sample_non_neighbors(self, user_nodes: np.ndarray,
+                             rng: np.random.Generator) -> np.ndarray:
+        """One uniform item node per entry of ``user_nodes`` that the user has
+        no edge to.  Draws ``r`` below the user's non-neighbour count; the
+        r-th non-neighbour is ``r`` plus the neighbours whose
+        ``p_k - k <= r``.  ``ValueError`` names a user with every item."""
+        users = np.asarray(user_nodes, dtype=np.int64)
+        free = self.num_items - self.degree[users]
+        if (free <= 0).any():
+            raise ValueError(f"user node {users[free <= 0][0]} interacts with every item")
+        r = rng.integers(free)
+        before = np.searchsorted(self._non_neighbor_keys,
+                                 users * (self.num_items + 1) + r, side="right")
+        return self.num_users + r + before - self.csr_offsets[users]
+
     def edge_subgraph(self, edge_indices: np.ndarray) -> "BipartiteGraph":
         """Graph over the same node set restricted to the given edge ids."""
         edges = self.edge_list[np.asarray(edge_indices, dtype=np.int64)]

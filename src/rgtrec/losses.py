@@ -57,28 +57,6 @@ class LossReport:
         return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
 
-def sample_non_neighbors(g: BipartiteGraph, user_nodes: np.ndarray,
-                         rng: np.random.Generator, max_tries: int = 200) -> np.ndarray:
-    """One item node per entry of ``user_nodes`` that the user has no train
-    edge to, by rejection sampling in order of ``user_nodes``.  Each user's
-    neighbor set is built once per call."""
-    lo, hi = g.num_users, g.num_users + g.num_items
-    positives: dict[int, set] = {}
-    out = np.empty(len(user_nodes), dtype=np.int64)
-    for j, user in enumerate(user_nodes.tolist()):
-        pos = positives.get(user)
-        if pos is None:
-            pos = positives[user] = set(g.neighbors(user).tolist())
-        for _ in range(max_tries):
-            cand = int(rng.integers(lo, hi))
-            if cand not in pos:
-                out[j] = cand
-                break
-        else:
-            raise ValueError(f"user node {user} interacts with every item")
-    return out
-
-
 def _pair_scores(s: T.Tensor, left: np.ndarray, right: np.ndarray) -> T.Tensor:
     return T.tsum(T.mul(T.take(s, left), T.take(s, right)), axis=1)
 
@@ -98,7 +76,7 @@ def loss_mae(s: T.Tensor, masked_out_edges: np.ndarray, g: BipartiteGraph,
     users = masked_out_edges[:, 0]
     items = masked_out_edges[:, 1]
     loss = T.softplus(T.neg(_pair_scores(s, users, items)))
-    negs = sample_non_neighbors(g, users, rng)
+    negs = g.sample_non_neighbors(users, rng)
     loss = T.add(loss, T.softplus(_pair_scores(s, users, negs)))
     return T.tmean(loss)
 

@@ -130,10 +130,14 @@ def _coerce(key: str, raw: str):
         if lowered in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
+    try:
+        if kind == "int":
+            return int(raw)
+        if kind == "float":
+            return float(raw)
+    except ValueError:
+        expected = "an integer" if kind == "int" else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
     return raw
 
 
@@ -364,40 +368,25 @@ def draw_subgraphs(table: EdgeScoreTable, cfg: TrainConfig,
             sample_complement(table, cfg.rho_c, seed, rho_m=cfg.rho_m))
 
 
-def negative_sample(ds: InteractionDataset, batch_users: np.ndarray,
-                    rng: np.random.Generator,
-                    positives: list[np.ndarray] | None = None) -> np.ndarray:
+def negative_sample(graph: BipartiteGraph, batch_users: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
     """(user, positive item node, negative item node) triples.
 
     The positive is uniform over the user's train items; the negative is
-    rejection-sampled uniformly from items the user never interacted with in
-    train.  Users interacting with every item are skipped with a warning.
-    Each user's positive set is built once per call.
+    uniform over the items the user never interacted with in train.  Users
+    without train items are skipped, users with every item with a warning.
     """
-    if positives is None:
-        positives = ds.positives_by_user(TRAIN)
-    triples = []
-    skipped = 0
-    pos_sets: dict[int, set] = {}
-    for u in batch_users.tolist():
-        pos_items = positives[u]
-        if len(pos_items) == 0:
-            continue
-        if len(pos_items) >= ds.num_items:
-            skipped += 1
-            continue
-        pos = int(pos_items[rng.integers(len(pos_items))])
-        pos_set = pos_sets.get(u)
-        if pos_set is None:
-            pos_set = pos_sets[u] = set(pos_items.tolist())
-        while True:
-            neg = int(rng.integers(ds.num_items))
-            if neg not in pos_set:
-                break
-        triples.append((u, ds.num_users + pos, ds.num_users + neg))
-    if skipped:
-        log.warning("skipped %d users that interact with every item", skipped)
-    return np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    users = np.asarray(batch_users, dtype=np.int64)
+    degree = graph.degree[users]
+    saturated = degree >= graph.num_items
+    if saturated.any():
+        log.warning("skipped %d users that interact with every item",
+                    len(np.unique(users[saturated])))
+    keep = (degree > 0) & ~saturated
+    users, degree = users[keep], degree[keep]
+    pos = graph.csr_neighbors[graph.csr_offsets[users] + rng.integers(degree)]
+    neg = graph.sample_non_neighbors(users, rng)
+    return np.stack([users, pos, neg], axis=1)
 
 
 def _candidate_items(ds: InteractionDataset, batch_pairs: np.ndarray,
@@ -431,17 +420,16 @@ def _check_report(report: LossReport, num_nodes: int, temperature: float) -> Non
 
 
 def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph,
-                cfg: TrainConfig, epoch: int,
-                positives: list[np.ndarray] | None = None,
+                cfg: TrainConfig, epoch: int, positives=None,
                 step_writer=None) -> LossReport:
     """One pass over the train interactions; returns the mean loss report.
 
     ``step_writer``, when given, receives every per-step loss report as a
     dict (for the JSON-lines step log).
     """
+    # ``positives`` is unused: negatives come from ``graph``; the keyword stays
+    # only because the benchmark in perfbench/run.py still passes it
     teacher = pair.teacher
-    if positives is None:
-        positives = ds.positives_by_user(TRAIN)
 
     table = rationale_score_table(teacher, graph, cfg)
     sub_r, sub_m, sub_c = draw_subgraphs(table, cfg, epoch)
@@ -461,7 +449,7 @@ def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph
         batch_nodes = np.stack([batch[:, 0], ds.num_users + batch[:, 1]], axis=1)
         step_rng = substream(cfg.seed, "step", epoch, step)
         candidates = _candidate_items(ds, batch_nodes, cfg, step_rng)
-        triples = negative_sample(ds, batch[:, 0], step_rng, positives=positives)
+        triples = negative_sample(graph, batch[:, 0], step_rng)
 
         with T.Tape() as tape:
             out = run_pipeline(teacher, graph, g_masked, g_rationale, g_complement, cfg)
@@ -525,7 +513,6 @@ def fit(ds: InteractionDataset, cfg: TrainConfig, out_dir=None,
 def _fit_inner(ds, cfg, out_path, graph):
     graph = graph if graph is not None else build_graph(ds)
     pair = init_pair(graph, cfg)
-    positives = ds.positives_by_user(TRAIN)
 
     has_val = bool((ds.split_assignment == VAL).any())
     if not has_val:
@@ -545,8 +532,7 @@ def _fit_inner(ds, cfg, out_path, graph):
 
     try:
         for epoch in range(cfg.epochs):
-            summary = train_epoch(pair, ds, graph, cfg, epoch, positives=positives,
-                                  step_writer=step_writer)
+            summary = train_epoch(pair, ds, graph, cfg, epoch, step_writer=step_writer)
             record = {"epoch": epoch, **summary.as_dict()}
 
             if has_val:

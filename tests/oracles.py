@@ -228,3 +228,42 @@ def plackett_luce_topk_inclusion(weights: np.ndarray, k: int) -> np.ndarray:
         for pos in range(k):
             inclusion[perm[pos]] += prob
     return inclusion
+
+
+def rejection_non_neighbors(g, user_nodes: np.ndarray, rng: np.random.Generator,
+                            max_tries: int = 200) -> np.ndarray:
+    """One item node per user node that the user has no edge to, by drawing
+    uniform item nodes until one is not a neighbour (at most ``max_tries``)."""
+    lo, hi = g.num_users, g.num_users + g.num_items
+    out = np.empty(len(user_nodes), dtype=np.int64)
+    for j, user in enumerate(user_nodes.tolist()):
+        neighbors = set(g.neighbors(user).tolist())
+        for _ in range(max_tries):
+            cand = int(rng.integers(lo, hi))
+            if cand not in neighbors:
+                out[j] = cand
+                break
+        else:
+            raise ValueError(f"no non-neighbour of user node {user} in {max_tries} draws")
+    return out
+
+
+def rejection_negative_sample(ds, batch_users: np.ndarray,
+                              rng: np.random.Generator) -> np.ndarray:
+    """(user, positive item node, negative item node) triples, one user at a
+    time: a uniform train item, then uniform items until one is not a train
+    item.  Users with no or every train item are skipped."""
+    positives = ds.positives_by_user(TRAIN)
+    triples = []
+    for u in batch_users.tolist():
+        items = positives[u]
+        if len(items) == 0 or len(items) >= ds.num_items:
+            continue
+        pos = int(items[rng.integers(len(items))])
+        taken = set(items.tolist())
+        while True:
+            neg = int(rng.integers(ds.num_items))
+            if neg not in taken:
+                break
+        triples.append((u, ds.num_users + pos, ds.num_users + neg))
+    return np.asarray(triples, dtype=np.int64).reshape(-1, 3)

@@ -20,7 +20,7 @@ from rgtrec import losses as L
 from rgtrec import propagation as P
 from rgtrec import sampling as S
 from rgtrec import topology as topo
-from rgtrec.data import (TEST, TRAIN, VAL, build_graph, build_graph_from_edges,
+from rgtrec.data import (TEST, VAL, build_graph, build_graph_from_edges,
                          load_interactions, split)
 from rgtrec.evaluation import evaluate, ndcg_at_k, recall_at_k
 from rgtrec.mf_baseline import BPRMatrixFactorization
@@ -74,10 +74,9 @@ def train_synthetic(cfg: TrainConfig, seed: int, stop_at: float | None = None):
     from rgtrec.training import train_epoch
     with T.using_dtype(cfg.precision):
         pair = init_pair(graph, cfg)
-        positives = ds.positives_by_user(TRAIN)
         result = None
         for epoch in range(cfg.epochs):
-            train_epoch(pair, ds, graph, cfg, epoch, positives=positives)
+            train_epoch(pair, ds, graph, cfg, epoch)
             s = predict_embeddings(pair.teacher, graph, cfg)
             result = evaluate(s, ds, TEST)
             if result.macro("recall", 10) >= stop_at:
@@ -107,7 +106,7 @@ def test_c1_gradient_integrity():
         return L.loss_rec(h, pairs, np.arange(g.num_users, g.num_nodes))
 
     def bpr_loss(g, h):
-        triples = negative_sample(_dataset_of(g), g.edge_list[:4, 0],
+        triples = negative_sample(g, g.edge_list[:4, 0],
                                   substream(8, "acc-bpr"))
         return L.loss_bpr(h, triples)
 
@@ -155,13 +154,6 @@ def test_c1_gradient_integrity():
     assert elapsed < 60, f"gradient suite took {elapsed:.1f}s"
     _report(1, f"all losses and the forward chain match finite differences "
                f"(rel err < 1e-4, {elapsed:.1f}s)")
-
-
-def _dataset_of(g):
-    from rgtrec.data import InteractionDataset
-    pairs = np.stack([g.edge_list[:, 0], g.edge_list[:, 1] - g.num_users], axis=1)
-    return InteractionDataset(g.num_users, g.num_items, pairs,
-                              split_assignment=np.zeros(len(pairs), dtype=np.int8))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +224,7 @@ def test_c3_distribution_invariants():
 
     # sampler frequencies on the 5-edge fixture, 10,000 draws
     probs = np.array([0.40, 0.25, 0.15, 0.12, 0.08])
-    fixture = A.EdgeScoreTable(probs=probs, head_scores=np.zeros((1, 10)))
+    fixture = A.EdgeScoreTable(probs=probs)
     draws = 10_000
     counts_r = np.zeros(5)
     counts_m = np.zeros(5)

@@ -36,11 +36,15 @@ TINY_FLAGS = ["--latdim", "8", "--heads", "2", "--anchor-set", "6",
               "--batch-size", "256"]
 
 
-# a misspelt key, then keys that older versions accepted, with a value they took
-BAD_KEYS = [
+# a misspelt key and keys that older versions accepted, with a value they
+# took; then known keys with a value that does not parse
+BAD_KEYS = [(key, value, f"unknown config key {key!r}") for key, value in [
     ("latdimm", "4"), ("literal_mae", "true"), ("resample_anchors_per_epoch", "true"),
     ("mae_negatives", "1"), ("combination", "mean_of_layers"),
     ("adam_beta1", "0.9"), ("adam_beta2", "0.999"), ("adam_eps", "1e-8"),
+]] + [
+    ("latdim", "abc", "latdim: expected an integer, got 'abc'"),
+    ("lr", "fast", "lr: expected a number, got 'fast'"),
 ]
 
 
@@ -82,14 +86,20 @@ class TestTrain:
             assert (out / name).exists(), name
         assert "test recall@20" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("key, value", BAD_KEYS, ids=[k for k, _ in BAD_KEYS])
-    def test_invalid_config_key_exits_two(self, prepared, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("key, value, message", BAD_KEYS,
+                             ids=[k if m.startswith("unknown") else f"{k}={v}"
+                                  for k, v, m in BAD_KEYS])
+    def test_invalid_config_key_exits_two(self, prepared, tmp_path, capsys, key, value,
+                                          message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{key} = {value}\n")
-        code = main(["train", "--data", str(prepared), "--out", str(tmp_path / "r"),
-                     "--config", str(cfg)])
-        assert code == 2
-        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        for command in (["train", "--config", str(cfg)], ["dump-config", "--config", str(cfg)],
+                        ["grid", "--param", f"{key}={value}"]):
+            if command[0] != "dump-config":
+                command += ["--data", str(prepared), "--out", str(tmp_path / "r")]
+            assert main(command) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data", str(prepared), "--out", str(tmp_path / "r"),
                   "--" + key.replace("_", "-"), value])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from rgtrec import data as D
 from rgtrec.synthetic import make_block_dataset
+from oracles import rejection_non_neighbors
 
 
 def write_lines(tmp_path, lines, name="inter.tsv"):
@@ -166,6 +168,63 @@ class TestBuildGraph:
         sub = g.edge_subgraph(np.array([], dtype=np.int64))
         assert sub.num_edges == 0
         assert (sub.degree == 0).all()
+
+
+def long_tail_graph(num_users=300, num_items=400, seed=0):
+    """Power-law user degrees (rank^-0.9, from 1 up to every item but one)
+    over popularity-skewed items (rank^-1), as in the long-tail workload."""
+    rng = np.random.default_rng(seed)
+    degree = np.clip(np.round(num_items * np.arange(1, num_users + 1) ** -0.9),
+                     1, num_items - 1).astype(np.int64)
+    rng.shuffle(degree)
+    log_pop = -np.log(np.arange(1, num_items + 1))
+    edges = [(u, num_users + i) for u, d in enumerate(degree)
+             for i in np.argsort(-(log_pop + rng.gumbel(size=num_items)))[:d]]
+    return D.build_graph_from_edges(num_users, num_items, np.array(edges))
+
+
+class TestSampleNonNeighbors:
+    def test_never_a_neighbor_for_any_user(self):
+        g = long_tail_graph()
+        users = np.repeat(np.arange(g.num_users), 20)
+        draws = g.sample_non_neighbors(users, np.random.default_rng(1))
+        assert ((draws >= g.num_users) & (draws < g.num_nodes)).all()
+        for u in range(g.num_users):
+            assert not np.isin(draws[users == u], g.neighbors(u)).any(), u
+
+    def test_hub_user_uniform(self):
+        g = long_tail_graph()
+        hub = int(np.argsort(g.degree[:g.num_users])[-2])  # the top one misses one item
+        free = np.setdiff1d(np.arange(g.num_users, g.num_nodes), g.neighbors(hub))
+        assert len(free) > 100
+        draws = g.sample_non_neighbors(np.full(50 * len(free), hub), np.random.default_rng(2))
+        counts = np.array([np.count_nonzero(draws == i) for i in free])
+        assert counts.sum() == len(draws)
+        assert stats.chisquare(counts).pvalue > 0.01
+
+    def test_user_with_every_item_but_one(self):
+        num_items = 5000
+        edges = [(0, 1 + i) for i in range(num_items) if i != 4321]
+        g = D.build_graph_from_edges(1, num_items, np.array(edges))
+        draws = g.sample_non_neighbors(np.zeros(1000, dtype=np.int64),
+                                       np.random.default_rng(3))
+        assert (draws == 1 + 4321).all()
+
+    def test_user_with_every_item_raises_naming_it(self):
+        edges = [(0, 2), (1, 2), (1, 3), (1, 4)]
+        g = D.build_graph_from_edges(2, 3, np.array(edges))
+        with pytest.raises(ValueError, match="user node 1 interacts with every item"):
+            g.sample_non_neighbors(np.array([0, 1, 0]), np.random.default_rng(4))
+
+    def test_matches_rejection_reference(self):
+        g = long_tail_graph(num_users=30, num_items=40, seed=5)
+        user = int(np.argsort(g.degree[:g.num_users])[g.num_users // 2])
+        users = np.full(4000, user)
+        ours = g.sample_non_neighbors(users, np.random.default_rng(6))
+        reference = rejection_non_neighbors(g, users, np.random.default_rng(7))
+        free = np.setdiff1d(np.arange(g.num_users, g.num_nodes), g.neighbors(user))
+        table = [[np.count_nonzero(d == i) for i in free] for d in (ours, reference)]
+        assert stats.chi2_contingency(table).pvalue > 0.01
 
 
 class TestManifests:

@@ -62,6 +62,23 @@ class TestLossMae:
         assert float(out.values) == 0.0
         assert "empty" in caplog.text
 
+    def test_user_with_every_item_but_one(self):
+        num_items, free = 5000, 4321
+        g = build_graph_from_edges(1, num_items, np.array(
+            [(0, 1 + i) for i in range(num_items) if i != free]))
+        s = np.random.default_rng(5).normal(size=(g.num_nodes, 2))
+        masked_out = g.edge_list[:200]
+        out = L.loss_mae(T.Tensor(s), masked_out, g, substream(5, "mae"))
+        expect = np.mean([softplus(-float(s[0] @ s[i])) + softplus(float(s[0] @ s[1 + free]))
+                          for i in masked_out[:, 1]])
+        assert float(out.values) == pytest.approx(expect, abs=1e-9)
+
+    def test_user_with_every_item_raises_naming_it(self):
+        g = build_graph_from_edges(2, 2, np.array([[0, 2], [1, 2], [1, 3]]))
+        s = T.Tensor(np.zeros((g.num_nodes, 2)))
+        with pytest.raises(ValueError, match="user node 1 interacts with every item"):
+            L.loss_mae(s, np.array([[0, 2], [1, 3]]), g, substream(6, "mae"))
+
     def test_gradients(self):
         g = complete_minus_one()
         rng = np.random.default_rng(4)

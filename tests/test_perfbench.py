@@ -1,6 +1,8 @@
 """Guards for what the benchmark under ``perfbench/`` needs from the program."""
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,3 +41,15 @@ def test_every_workload_config_loads():
         cfg = load_config(None, {**workload.config, "seed": 0})
         for key, value in workload.config.items():
             assert getattr(cfg, key) == value, (name, key)
+
+
+def test_benchmark_run_passes_its_checks():
+    # run.py drives the program itself (train_epoch, checkpoints, evaluate); a
+    # change to how it calls them fails here rather than only in a benchmark run
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "lastfm_train",
+         "--seed", "1", "--seconds", "0", "--trace", "0"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0), proc.stderr

@@ -10,7 +10,7 @@ from oracles import plackett_luce_topk_inclusion
 
 def table(probs):
     probs = np.asarray(probs, dtype=np.float64)
-    return EdgeScoreTable(probs=probs, head_scores=np.zeros((1, 2 * len(probs))))
+    return EdgeScoreTable(probs=probs)
 
 
 FIVE = table([0.40, 0.25, 0.15, 0.12, 0.08])

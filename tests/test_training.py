@@ -12,6 +12,7 @@ from rgtrec.data import InteractionDataset, TRAIN, VAL, build_graph, split
 from rgtrec.seeding import substream
 from rgtrec.synthetic import make_block_dataset
 from rgtrec.training import TrainConfig
+from oracles import rejection_negative_sample
 
 
 def tiny_cfg(**kw):
@@ -69,7 +70,7 @@ class TestNegativeSample:
         inter = np.array([[0, 0]])
         ds = InteractionDataset(1, 2, inter,
                                 split_assignment=np.array([TRAIN], dtype=np.int8))
-        triples = TR.negative_sample(ds, np.array([0]), substream(0, "neg"))
+        triples = TR.negative_sample(build_graph(ds), np.array([0]), substream(0, "neg"))
         assert triples.shape == (1, 3)
         assert triples[0, 2] == 1 + 1  # item node of the only non-positive
 
@@ -78,7 +79,7 @@ class TestNegativeSample:
         positives = ds.positives_by_user(TRAIN)
         rng = substream(1, "neg")
         users = np.repeat(np.arange(ds.num_users), 50)
-        triples = TR.negative_sample(ds, users, rng, positives=positives)
+        triples = TR.negative_sample(build_graph(ds), users, rng)
         for u, pos_node, neg_node in triples:
             assert (neg_node - ds.num_users) not in set(int(x) for x in positives[u])
             assert (pos_node - ds.num_users) in set(int(x) for x in positives[u])
@@ -88,7 +89,7 @@ class TestNegativeSample:
         ds = InteractionDataset(1, 8, inter,
                                 split_assignment=np.zeros(4, dtype=np.int8))
         rng = substream(2, "neg")
-        triples = TR.negative_sample(ds, np.zeros(10_000, dtype=np.int64), rng)
+        triples = TR.negative_sample(build_graph(ds), np.zeros(10_000, dtype=np.int64), rng)
         counts = np.bincount(triples[:, 1] - ds.num_users, minlength=4)
         result = stats.chisquare(counts)
         assert result.pvalue > 0.01
@@ -98,9 +99,32 @@ class TestNegativeSample:
         ds = InteractionDataset(1, 2, inter,
                                 split_assignment=np.zeros(2, dtype=np.int8))
         with caplog.at_level("WARNING"):
-            triples = TR.negative_sample(ds, np.array([0]), substream(3, "neg"))
+            triples = TR.negative_sample(build_graph(ds), np.array([0]), substream(3, "neg"))
         assert len(triples) == 0
         assert "every item" in caplog.text
+
+    def test_saturated_user_skipped_among_others(self, caplog):
+        # user 0 has every item, user 1 one of them, user 2 none
+        inter = np.array([[0, 0], [0, 1], [0, 2], [1, 1], [2, 0]])
+        ds = InteractionDataset(3, 3, inter, split_assignment=np.array(
+            [TRAIN, TRAIN, TRAIN, TRAIN, VAL], dtype=np.int8))
+        with caplog.at_level("WARNING"):
+            triples = TR.negative_sample(build_graph(ds), np.array([0, 1, 2, 0, 1]),
+                                         substream(4, "neg"))
+        assert triples[:, :2].tolist() == [[1, 3 + 1]] * 2
+        assert set(triples[:, 2].tolist()) <= {3 + 0, 3 + 2}
+        assert "skipped 1 users that interact with every item" in caplog.text
+
+    def test_matches_rejection_reference(self):
+        ds = tiny_dataset()
+        users = np.full(4000, 5)
+        ours = TR.negative_sample(build_graph(ds), users, substream(5, "neg"))
+        reference = rejection_negative_sample(ds, users, substream(6, "neg"))
+        for column in (1, 2):
+            items = np.union1d(ours[:, column], reference[:, column])
+            table = [[np.count_nonzero(t[:, column] == i) for i in items]
+                     for t in (ours, reference)]
+            assert stats.chi2_contingency(table).pvalue > 0.01
 
 
 class TestTrainEpoch:

@@ -14,7 +14,7 @@ x = T.parameter([[1.0, 2.0], [3.0, 4.0]], name="x")
 w = T.parameter([[0.5, -0.5], [1.0, 0.0]], name="w")
 
 with T.Tape() as tape:
-    y = T.softmax_rows(T.matmul(x, w))
+    y = T.logsumexp_rows(T.matmul(x, w))
     loss = T.tsum(T.mul(y, y))
     T.backward(loss, tape)
 
@@ -26,9 +26,9 @@ print("dloss/dw  \n", w.grad)
 h = 1e-6
 orig = x.values[0, 0]
 x.values[0, 0] = orig + h
-up = float(T.tsum(T.square(T.softmax_rows(T.matmul(x, w)))).values)
+up = float(T.tsum(T.square(T.logsumexp_rows(T.matmul(x, w)))).values)
 x.values[0, 0] = orig - h
-down = float(T.tsum(T.square(T.softmax_rows(T.matmul(x, w)))).values)
+down = float(T.tsum(T.square(T.logsumexp_rows(T.matmul(x, w)))).values)
 x.values[0, 0] = orig
 print("analytic  ", x.grad[0, 0])
 print("numeric   ", (up - down) / (2 * h))

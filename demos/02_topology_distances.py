@@ -21,15 +21,15 @@ g = build_graph_from_edges(4, 6, edges)
 anchors = sample_anchors(g, m=3, seed=7)
 print("anchor nodes:", anchors.node_indices.tolist())
 
-table = shortest_paths(g, anchors, q=2)
+distances = shortest_paths(g, anchors, q=2)
 print("\nhop distances to each anchor (inf = beyond cutoff):")
 with np.printoptions(precision=0, suppress=True):
-    print(table.distances)
+    print(distances)
 
-weights = correlation_weights(table)
+omega = correlation_weights(distances, q=2)
 print("\ncorrelation weights 1/(d+1), zero past q=2 hops:")
 with np.printoptions(precision=3, suppress=True):
-    print(weights.omega)
+    print(omega)
 
 # nodes on the same side of the bridge share anchors within reach,
 # which is what the encoder turns into a global position signal

@@ -20,7 +20,7 @@ See the demos/ directory for narrative walkthroughs of each capability.
 from .data import (BipartiteGraph, InteractionDataset, build_graph,
                    load_interactions, load_prepared, save_prepared, split)
 from .evaluation import RankingResult, evaluate, ndcg_at_k, recall_at_k
-from .losses import EmbeddingBundle, LossReport, LossWeights
+from .losses import EmbeddingBundle, LossReport
 from .sampling import SampledSubgraph, build_masked_graph, sample_complement, sample_rationale
 from .synthetic import make_block_dataset
 from .training import (DistillPair, ModelState, TrainConfig, fit, init_pair,
@@ -33,7 +33,7 @@ __all__ = [
     "BipartiteGraph", "InteractionDataset", "build_graph", "load_interactions",
     "load_prepared", "save_prepared", "split",
     "RankingResult", "evaluate", "ndcg_at_k", "recall_at_k",
-    "EmbeddingBundle", "LossReport", "LossWeights",
+    "EmbeddingBundle", "LossReport",
     "SampledSubgraph", "build_masked_graph", "sample_complement", "sample_rationale",
     "make_block_dataset",
     "DistillPair", "ModelState", "TrainConfig", "fit", "init_pair",

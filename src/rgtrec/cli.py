@@ -238,6 +238,8 @@ def run_variants(ds, base_cfg: TrainConfig, variants: dict[str, dict], seeds: li
 
 def cmd_ablate(args) -> int:
     cfg = _resolve_config(args)
+    if args.num_seeds < 1:
+        raise ConfigError(f"--num-seeds must be >= 1, got {args.num_seeds}")
     ds = load_prepared(args.data)
     seeds = [cfg.seed + i for i in range(args.num_seeds)]
     rows = run_variants(ds, cfg, COMPONENT_VARIANTS, seeds, group="components")
@@ -251,16 +253,19 @@ def cmd_ablate(args) -> int:
 
 def cmd_grid(args) -> int:
     cfg = _resolve_config(args)
-    ds = load_prepared(args.data)
     axes = []
     for spec_text in args.param:
         if "=" not in spec_text:
             raise ConfigError(f"--param expects KEY=V1,V2,..., got {spec_text!r}")
         key, values = spec_text.split("=", 1)
         key = key.strip()
-        axes.append((key, [v.strip() for v in values.split(",") if v.strip()]))
+        values = [v.strip() for v in values.split(",") if v.strip()]
+        if not values:
+            raise ConfigError(f"--param {key}: no values given")
+        axes.append((key, values))
     if not axes:
         raise ConfigError("grid search needs at least one --param axis")
+    ds = load_prepared(args.data)
 
     rows = []
     for combo in itertools.product(*(values for _, values in axes)):

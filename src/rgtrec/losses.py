@@ -10,35 +10,19 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
 from .data import BipartiteGraph
 
+if TYPE_CHECKING:
+    from .training import TrainConfig
+
 log = logging.getLogger(__name__)
 
 _NORM_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    rec: float = 1.0        # recommendation cross-entropy
-    mae: float = 1.0        # masked-edge reconstruction
-    distill: float = 0.1    # online model / EMA teacher embedding matching
-    ranking: float = 1.0    # pairwise ranking on the rationale pathway
-    contrast: float = 0.005  # rationale/complement separation
-    reg: float = 1e-4       # Frobenius norm of all parameters
-    temperature: float = 0.5
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "temperature":
-                if value <= 0:
-                    raise ValueError("temperature must be positive")
-            elif value < 0:
-                raise ValueError(f"loss weight {f.name} must be >= 0, got {value}")
 
 
 @dataclass
@@ -68,8 +52,15 @@ def loss_mae(s: T.Tensor, masked_out_edges: np.ndarray, g: BipartiteGraph,
     Mean over masked-out edges of -log sigmoid(score) for the edge plus
     -log sigmoid(-score) for one non-edge of the same user.  The positive
     terms are recorded before the negatives are drawn and scored; the tape
-    order fixes the order in which ``backward`` sums gradients.
+    order fixes the order in which ``backward`` sums gradients.  Edges of
+    users that interact with every item have no non-edge and are dropped,
+    with a warning.
     """
+    saturated = g.degree[masked_out_edges[:, 0]] >= g.num_items
+    if saturated.any():
+        log.warning("reconstruction skips the edges of %d users that interact with every item",
+                    len(np.unique(masked_out_edges[saturated, 0])))
+        masked_out_edges = masked_out_edges[~saturated]
     if len(masked_out_edges) == 0:
         log.warning("masked-out edge set is empty; reconstruction loss is 0")
         return T.Tensor(0.0)
@@ -155,10 +146,6 @@ class EmbeddingBundle:
     contrast: T.Tensor
     subgraph: T.Tensor
 
-    def detached(self) -> "EmbeddingBundle":
-        return EmbeddingBundle(self.user.detach(), self.item.detach(),
-                               self.contrast.detach(), self.subgraph.detach())
-
 
 def loss_distill(student: EmbeddingBundle, teacher: EmbeddingBundle) -> T.Tensor:
     """Sum of slot-wise mean squared errors; the teacher side is frozen."""
@@ -183,9 +170,10 @@ def frobenius_penalty(params: dict[str, T.Tensor]) -> T.Tensor:
 
 
 def total_loss(rec: T.Tensor, mae: T.Tensor, distill: T.Tensor, ranking: T.Tensor,
-               contrast: T.Tensor, weights: LossWeights,
+               contrast: T.Tensor, cfg: TrainConfig,
                params: dict[str, T.Tensor]) -> tuple[T.Tensor, LossReport]:
-    """Weighted sum of all terms plus the Frobenius penalty."""
+    """Sum of all terms plus the Frobenius penalty, each weighted by
+    ``cfg.lambda_<term>``."""
     reg = frobenius_penalty(params)
     terms = {"rec": rec, "mae": mae, "distill": distill,
              "ranking": ranking, "contrast": contrast, "reg": reg}
@@ -193,12 +181,9 @@ def total_loss(rec: T.Tensor, mae: T.Tensor, distill: T.Tensor, ranking: T.Tenso
         if not np.isfinite(term.values).all():
             raise FloatingPointError(f"loss term {name!r} is non-finite")
 
-    total = T.mul(rec, weights.rec)
-    total = T.add(total, T.mul(mae, weights.mae))
-    total = T.add(total, T.mul(distill, weights.distill))
-    total = T.add(total, T.mul(ranking, weights.ranking))
-    total = T.add(total, T.mul(contrast, weights.contrast))
-    total = T.add(total, T.mul(reg, weights.reg))
+    total = T.mul(rec, cfg.lambda_rec)
+    for name in ("mae", "distill", "ranking", "contrast", "reg"):
+        total = T.add(total, T.mul(terms[name], getattr(cfg, f"lambda_{name}")))
 
     report = LossReport(
         rec=float(rec.values), mae=float(mae.values), distill=float(distill.values),

@@ -13,7 +13,6 @@ masked graph.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,18 +24,6 @@ from .topology import TopologyEncoder
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class PropagationConfig:
-    num_layers: int = 1
-    combination: str = "mean_of_layers"  # or "last_layer"
-
-    def __post_init__(self):
-        if self.num_layers < 1:
-            raise ValueError(f"need at least one propagation layer, got {self.num_layers}")
-        if self.combination not in ("mean_of_layers", "last_layer"):
-            raise ValueError(f"unknown combination mode {self.combination!r}")
-
-
 def symmetric_edge_weights(g: BipartiteGraph) -> np.ndarray:
     """1/sqrt(deg_src * deg_dst) per directed CSR slot."""
     deg = g.degree.astype(np.float64)
@@ -45,12 +32,14 @@ def symmetric_edge_weights(g: BipartiteGraph) -> np.ndarray:
     return 1.0 / np.sqrt(deg[src] * deg[dst])
 
 
-def lightgcn_propagate(g: BipartiteGraph, s0: T.Tensor, cfg: PropagationConfig) -> T.Tensor:
+def lightgcn_propagate(g: BipartiteGraph, s0: T.Tensor, num_layers: int) -> T.Tensor:
     """Degree-normalized neighborhood propagation.
 
-    Returns the mean over layers 0..L by default (last layer only when
-    configured).  Zero-degree nodes pass through unchanged and are logged.
+    Returns the mean over layers 0..L, as in LightGCN.  Zero-degree nodes
+    pass through unchanged and are logged.
     """
+    if num_layers < 1:
+        raise ValueError(f"need at least one propagation layer, got {num_layers}")
     isolated = g.degree == 0
     if isolated.any():
         log.debug("propagation passes %d zero-degree nodes through unchanged",
@@ -60,22 +49,20 @@ def lightgcn_propagate(g: BipartiteGraph, s0: T.Tensor, cfg: PropagationConfig) 
 
     layers = [s0]
     s = s0
-    for _ in range(cfg.num_layers):
+    for _ in range(num_layers):
         s = T.add(T.edge_spmm(beta, s, g, 1), T.mul(keep, s))
         layers.append(s)
 
-    if cfg.combination == "last_layer":
-        return layers[-1]
     out = layers[0]
     for layer in layers[1:]:
         out = T.add(out, layer)
     return T.div(out, float(len(layers)))
 
 
-def encode_masked(g_masked: BipartiteGraph, s_local: T.Tensor, topo: TopologyEncoder,
-                  attn: AttentionParams, gt_layers: int, residual: bool = True,
-                  use_topology: bool = True) -> T.Tensor:
+def encode_masked(g_masked: BipartiteGraph, s_local: T.Tensor, topo: TopologyEncoder | None,
+                  attn: AttentionParams, gt_layers: int, residual: bool = True) -> T.Tensor:
     """Final node embeddings: residual transformer over topology-refined
-    local embeddings, evaluated on the (masked) graph."""
-    h = topo.encode(s_local) if use_topology else s_local
+    local embeddings (unrefined when ``topo`` is None), evaluated on the
+    (masked) graph."""
+    h = topo.encode(s_local) if topo is not None else s_local
     return residual_gt(h, g_masked, attn, n_layers=gt_layers, residual=residual)

@@ -351,24 +351,6 @@ def square(a) -> Tensor:
     return mul(a, a)
 
 
-def softmax_rows(a) -> Tensor:
-    """Row-wise softmax of a 2-D tensor with max-subtraction for stability."""
-    a = as_tensor(a)
-    if a.values.ndim != 2:
-        raise ShapeMismatchError(f"softmax_rows expects a 2-D tensor, got {a.shape}")
-    if a.shape[1] == 0:
-        raise ValueError("softmax_rows: empty rows")
-    shifted = a.values - a.values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def bw(g):
-        inner = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - inner),)
-
-    return _emit(out, (a,), bw)
-
-
 def take(a, idx) -> Tensor:
     """Select rows (axis 0) of ``a`` by integer index; repeated rows accumulate grads."""
     a = as_tensor(a)

@@ -38,16 +38,9 @@ def sample_anchors(g: BipartiteGraph, m: int, seed: int) -> AnchorSet:
     return AnchorSet(node_indices=np.sort(idx).astype(np.int64))
 
 
-@dataclass(frozen=True)
-class DistanceTable:
-    """Hop distances (num_nodes x num_anchors); inf marks beyond-cutoff."""
-
-    distances: np.ndarray
-    hop_cutoff: int  # distances are exact up to hop_cutoff + 1
-
-
-def shortest_paths(g: BipartiteGraph, anchors: AnchorSet, q: int) -> DistanceTable:
-    """Exact hop distances from all nodes to each anchor, up to depth q + 1.
+def shortest_paths(g: BipartiteGraph, anchors: AnchorSet, q: int) -> np.ndarray:
+    """Exact hop distances (num_nodes x num_anchors) from all nodes to each
+    anchor, up to depth q + 1.
 
     One unweighted Dijkstra over the graph's CSR adjacency, started from
     every anchor and abandoned past q + 1 hops; farther nodes get inf.
@@ -59,41 +52,29 @@ def shortest_paths(g: BipartiteGraph, anchors: AnchorSet, q: int) -> DistanceTab
         shape=(g.num_nodes, g.num_nodes))
     dist = dijkstra(adjacency, directed=False, indices=anchors.node_indices,
                     unweighted=True, limit=q + 1)
-    return DistanceTable(distances=np.ascontiguousarray(dist.T), hop_cutoff=q)
+    return np.ascontiguousarray(dist.T)
 
 
-def correlation_weight(d: float, q: int) -> float:
-    """1/(d+1) within the hop cutoff, 0 beyond it."""
-    return 1.0 / (d + 1.0) if d <= q else 0.0
-
-
-@dataclass(frozen=True)
-class CorrelationWeights:
-    omega: np.ndarray  # (num_nodes, num_anchors) in {0} U [1/(q+1), 1]
-    hop_cutoff: int
-
-
-def correlation_weights(table: DistanceTable, q: int | None = None) -> CorrelationWeights:
-    q = table.hop_cutoff if q is None else q
-    d = table.distances
+def correlation_weights(distances: np.ndarray, q: int) -> np.ndarray:
+    """omega = 1/(d+1) within the hop cutoff q, 0 beyond it; values lie in
+    {0} U [1/(q+1), 1]."""
     with np.errstate(invalid="ignore"):
-        omega = np.where(d <= q, 1.0 / (d + 1.0), 0.0)
-    return CorrelationWeights(omega=omega, hop_cutoff=q)
+        return np.where(distances <= q, 1.0 / (distances + 1.0), 0.0)
 
 
-def pgnn_layer(h_prev: T.Tensor, anchors: AnchorSet, weights: CorrelationWeights,
+def pgnn_layer(h_prev: T.Tensor, anchors: AnchorSet, omega: np.ndarray,
                layer_weight: T.Tensor) -> T.Tensor:
     """One anchor-aggregation layer.
 
     For every node k the layer averages, over anchors a, the transformed
-    weighted concatenation w[k,a] * W [h_k || h_a]; by linearity this equals
-    concat(rowsum(w) * H, w @ H_anchors) @ W^T / num_anchors.
+    weighted concatenation omega[k,a] * W [h_k || h_a]; by linearity this
+    equals concat(rowsum(omega) * H, omega @ H_anchors) @ W^T / num_anchors.
     """
     d = h_prev.shape[1]
     if layer_weight.shape != (d, 2 * d):
         raise T.ShapeMismatchError(
             f"layer weight must be ({d}, {2 * d}), got {layer_weight.shape}")
-    omega = np.asarray(weights.omega, dtype=h_prev.dtype)
+    omega = np.asarray(omega, dtype=h_prev.dtype)
     m = len(anchors)
     h_anchor = T.take(h_prev, anchors.node_indices)
     own = T.mul(h_prev, T.Tensor(omega.sum(axis=1, keepdims=True), dtype=h_prev.dtype))
@@ -103,24 +84,23 @@ def pgnn_layer(h_prev: T.Tensor, anchors: AnchorSet, weights: CorrelationWeights
 
 
 class TopologyEncoder:
-    """Anchor tables plus learnable per-layer transforms, applied as a chain.
+    """Anchor correlation weights plus learnable per-layer transforms, applied
+    as a chain.
 
-    The distance tables are a property of the graph and can be shared across
-    instances via ``tables``; the layer weights are private to each instance.
+    ``omega`` is a property of the graph and the anchors and can be shared
+    across instances; the layer weights are private to each instance.
     """
 
     def __init__(self, g: BipartiteGraph, num_anchors: int, q: int, latdim: int,
                  num_layers: int, seed: int, anchors: AnchorSet | None = None,
-                 tables: "tuple[DistanceTable, CorrelationWeights] | None" = None):
+                 omega: np.ndarray | None = None):
         if num_layers < 1:
             raise ValueError("topology encoder needs at least one layer")
         self.q = q
         self.anchors = anchors if anchors is not None else sample_anchors(g, num_anchors, seed)
-        if tables is not None:
-            self.distance_table, self.weights = tables
-        else:
-            self.distance_table = shortest_paths(g, self.anchors, q)
-            self.weights = correlation_weights(self.distance_table, q)
+        if omega is None:
+            omega = correlation_weights(shortest_paths(g, self.anchors, q), q)
+        self.omega = omega
         rng = substream(seed, "topo-init")
         scale = 1.0 / np.sqrt(latdim)
         self.layer_weights = [
@@ -129,15 +109,10 @@ class TopologyEncoder:
             for l in range(num_layers)
         ]
 
-    @property
-    def tables(self) -> "tuple[DistanceTable, CorrelationWeights]":
-        return self.distance_table, self.weights
-
     def refresh_tables(self, g: BipartiteGraph, anchors: AnchorSet) -> None:
-        """Swap in distance tables for a new anchor set (keeps the weights)."""
+        """Recompute ``omega`` for a new anchor set (keeps the layer weights)."""
         self.anchors = anchors
-        self.distance_table = shortest_paths(g, anchors, self.q)
-        self.weights = correlation_weights(self.distance_table, self.q)
+        self.omega = correlation_weights(shortest_paths(g, anchors, self.q), self.q)
 
     def parameters(self) -> dict[str, T.Tensor]:
         return {w.name: w for w in self.layer_weights}
@@ -146,6 +121,6 @@ class TopologyEncoder:
         """Refine through all layers, then inject additively: H_id + chain(H_id)."""
         h = h_id
         for w in self.layer_weights:
-            h = pgnn_layer(h, self.anchors, self.weights, w)
+            h = pgnn_layer(h, self.anchors, self.omega, w)
         return T.add(h_id, h)
 

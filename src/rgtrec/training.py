@@ -26,9 +26,9 @@ from .attention import (AttentionParams, EdgeScoreTable, attention_scores,
                         edge_rationale_probs, residual_gt)
 from .data import InteractionDataset, BipartiteGraph, TRAIN, VAL, build_graph
 from .evaluation import evaluate
-from .losses import (EmbeddingBundle, LossReport, LossWeights, loss_bpr, loss_cir,
-                     loss_distill, loss_mae, loss_rec, total_loss)
-from .propagation import PropagationConfig, encode_masked, lightgcn_propagate
+from .losses import (EmbeddingBundle, LossReport, loss_bpr, loss_cir, loss_distill,
+                     loss_mae, loss_rec, total_loss)
+from .propagation import encode_masked, lightgcn_propagate
 from .sampling import (SampledSubgraph, build_masked_graph, sample_complement,
                        sample_rationale)
 from .seeding import substream
@@ -110,12 +110,6 @@ class TrainConfig:
             if getattr(c, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
 
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(rec=self.lambda_rec, mae=self.lambda_mae,
-                           distill=self.lambda_distill, ranking=self.lambda_ranking,
-                           contrast=self.lambda_contrast, reg=self.lambda_reg,
-                           temperature=self.temperature)
-
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
@@ -194,7 +188,7 @@ class ModelState:
     """All learnable parameters of one model plus its optimizer."""
 
     def __init__(self, graph: BipartiteGraph, cfg: TrainConfig, role: str,
-                 anchors=None, topo_tables=None):
+                 anchors=None, omega=None):
         self.role = role
         self.graph = graph
         seed = _role_seed(cfg.seed, role)
@@ -206,7 +200,7 @@ class ModelState:
         if cfg.use_topology:
             self.topo = TopologyEncoder(graph, cfg.anchor_set, cfg.q, cfg.latdim,
                                         cfg.pnn_layers, seed=seed, anchors=anchors,
-                                        tables=topo_tables)
+                                        omega=omega)
         self.attn = AttentionParams(cfg.latdim, cfg.heads, seed=seed)
         self.optimizer = T.Adam(self.parameters(), lr=cfg.lr)
 
@@ -284,10 +278,10 @@ class DistillPair:
 def init_pair(graph: BipartiteGraph, cfg: TrainConfig) -> DistillPair:
     anchors = sample_anchors(graph, cfg.anchor_set, cfg.seed) if cfg.use_topology else None
     teacher = ModelState(graph, cfg, "teacher", anchors=anchors)
-    tables = teacher.topo.tables if teacher.topo is not None else None
+    omega = teacher.topo.omega if teacher.topo is not None else None
     ema = None
     if cfg.self_distill_ema > 0.0:
-        ema = ModelState(graph, cfg, "ema", anchors=anchors, topo_tables=tables)
+        ema = ModelState(graph, cfg, "ema", anchors=anchors, omega=omega)
         for name, p in ema.parameters().items():
             p.values[...] = teacher.parameters()[name].values
     return DistillPair(teacher=teacher, ema=ema)
@@ -309,16 +303,15 @@ class PipelineOutputs:
 def run_pipeline(state: ModelState, graph: BipartiteGraph, g_masked: BipartiteGraph,
                  g_rationale: BipartiteGraph, g_complement: BipartiteGraph,
                  cfg: TrainConfig) -> PipelineOutputs:
-    prop = PropagationConfig(cfg.gcn_layers)
     h_bar = state.topo.encode(state.emb) if state.topo is not None else state.emb
     h_rgt = residual_gt(h_bar, graph, state.attn, cfg.gt_layers, residual=cfg.use_residual)
 
-    s_local = lightgcn_propagate(g_masked, state.emb, prop)
+    s_local = lightgcn_propagate(g_masked, state.emb, cfg.gcn_layers)
     encoded = encode_masked(g_masked, s_local, state.topo, state.attn, cfg.gt_layers,
-                            residual=cfg.use_residual, use_topology=cfg.use_topology)
+                            residual=cfg.use_residual)
 
-    emb_r = lightgcn_propagate(g_rationale, state.emb, prop)
-    emb_c = lightgcn_propagate(g_complement, state.emb, prop)
+    emb_r = lightgcn_propagate(g_rationale, state.emb, cfg.gcn_layers)
+    emb_c = lightgcn_propagate(g_complement, state.emb, cfg.gcn_layers)
     return PipelineOutputs(rationale_pathway=h_rgt, encoded=encoded,
                            emb_rationale=emb_r, emb_complement=emb_c)
 
@@ -347,10 +340,9 @@ def predict_embeddings(state: ModelState, graph: BipartiteGraph,
                        cfg: TrainConfig) -> np.ndarray:
     """Final prediction embeddings with the full observed graph substituted
     for the masked graph."""
-    prop = PropagationConfig(cfg.gcn_layers)
-    s_local = lightgcn_propagate(graph, state.emb, prop)
+    s_local = lightgcn_propagate(graph, state.emb, cfg.gcn_layers)
     encoded = encode_masked(graph, s_local, state.topo, state.attn, cfg.gt_layers,
-                            residual=cfg.use_residual, use_topology=cfg.use_topology)
+                            residual=cfg.use_residual)
     return encoded.values.copy()
 
 
@@ -442,7 +434,6 @@ def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph
     order = np.arange(len(train_pairs))
     substream(cfg.seed, "batches", epoch).shuffle(order)
 
-    weights = cfg.loss_weights()
     reports: list[LossReport] = []
     for step, start in enumerate(range(0, len(order), cfg.batch_size)):
         batch = train_pairs[order[start:start + cfg.batch_size]]
@@ -451,6 +442,12 @@ def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph
         candidates = _candidate_items(ds, batch_nodes, cfg, step_rng)
         triples = negative_sample(graph, batch[:, 0], step_rng)
 
+        # the EMA forward runs off the tape: nothing flows back into it
+        ema_bundle = None
+        if pair.ema is not None:
+            ema_out = run_pipeline(pair.ema, graph, g_masked, g_rationale, g_complement, cfg)
+            ema_bundle = make_bundle(ema_out, ds.num_users)
+
         with T.Tape() as tape:
             out = run_pipeline(teacher, graph, g_masked, g_rationale, g_complement, cfg)
             rec = loss_rec(out.encoded, batch_nodes, candidates)
@@ -458,13 +455,10 @@ def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph
             ranking = loss_bpr(out.rationale_pathway, triples)
             contrast = loss_cir(out.emb_rationale, out.emb_complement, cfg.temperature)
             distill_t = T.Tensor(0.0)
-            if pair.ema is not None:
-                ema_out = run_pipeline(pair.ema, graph, g_masked, g_rationale,
-                                       g_complement, cfg)
-                distill_t = loss_distill(make_bundle(out, ds.num_users),
-                                         make_bundle(ema_out, ds.num_users).detached())
+            if ema_bundle is not None:
+                distill_t = loss_distill(make_bundle(out, ds.num_users), ema_bundle)
             teacher_total, report = total_loss(rec, mae, distill_t, ranking, contrast,
-                                               weights, teacher.parameters())
+                                               cfg, teacher.parameters())
             T.backward(teacher_total, tape)
         teacher.optimizer.step()
         teacher.assert_finite()

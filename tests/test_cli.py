@@ -86,6 +86,23 @@ class TestTrain:
             assert (out / name).exists(), name
         assert "test recall@20" in capsys.readouterr().out
 
+    def test_user_with_every_item_trains(self, tmp_path, caplog):
+        ds = make_block_dataset(num_users=12, num_items=24, num_blocks=3,
+                                interactions_per_user=16, seed=0)
+        pairs = {(int(u), int(i)) for u, i in ds.interactions} | {(0, i) for i in range(24)}
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("".join(f"u{u}\ti{i}\n" for u, i in sorted(pairs)))
+        data_dir = tmp_path / "data"
+        assert main(["prepare", "--input", str(raw), "--out", str(data_dir),
+                     "--ratios", "1,0,0"]) == 0
+        # rho_m = 0.6 masks out 40% of the edges, so some of user 0's are
+        # among them in the first step
+        with caplog.at_level("WARNING"):
+            code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
+                         "--rho-m", "0.6"] + TINY_FLAGS)
+        assert code == 0
+        assert "reconstruction skips the edges of 1 users" in caplog.text
+
     @pytest.mark.parametrize("key, value, message", BAD_KEYS,
                              ids=[k if m.startswith("unknown") else f"{k}={v}"
                                   for k, v, m in BAD_KEYS])
@@ -244,6 +261,14 @@ class TestAblate:
         assert variants == {"gt", "rgt_la", "ad", "full",
                             "no_ranking", "no_rec", "no_distill", "no_reg"}
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_no_seeds_is_a_config_error(self, prepared, tmp_path, capsys, count):
+        code = main(["ablate", "--data", str(prepared), "--out", str(tmp_path / "ab"),
+                     "--num-seeds", count] + TINY_FLAGS)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --num-seeds") and err.count("\n") == 1, err
+
 
 class TestGrid:
     def test_grid_rows(self, prepared, tmp_path):
@@ -258,6 +283,13 @@ class TestGrid:
         code = main(["grid", "--data", str(prepared), "--out", str(tmp_path / "g")]
                     + TINY_FLAGS)
         assert code == 2
+
+    def test_axis_without_values_is_a_config_error(self, prepared, tmp_path, capsys):
+        code = main(["grid", "--data", str(prepared), "--out", str(tmp_path / "g"),
+                     "--param", "lr="] + TINY_FLAGS)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --param lr") and err.count("\n") == 1, err
 
 
 class TestDumpConfig:
@@ -276,6 +308,12 @@ class TestDumpConfig:
         code = main(["dump-config", "--config", str(cfg_file)])
         assert code == 0
         assert "lr = 0.0042" in capsys.readouterr().out
+
+
+def test_public_api():
+    import rgtrec
+    for name in rgtrec.__all__:
+        assert hasattr(rgtrec, name), name
 
 
 def test_console_script_entry_point():

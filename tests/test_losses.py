@@ -7,6 +7,7 @@ from rgtrec import losses as L
 from rgtrec import tensor as T
 from rgtrec.data import build_graph_from_edges
 from rgtrec.seeding import substream
+from rgtrec.training import TrainConfig
 from oracles import check_gradients, per_pair_loss_rec
 
 
@@ -73,11 +74,25 @@ class TestLossMae:
                           for i in masked_out[:, 1]])
         assert float(out.values) == pytest.approx(expect, abs=1e-9)
 
-    def test_user_with_every_item_raises_naming_it(self):
+    def test_user_with_every_item_is_dropped_with_a_warning(self, caplog):
+        # user 1 has both items; only user 0's edge is scored, against item 3
+        g = build_graph_from_edges(2, 2, np.array([[0, 2], [1, 2], [1, 3]]))
+        s = np.random.default_rng(6).normal(size=(g.num_nodes, 2))
+        with caplog.at_level("WARNING"):
+            out = L.loss_mae(T.Tensor(s), np.array([[0, 2], [1, 3], [1, 2]]), g,
+                             substream(6, "mae"))
+        expect = softplus(-float(s[0] @ s[2])) + softplus(float(s[0] @ s[3]))
+        assert float(out.values) == pytest.approx(expect, abs=1e-12)
+        assert caplog.text.count("skips the edges of 1 users") == 1
+
+    def test_only_saturated_users_give_zero_with_warning(self, caplog):
         g = build_graph_from_edges(2, 2, np.array([[0, 2], [1, 2], [1, 3]]))
         s = T.Tensor(np.zeros((g.num_nodes, 2)))
-        with pytest.raises(ValueError, match="user node 1 interacts with every item"):
-            L.loss_mae(s, np.array([[0, 2], [1, 3]]), g, substream(6, "mae"))
+        with caplog.at_level("WARNING"):
+            out = L.loss_mae(s, np.array([[1, 3]]), g, substream(6, "mae"))
+        assert float(out.values) == 0.0
+        assert "skips the edges of 1 users" in caplog.text
+        assert "empty" in caplog.text
 
     def test_gradients(self):
         g = complete_minus_one()
@@ -364,27 +379,28 @@ class TestTotalLoss:
     def test_all_weights_zero_except_rec(self):
         rng = np.random.default_rng(18)
         terms = self.scalars(rng)
-        w = L.LossWeights(rec=1.0, mae=0, distill=0, ranking=0, contrast=0, reg=0)
-        total, report = L.total_loss(params={}, weights=w, **terms)
+        cfg = TrainConfig(lambda_rec=1.0, lambda_mae=0, lambda_distill=0, lambda_ranking=0,
+                          lambda_contrast=0, lambda_reg=0)
+        total, report = L.total_loss(params={}, cfg=cfg, **terms)
         assert float(total.values) == pytest.approx(float(terms["rec"].values))
 
     def test_zeroed_params_no_penalty(self):
         rng = np.random.default_rng(19)
         terms = self.scalars(rng)
         params = {"p": T.parameter(np.zeros((3, 3)))}
-        w = L.LossWeights(reg=1.0)
-        _, report = L.total_loss(params=params, weights=w, **terms)
+        _, report = L.total_loss(params=params, cfg=TrainConfig(lambda_reg=1.0), **terms)
         assert report.reg == 0.0
 
     def test_total_equals_hand_sum(self):
         rng = np.random.default_rng(20)
         terms = self.scalars(rng)
         params = {"p": T.parameter(rng.normal(size=(4, 2)), name="p")}
-        w = L.LossWeights(rec=1.0, mae=0.7, distill=0.2, ranking=1.3, contrast=0.01, reg=1e-3)
-        total, report = L.total_loss(params=params, weights=w, **terms)
-        expect = (w.rec * report.rec + w.mae * report.mae + w.distill * report.distill
-                  + w.ranking * report.ranking + w.contrast * report.contrast
-                  + w.reg * report.reg)
+        w = TrainConfig(lambda_rec=1.0, lambda_mae=0.7, lambda_distill=0.2,
+                        lambda_ranking=1.3, lambda_contrast=0.01, lambda_reg=1e-3)
+        total, report = L.total_loss(params=params, cfg=w, **terms)
+        expect = (w.lambda_rec * report.rec + w.lambda_mae * report.mae
+                  + w.lambda_distill * report.distill + w.lambda_ranking * report.ranking
+                  + w.lambda_contrast * report.contrast + w.lambda_reg * report.reg)
         assert report.total == pytest.approx(expect, abs=1e-6)
         assert report.reg == pytest.approx(float((params["p"].values ** 2).sum()))
 
@@ -393,13 +409,13 @@ class TestTotalLoss:
         terms = self.scalars(rng)
         terms["mae"] = T.Tensor(np.nan)
         with pytest.raises(FloatingPointError, match="mae"):
-            L.total_loss(params={}, weights=L.LossWeights(), **terms)
+            L.total_loss(params={}, cfg=TrainConfig(), **terms)
 
     def test_weights_validation(self):
-        with pytest.raises(ValueError):
-            L.LossWeights(rec=-0.1)
-        with pytest.raises(ValueError):
-            L.LossWeights(temperature=0.0)
+        with pytest.raises(ValueError, match="lambda_rec must be >= 0"):
+            TrainConfig(lambda_rec=-0.1).validate()
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            TrainConfig(temperature=0.0).validate()
 
     def test_all_losses_nonnegative(self):
         rng = np.random.default_rng(22)

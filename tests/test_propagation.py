@@ -3,7 +3,7 @@ import pytest
 
 from rgtrec import propagation as P
 from rgtrec import tensor as T
-from rgtrec.attention import AttentionParams
+from rgtrec.attention import AttentionParams, residual_gt
 from rgtrec.data import build_graph_from_edges
 from rgtrec.topology import TopologyEncoder
 from oracles import check_gradients, dense_sym_norm_adjacency
@@ -22,20 +22,18 @@ def random_graph(rng, num_users, num_items, p=0.3, min_degree_one=True):
     return build_graph_from_edges(num_users, num_items, np.array(edges))
 
 
-class TestPropagationConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            P.PropagationConfig(num_layers=0)
-        with pytest.raises(ValueError):
-            P.PropagationConfig(num_layers=1, combination="bogus")
-
-
 class TestLightGCNPropagate:
+    def test_at_least_one_layer_required(self):
+        g = build_graph_from_edges(1, 1, np.array([[0, 1]]))
+        with pytest.raises(ValueError, match="at least one propagation layer"):
+            P.lightgcn_propagate(g, T.Tensor(np.zeros((2, 2))), 0)
+
     def test_single_edge_swaps_embeddings(self):
+        # layer 1 swaps the two rows; the output is the mean of layers 0 and 1
         g = build_graph_from_edges(1, 1, np.array([[0, 1]]))
         s0 = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = P.lightgcn_propagate(g, s0, P.PropagationConfig(1, "last_layer"))
-        np.testing.assert_allclose(out.values, [[3, 4], [1, 2]])
+        out = P.lightgcn_propagate(g, s0, 1)
+        np.testing.assert_allclose(out.values, [[2, 3], [2, 3]])
 
     def test_star_weights(self):
         edges = np.array([[0, 1], [0, 2], [0, 3], [0, 4]])
@@ -59,22 +57,16 @@ class TestLightGCNPropagate:
             n = g.num_nodes
             s0 = rng.normal(size=(n, 3))
             norm = dense_sym_norm_adjacency(n, g.edge_list)
+            # the means for L = 1, 2, 3 together fix every layer's output
             for L in (1, 2, 3):
-                # per-layer check
-                out_last = P.lightgcn_propagate(
-                    g, T.Tensor(s0), P.PropagationConfig(L, "last_layer"))
-                expect_last = np.linalg.matrix_power(norm, L) @ s0
-                np.testing.assert_allclose(out_last.values, expect_last, atol=1e-6)
-                # mean-of-layers check
-                out_mean = P.lightgcn_propagate(
-                    g, T.Tensor(s0), P.PropagationConfig(L, "mean_of_layers"))
+                out = P.lightgcn_propagate(g, T.Tensor(s0), L)
                 acc = [np.linalg.matrix_power(norm, l) @ s0 for l in range(L + 1)]
-                np.testing.assert_allclose(out_mean.values, np.mean(acc, axis=0), atol=1e-6)
+                np.testing.assert_allclose(out.values, np.mean(acc, axis=0), atol=1e-6)
 
     def test_zero_degree_nodes_pass_through(self):
         g = build_graph_from_edges(2, 2, np.array([[0, 2]]))  # user 1, item 1 isolated
         s0 = np.random.default_rng(2).normal(size=(4, 3))
-        out = P.lightgcn_propagate(g, T.Tensor(s0), P.PropagationConfig(2, "last_layer"))
+        out = P.lightgcn_propagate(g, T.Tensor(s0), 2)
         np.testing.assert_allclose(out.values[1], s0[1])
         np.testing.assert_allclose(out.values[3], s0[3])
 
@@ -83,7 +75,7 @@ class TestLightGCNPropagate:
         edges = np.array([(u, 3 + i) for u in range(3) for i in range(3)])
         g = build_graph_from_edges(3, 3, edges)
         s0 = np.tile([1.5, -2.0], (6, 1))
-        out = P.lightgcn_propagate(g, T.Tensor(s0), P.PropagationConfig(1, "last_layer"))
+        out = P.lightgcn_propagate(g, T.Tensor(s0), 1)
         np.testing.assert_allclose(out.values, s0, atol=1e-6)
 
     def test_gradients(self):
@@ -92,7 +84,7 @@ class TestLightGCNPropagate:
         s0 = T.parameter(rng.normal(size=(g.num_nodes, 3)), name="s0")
 
         def build():
-            out = P.lightgcn_propagate(g, s0, P.PropagationConfig(2))
+            out = P.lightgcn_propagate(g, s0, 2)
             return T.tsum(T.square(out))
 
         check_gradients(build, {"s0": s0})
@@ -113,6 +105,13 @@ class TestEncodeMasked:
         out = P.encode_masked(empty, s, topo, attn, gt_layers=2)
         np.testing.assert_allclose(out.values, topo.encode(s).values, atol=1e-12)
 
+    def test_without_topology_is_the_residual_transformer(self):
+        g, _, attn = self.setup_pipeline(seed=7)
+        s = T.Tensor(np.random.default_rng(7).normal(size=(g.num_nodes, 4)))
+        out = P.encode_masked(g, s, None, attn, gt_layers=2, residual=False)
+        expect = residual_gt(s, g, attn, n_layers=2, residual=False)
+        np.testing.assert_array_equal(out.values, expect.values)
+
     def test_output_shape(self):
         g, topo, attn = self.setup_pipeline(seed=5)
         s = T.Tensor(np.random.default_rng(5).normal(size=(g.num_nodes, 4)))
@@ -124,7 +123,7 @@ class TestEncodeMasked:
         s0 = T.parameter(np.random.default_rng(6).normal(size=(g.num_nodes, 4)), name="s0")
 
         def build():
-            local = P.lightgcn_propagate(g, s0, P.PropagationConfig(1))
+            local = P.lightgcn_propagate(g, s0, 1)
             out = P.encode_masked(g, local, topo, attn, gt_layers=1)
             return T.tsum(T.square(out))
 

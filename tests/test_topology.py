@@ -51,15 +51,16 @@ class TestShortestPaths:
         # u0 - p0 - u1: users 0,1 and one item
         g = build_graph_from_edges(2, 1, np.array([[0, 2], [1, 2]]))
         anchors = topo.AnchorSet(node_indices=np.array([0]))
-        table = topo.shortest_paths(g, anchors, q=3)
-        assert table.distances[1, 0] == 2.0
+        distances = topo.shortest_paths(g, anchors, q=3)
+        assert distances.shape == (3, 1)
+        assert distances[1, 0] == 2.0
 
     def test_anchor_distance_zero_iff_self(self):
         g = random_bipartite(np.random.default_rng(4), 8, 8)
         anchors = topo.sample_anchors(g, 5, seed=3)
-        table = topo.shortest_paths(g, anchors, q=2)
+        distances = topo.shortest_paths(g, anchors, q=2)
         for col, a in enumerate(anchors.node_indices):
-            zero_rows = np.flatnonzero(table.distances[:, col] == 0)
+            zero_rows = np.flatnonzero(distances[:, col] == 0)
             np.testing.assert_array_equal(zero_rows, [a])
 
     def test_matches_bfs_oracle_on_random_graphs(self):
@@ -70,11 +71,11 @@ class TestShortestPaths:
             g = random_bipartite(rng, nu, ni, p=float(rng.uniform(0.02, 0.3)))
             q = int(rng.integers(1, 5))
             anchors = topo.sample_anchors(g, min(6, g.num_nodes), seed=trial)
-            table = topo.shortest_paths(g, anchors, q=q)
+            distances = topo.shortest_paths(g, anchors, q=q)
             nd = neighbor_dict(g)
             for col, a in enumerate(anchors.node_indices):
                 oracle = bfs_distances(g.num_nodes, nd, int(a), cutoff=q + 1)
-                np.testing.assert_array_equal(table.distances[:, col], oracle)
+                np.testing.assert_array_equal(distances[:, col], oracle)
 
     def test_invalid_cutoff(self):
         g = random_bipartite(np.random.default_rng(6), 3, 3)
@@ -83,30 +84,35 @@ class TestShortestPaths:
             topo.shortest_paths(g, anchors, q=0)
 
 
+def correlation_rule(d, q):
+    """1/(d+1) within the hop cutoff, 0 beyond it."""
+    return 1.0 / (d + 1.0) if d <= q else 0.0
+
+
 class TestCorrelationWeight:
     def test_zero_distance(self):
-        assert topo.correlation_weight(0, 2) == 1.0
+        assert topo.correlation_weights(np.array([[0.0]]), 2)[0, 0] == 1.0
 
     def test_at_cutoff(self):
-        assert topo.correlation_weight(2, 2) == pytest.approx(1 / 3)
+        assert topo.correlation_weights(np.array([[2.0]]), 2)[0, 0] == pytest.approx(1 / 3)
 
     def test_beyond_cutoff(self):
-        assert topo.correlation_weight(3, 2) == 0.0
-        assert topo.correlation_weight(np.inf, 2) == 0.0
+        np.testing.assert_array_equal(topo.correlation_weights(np.array([[3.0, np.inf]]), 2),
+                                      [[0.0, 0.0]])
 
     def test_table_matches_rule_exhaustively(self):
         rng = np.random.default_rng(8)
         g = random_bipartite(rng, 40, 40, p=0.05)
         q = 2
         anchors = topo.sample_anchors(g, 8, seed=5)
-        table = topo.shortest_paths(g, anchors, q=q)
-        w = topo.correlation_weights(table)
+        distances = topo.shortest_paths(g, anchors, q=q)
+        omega = topo.correlation_weights(distances, q)
         for k in range(g.num_nodes):
             for col in range(len(anchors)):
-                assert w.omega[k, col] == topo.correlation_weight(table.distances[k, col], q)
-        nonzero = w.omega[w.omega > 0]
+                assert omega[k, col] == correlation_rule(distances[k, col], q)
+        nonzero = omega[omega > 0]
         assert ((nonzero >= 1 / (q + 1)) & (nonzero <= 1.0)).all()
-        np.testing.assert_array_equal(w.omega == 0, table.distances > q)
+        np.testing.assert_array_equal(omega == 0, distances > q)
 
 
 class TestPgnnLayer:
@@ -116,14 +122,12 @@ class TestPgnnLayer:
         anchors = topo.AnchorSet(node_indices=np.sort(
             rng.choice(num_nodes, size=num_anchors, replace=False)))
         omega = rng.uniform(0, 1, size=(num_nodes, num_anchors))
-        weights = topo.CorrelationWeights(omega=omega, hop_cutoff=2)
         w = T.parameter(rng.normal(size=(d, 2 * d)), name="w")
-        return h, anchors, weights, w
+        return h, anchors, omega, w
 
     def test_all_zero_weights_give_zero_output(self):
-        h, anchors, weights, w = self.make_inputs()
-        zero = topo.CorrelationWeights(omega=np.zeros_like(weights.omega), hop_cutoff=2)
-        out = topo.pgnn_layer(h, anchors, zero, w)
+        h, anchors, omega, w = self.make_inputs()
+        out = topo.pgnn_layer(h, anchors, np.zeros_like(omega), w)
         np.testing.assert_allclose(out.values, 0.0)
 
     def test_identity_construction(self):
@@ -131,17 +135,16 @@ class TestPgnnLayer:
         h = T.Tensor(np.random.default_rng(1).normal(size=(4, d)))
         anchors = topo.AnchorSet(node_indices=np.array([0, 1, 2, 3]))
         # anchor a == k only: w[k,a] = 1 on the diagonal, W = [I | 0]
-        weights = topo.CorrelationWeights(omega=np.eye(4), hop_cutoff=2)
         w = T.Tensor(np.concatenate([np.eye(d), np.zeros((d, d))], axis=1))
-        out = topo.pgnn_layer(h, anchors, weights, w)
+        out = topo.pgnn_layer(h, anchors, np.eye(4), w)
         # each node sees weight 1 only for itself; [I|0] picks h_k, then /|V_A|
         np.testing.assert_allclose(out.values, h.values / 4, atol=1e-12)
 
     def test_matches_double_loop_oracle(self):
-        h, anchors, weights, w = self.make_inputs(num_nodes=6, d=3, num_anchors=2, seed=3)
-        out = topo.pgnn_layer(h, anchors, weights, w)
+        h, anchors, om, w = self.make_inputs(num_nodes=6, d=3, num_anchors=2, seed=3)
+        out = topo.pgnn_layer(h, anchors, om, w)
 
-        hv, wv, om = h.values, w.values, weights.omega
+        hv, wv = h.values, w.values
         expect = np.zeros_like(hv)
         for k in range(hv.shape[0]):
             acc = np.zeros(hv.shape[1])
@@ -152,19 +155,19 @@ class TestPgnnLayer:
         np.testing.assert_allclose(out.values, expect, atol=1e-6)
 
     def test_gradients_match_finite_differences(self):
-        h, anchors, weights, w = self.make_inputs(seed=9)
+        h, anchors, omega, w = self.make_inputs(seed=9)
 
         def build():
-            out = topo.pgnn_layer(h, anchors, weights, w)
+            out = topo.pgnn_layer(h, anchors, omega, w)
             return T.tsum(T.square(out))
 
         check_gradients(build, {"h": h, "w": w})
 
     def test_dimension_mismatch_rejected(self):
-        h, anchors, weights, _ = self.make_inputs()
+        h, anchors, omega, _ = self.make_inputs()
         bad = T.parameter(np.zeros((3, 5)))
         with pytest.raises(T.ShapeMismatchError):
-            topo.pgnn_layer(h, anchors, weights, bad)
+            topo.pgnn_layer(h, anchors, omega, bad)
 
 
 class TestTopologyEncoder:
@@ -177,8 +180,7 @@ class TestTopologyEncoder:
 
     def test_zero_weights_reduce_to_identity(self):
         g, enc = self.make_encoder()
-        enc.weights = topo.CorrelationWeights(
-            omega=np.zeros_like(enc.weights.omega), hop_cutoff=2)
+        enc.omega = np.zeros_like(enc.omega)
         h_id = T.Tensor(np.random.default_rng(0).normal(size=(g.num_nodes, 3)))
         out = enc.encode(h_id)
         np.testing.assert_allclose(out.values, h_id.values)
@@ -206,7 +208,7 @@ class TestTopologyEncoder:
 
     def test_distance_cache_names_the_anchors(self):
         # same graph, seed and q: a different anchor count, then a different
-        # set of the same size, must each get the table of their own anchors
+        # set of the same size, must each get the weights of their own anchors
         g = random_bipartite(np.random.default_rng(7), 30, 40, p=0.1)
         first = topo.TopologyEncoder(g, num_anchors=8, q=2, latdim=3, num_layers=1, seed=6)
         fewer = topo.TopologyEncoder(g, num_anchors=4, q=2, latdim=3, num_layers=1, seed=6)
@@ -216,5 +218,19 @@ class TestTopologyEncoder:
                                      seed=6, anchors=other)
         for enc in (first, fewer, moved):
             np.testing.assert_array_equal(
-                enc.distance_table.distances,
-                topo.shortest_paths(g, enc.anchors, 2).distances)
+                enc.omega, topo.correlation_weights(topo.shortest_paths(g, enc.anchors, 2), 2))
+
+    def test_shared_omega_and_refresh(self):
+        g = random_bipartite(np.random.default_rng(8), 20, 20, p=0.15)
+        first = topo.TopologyEncoder(g, num_anchors=4, q=2, latdim=3, num_layers=1, seed=2)
+        shared = topo.TopologyEncoder(g, num_anchors=4, q=2, latdim=3, num_layers=1, seed=3,
+                                      anchors=first.anchors, omega=first.omega)
+        assert shared.omega is first.omega
+        other = topo.AnchorSet(np.setdiff1d(np.arange(g.num_nodes),
+                                            first.anchors.node_indices)[:4])
+        shared.refresh_tables(g, other)
+        assert shared.anchors is other
+        np.testing.assert_array_equal(
+            shared.omega, topo.correlation_weights(topo.shortest_paths(g, other, 2), 2))
+        np.testing.assert_array_equal(
+            first.omega, topo.correlation_weights(topo.shortest_paths(g, first.anchors, 2), 2))

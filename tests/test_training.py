@@ -244,6 +244,25 @@ class TestFit:
         assert all(math.isfinite(r["distill"]) for r in history)
         assert history[-1]["distill"] > 0.0
 
+    def test_ema_forward_stays_off_the_tape(self, monkeypatch):
+        ds = tiny_dataset(seed=8)
+        cfg = tiny_cfg(epochs=1, self_distill_ema=0.9)
+        graph = build_graph(ds)
+        pair = TR.init_pair(graph, cfg)
+        ema_params = {id(p) for p in pair.ema.parameters().values()}
+        teacher_params = {id(p) for p in pair.teacher.parameters().values()}
+        inputs = []
+        backward = T.backward
+
+        def recording_backward(loss, tape=None):
+            inputs.extend(id(x) for record in tape.records for x in record.inputs)
+            return backward(loss, tape)
+
+        monkeypatch.setattr(T, "backward", recording_backward)
+        TR.train_epoch(pair, ds, graph, cfg, 0)
+        assert teacher_params & set(inputs)
+        assert not ema_params & set(inputs)
+
     def test_ema_restored_with_the_best_epoch(self, tmp_path):
         # on this data every epoch reaches val Recall@20 = 1, so both runs keep
         # epoch 0, and both checkpoints must hold epoch 0's teacher and ema

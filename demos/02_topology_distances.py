@@ -18,8 +18,9 @@ edges = np.array([
 ])
 g = build_graph_from_edges(4, 6, edges)
 
+# the anchors are a plain sorted array of node ids
 anchors = sample_anchors(g, m=3, seed=7)
-print("anchor nodes:", anchors.node_indices.tolist())
+print("anchor nodes:", anchors.tolist())
 
 distances = shortest_paths(g, anchors, q=2)
 print("\nhop distances to each anchor (inf = beyond cutoff):")

@@ -23,15 +23,16 @@ print(f"graph: {g.num_edges} edges")
 
 params = AttentionParams(latdim=8, heads=2, seed=1)
 h = T.Tensor(rng.normal(size=(g.num_nodes, 8)))
-table = edge_rationale_probs(attention_scores(h, g, params), g)
-print("edge probabilities sum to", round(float(table.probs.sum()), 9))
-top = np.argsort(-table.probs)[:3]
+# one probability per undirected edge, as a plain array the samplers take
+probs = edge_rationale_probs(attention_scores(h, g, params).values, g)
+print("edge probabilities sum to", round(float(probs.sum()), 9))
+top = np.argsort(-probs)[:3]
 print("three most informative edges:",
       [tuple(map(int, g.edge_list[e])) for e in top])
 
-sub_r = sample_rationale(table, rho_r=0.4, seed=11)
-sub_m = build_masked_graph(table, rho_m=0.8, seed=11, rho_r=0.4)
-sub_c = sample_complement(table, rho_c=0.1, seed=11, rho_m=0.8)
+sub_r = sample_rationale(probs, rho_r=0.4, seed=11)
+sub_m = build_masked_graph(probs, rho_m=0.8, seed=11, rho_r=0.4)
+sub_c = sample_complement(probs, rho_c=0.1, seed=11, rho_m=0.8)
 print(f"\nrationale sample:  {len(sub_r)} edges {sub_r.edge_indices.tolist()}")
 print(f"masked (retained): {len(sub_m)} edges; reconstruction targets = "
       f"{sub_m.complement_indices(g.num_edges).tolist()}")
@@ -40,9 +41,9 @@ print(f"complement:        {len(sub_c)} edges {sub_c.edge_indices.tolist()}")
 # the inversion at work: high-probability edges are retained least often
 retained = np.zeros(g.num_edges)
 for seed in range(2000):
-    retained[build_masked_graph(table, 0.5, seed=seed).edge_indices] += 1
-order = np.argsort(-table.probs)
+    retained[build_masked_graph(probs, 0.5, seed=seed).edge_indices] += 1
+order = np.argsort(-probs)
 print("\nedge probability vs masked-retention frequency (sorted by probability):")
 for e in order[:5]:
     print(f"  edge {tuple(map(int, g.edge_list[e]))}: "
-          f"p={table.probs[e]:.3f}  retained {retained[e] / 2000:.2f}")
+          f"p={probs[e]:.3f}  retained {retained[e] / 2000:.2f}")

@@ -23,7 +23,6 @@ records the same, fixed number of tape entries whatever the head count.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,13 +63,6 @@ class AttentionParams:
         return {w.name: w for w in (self.wq, self.wk, self.wv, self.wo)}
 
 
-@dataclass
-class EdgeScoreTable:
-    """Rationale probabilities per undirected edge."""
-
-    probs: np.ndarray  # (num_edges,) summing to 1
-
-
 def _log_isolated(g: BipartiteGraph) -> None:
     isolated = int((g.degree == 0).sum())
     if isolated:
@@ -84,25 +76,25 @@ def attention_scores(h_bar: T.Tensor, g: BipartiteGraph, params: AttentionParams
     q = T.matmul(h_bar, T.transpose(params.wq))
     k = T.matmul(h_bar, T.transpose(params.wk))
     raw = T.mul(T.edge_dot(q, k, g, params.heads), 1.0 / np.sqrt(params.head_dim))
-    return T.segment_softmax(raw, g.directed_src, g.num_nodes)
+    return T.segment_softmax(raw, g)
 
 
-def edge_rationale_probs(head_scores: T.Tensor, g: BipartiteGraph) -> EdgeScoreTable:
-    """Probability of each undirected edge being a rationale.
+def edge_rationale_probs(head_scores: np.ndarray, g: BipartiteGraph) -> np.ndarray:
+    """Probability of each undirected edge being a rationale, shape (num_edges,).
 
-    ``head_scores`` is the (num_slots, heads) output of ``attention_scores``.
+    ``head_scores`` is the (num_slots, heads) array of ``attention_scores``.
     Head scores are averaged, the two directions of every edge are averaged,
     and the result is normalized over the edge set so it sums to one.
     """
     if g.num_edges == 0:
         raise ValueError("rationale probabilities need a non-empty edge set")
-    mean = T.tmean(head_scores, axis=1)
-    per_edge = T.div(T.segment_sum(mean, g.csr_edge_ids, g.num_edges), 2.0)
-    total = float(per_edge.values.sum())
+    mean = head_scores.mean(axis=1)
+    per_edge = np.bincount(g.csr_edge_ids, weights=mean,
+                           minlength=g.num_edges).astype(mean.dtype) / 2.0
+    total = float(per_edge.sum())
     if total <= 0.0:
         raise ValueError("degenerate attention: edge scores sum to zero")
-    probs = T.div(per_edge, total)
-    return EdgeScoreTable(probs=probs.values.copy())
+    return per_edge / total
 
 
 def light_self_attention(h_in: T.Tensor, g: BipartiteGraph, params: AttentionParams) -> T.Tensor:

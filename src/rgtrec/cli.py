@@ -173,10 +173,12 @@ def cmd_train(args) -> int:
     results = {"val": evaluate(s, ds, VAL), "test": evaluate(s, ds, TEST)}
     write_metrics_csv(out / "metrics.csv", results)
 
-    summary = results["test"].summary()
     print(f"finished after {len(history)} epochs (best epoch {pair.epoch})")
-    for key, value in summary.items():
-        print(f"test {key} = {value:.4f}")
+    if len(results["test"].user_ids):
+        for key, value in results["test"].summary().items():
+            print(f"test {key} = {value:.4f}")
+    else:
+        print("test split is empty: no test metrics")
     print(f"checkpoint: {out / 'model.ckpt'}")
     return 0
 
@@ -185,8 +187,8 @@ def _dump_first_epoch_subgraphs(ds, cfg, out_dir) -> None:
     graph = build_graph(ds)
     with T.using_dtype(cfg.precision):
         pair = init_pair(graph, cfg)
-        table = rationale_score_table(pair.teacher, graph, cfg)
-    for sub in draw_subgraphs(table, cfg, epoch=0):
+        probs = rationale_score_table(pair.teacher, graph, cfg)
+    for sub in draw_subgraphs(probs, cfg, epoch=0):
         dump_subgraph_tsv(sub, graph, Path(out_dir) / f"{sub.kind}.tsv")
 
 

@@ -46,8 +46,9 @@ class RankingResult:
     ndcg: dict[int, np.ndarray] = field(default_factory=dict)
 
     def macro(self, metric: str, k: int) -> float:
+        """Mean over the evaluated users; NaN when the split has none."""
         values = (self.recall if metric == "recall" else self.ndcg)[k]
-        return float(values.mean()) if len(values) else 0.0
+        return float(values.mean()) if len(values) else float("nan")
 
     def summary(self) -> dict[str, float]:
         out = {}

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import EdgeScoreTable
 from .data import BipartiteGraph
 from .seeding import substream
 
@@ -70,18 +69,18 @@ def _draw(kind: str, weights: np.ndarray, rate: float, seed: int) -> SampledSubg
     return SampledSubgraph(kind=kind, edge_indices=idx, rate=rate)
 
 
-def sample_rationale(scores: EdgeScoreTable, rho_r: float, seed: int) -> SampledSubgraph:
+def sample_rationale(probs: np.ndarray, rho_r: float, seed: int) -> SampledSubgraph:
     """Edges drawn proportionally to their rationale probability."""
     if not 0.0 < rho_r <= 1.0:
         raise ValueError(f"rationale rate must be in (0, 1], got {rho_r}")
-    return _draw(RATIONALE, scores.probs + INVERSION_EPS, rho_r, seed)
+    return _draw(RATIONALE, probs + INVERSION_EPS, rho_r, seed)
 
 
-def inverted_weights(scores: EdgeScoreTable) -> np.ndarray:
-    return (scores.probs.max() - scores.probs) + INVERSION_EPS
+def inverted_weights(probs: np.ndarray) -> np.ndarray:
+    return (probs.max() - probs) + INVERSION_EPS
 
 
-def build_masked_graph(scores: EdgeScoreTable, rho_m: float, seed: int,
+def build_masked_graph(probs: np.ndarray, rho_m: float, seed: int,
                        rho_r: float | None = None) -> SampledSubgraph:
     """Retained edge set E_M, drawn from the inverted rationale scores.
 
@@ -93,17 +92,17 @@ def build_masked_graph(scores: EdgeScoreTable, rho_m: float, seed: int,
         raise ValueError(f"mask retention rate must be in (0, 1), got {rho_m}")
     if rho_r is not None and rho_m <= rho_r:
         raise ValueError(f"mask retention rate {rho_m} must exceed rationale rate {rho_r}")
-    return _draw(MASKED, inverted_weights(scores), rho_m, seed)
+    return _draw(MASKED, inverted_weights(probs), rho_m, seed)
 
 
-def sample_complement(scores: EdgeScoreTable, rho_c: float, seed: int,
+def sample_complement(probs: np.ndarray, rho_c: float, seed: int,
                       rho_m: float) -> SampledSubgraph:
     """Small noise-biased edge sample from the same inverted distribution."""
     if not 0.0 < rho_c < 1.0:
         raise ValueError(f"complement rate must be in (0, 1), got {rho_c}")
     if rho_c > rho_m / 4.0:
         raise ValueError(f"complement rate {rho_c} must be <= mask rate / 4 ({rho_m / 4.0})")
-    return _draw(COMPLEMENT, inverted_weights(scores), rho_c, seed)
+    return _draw(COMPLEMENT, inverted_weights(probs), rho_c, seed)
 
 
 def dump_subgraph_tsv(sub: SampledSubgraph, g: BipartiteGraph, path) -> None:

@@ -4,7 +4,8 @@ A ``Tensor`` wraps a numpy array together with an optional gradient buffer.
 Operations executed while a ``Tape`` is active append records of the primitive
 and its saved inputs; ``backward`` replays the tape in reverse creation order
 (which is a reverse topological order for define-by-run graphs), visiting each
-record exactly once and accumulating gradients additively into ``.grad``.
+record exactly once and accumulating gradients additively into the leaves'
+``.grad``.
 
 Gradients accumulate across tape replays; they are zeroed only by the
 optimizer.  Tensors are immutable after creation except for the grad buffer
@@ -360,62 +361,14 @@ def take(a, idx) -> Tensor:
     trailing = a.shape[1:]
 
     def bw(g):
-        scattered = _scatter_rows(idx, g.reshape(len(idx), -1) if trailing else g, rows)
-        return (scattered.reshape((rows,) + trailing),)
+        if not trailing:
+            return (np.bincount(idx, weights=g, minlength=rows).astype(g.dtype, copy=False),)
+        scatter = sp.csr_matrix(
+            (np.ones(len(idx), dtype=g.dtype), (idx, np.arange(len(idx)))),
+            shape=(rows, len(idx)))
+        return (np.asarray(scatter @ g.reshape(len(idx), -1)).reshape((rows,) + trailing),)
 
     return _emit(out, (a,), bw)
-
-
-def _scatter_rows(idx: np.ndarray, values: np.ndarray, num: int) -> np.ndarray:
-    """Sum rows of ``values`` into ``num`` output slots given by ``idx``."""
-    if values.ndim == 1:
-        out = np.bincount(idx, weights=values, minlength=num)
-        return out.astype(values.dtype, copy=False)
-    ind = sp.csr_matrix(
-        (np.ones(len(idx), dtype=values.dtype), (idx, np.arange(len(idx)))),
-        shape=(num, len(idx)),
-    )
-    return np.asarray(ind @ values)
-
-
-def segment_sum(a, idx, num: int) -> Tensor:
-    """Scatter-add rows of ``a`` into ``num`` segments; gradient is a gather."""
-    a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.intp)
-    if len(idx) != a.shape[0]:
-        raise ShapeMismatchError(f"segment_sum: {len(idx)} indices for {a.shape[0]} rows")
-    out = _scatter_rows(idx, a.values, num)
-
-    def bw(g):
-        return (g[idx],)
-
-    return _emit(out, (a,), bw)
-
-
-def segment_softmax(scores, idx, num: int) -> Tensor:
-    """Softmax of ``scores`` within segments given by ``idx``, per column.
-
-    ``scores`` is 1-D, or 2-D with one column per head; the rows sharing an
-    ``idx`` entry form one segment.  Stabilized by subtracting the
-    per-segment maximum (a constant, which leaves both the value and the
-    gradient of the softmax unchanged).  Segments with no entries simply
-    produce no outputs.
-    """
-    scores = as_tensor(scores)
-    idx = np.asarray(idx, dtype=np.intp)
-    if len(idx) != scores.shape[0]:
-        raise ShapeMismatchError(f"segment_softmax: {len(idx)} indices for {scores.shape[0]} rows")
-    sv = scores.values
-    seg_max = np.full((num,) + sv.shape[1:], -np.inf, dtype=sv.dtype)
-    np.maximum.at(seg_max, idx, sv)
-    e = np.exp(sv - seg_max[idx])
-    out = e / _scatter_rows(idx, e, num)[idx]
-
-    def bw(g):
-        inner = _scatter_rows(idx, g * out, num)
-        return (out * (g - inner[idx]),)
-
-    return _emit(out, (scores,), bw)
 
 
 def logsumexp_rows(a) -> Tensor:
@@ -480,6 +433,48 @@ def _apply_heads(ops: list, x: np.ndarray) -> np.ndarray:
         cols = slice(h * width, (h + 1) * width)
         out[:, cols] = op @ x[:, cols]
     return out
+
+
+def _node_sums(v: np.ndarray, g) -> np.ndarray:
+    """Sum of each node's CSR slot rows of ``v``, added in slot order.
+
+    A 2-D ``v`` goes through one CSR product (``indptr`` the graph's offsets,
+    ``indices`` the slot ids) in its own dtype; a 1-D one through
+    ``np.bincount``, which adds in float64 before rounding back.
+    """
+    if v.ndim == 1:
+        return np.bincount(g.directed_src, weights=v,
+                           minlength=g.num_nodes).astype(v.dtype, copy=False)
+    rows = sp.csr_matrix((np.ones(len(v), dtype=v.dtype), np.arange(len(v)), g.csr_offsets),
+                         shape=(g.num_nodes, len(v)))
+    return rows @ v
+
+
+def segment_softmax(scores, g) -> Tensor:
+    """Softmax of ``scores`` over each node's CSR slots of ``g``, per column.
+
+    ``scores`` has one row per directed slot and is 1-D, or 2-D with one
+    column per head.  Stabilized by subtracting each node's maximum (a
+    constant, which leaves both the value and the gradient of the softmax
+    unchanged), taken with ``np.maximum.reduceat`` over the offsets of the
+    non-empty rows.  A node without slots simply produces no outputs.
+    """
+    scores = as_tensor(scores)
+    sv = scores.values
+    if sv.shape[0] != len(g.csr_neighbors):
+        raise ShapeMismatchError(
+            f"segment_softmax: {sv.shape[0]} scores for {len(g.csr_neighbors)} slots")
+    counts = np.diff(g.csr_offsets)
+    filled = counts > 0
+    row_max = np.maximum.reduceat(sv, g.csr_offsets[:-1][filled], axis=0)
+    e = np.exp(sv - np.repeat(row_max, counts[filled], axis=0))
+    src = g.directed_src
+    out = e / _node_sums(e, g)[src]
+
+    def bw(grad):
+        return (out * (grad - _node_sums(grad * out, g)[src]),)
+
+    return _emit(out, (scores,), bw)
 
 
 def edge_dot(q, k, g, heads: int) -> Tensor:
@@ -559,10 +554,13 @@ def detach(a) -> Tensor:
 
 
 def backward(loss: Tensor, tape: Tape | None = None) -> None:
-    """Propagate d(loss)/d(x) into ``.grad`` of every reachable tensor.
+    """Propagate d(loss)/d(x) into ``.grad`` of every reachable leaf.
 
-    The seed gradient is 1.0.  Raises if the loss is not scalar, the tape is
-    empty, or any leaf parameter ends up with a non-finite gradient.
+    The seed gradient is 1.0.  An op's output (a non-leaf) holds its
+    gradient only until its record has passed it on, then it is reset to
+    None, so intermediate gradients are freed during the pass; leaves keep
+    theirs.  Raises if the loss is not scalar, the tape is empty, or any leaf
+    parameter ends up with a non-finite gradient.
     """
     tape = tape or active_tape()
     if tape is None or not tape.records:
@@ -577,6 +575,7 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
         if g_out is None:
             continue
         grads = record.backward_fn(g_out)
+        record.out.grad = None
         for t, g in zip(record.inputs, grads):
             if not t.requires_grad:
                 continue

@@ -10,8 +10,6 @@ result is injected additively into the input table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
@@ -21,24 +19,17 @@ from .data import BipartiteGraph
 from .seeding import substream
 
 
-@dataclass(frozen=True)
-class AnchorSet:
-    node_indices: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.node_indices)
-
-
-def sample_anchors(g: BipartiteGraph, m: int, seed: int) -> AnchorSet:
-    """Uniform sample of m distinct anchor nodes over users and items."""
+def sample_anchors(g: BipartiteGraph, m: int, seed: int) -> np.ndarray:
+    """Uniform sample of m distinct anchor nodes over users and items, as a
+    sorted int64 array of node ids."""
     if m > g.num_nodes:
         raise ValueError(f"cannot sample {m} anchors from {g.num_nodes} nodes")
     rng = substream(seed, "anchors")
     idx = rng.choice(g.num_nodes, size=m, replace=False)
-    return AnchorSet(node_indices=np.sort(idx).astype(np.int64))
+    return np.sort(idx).astype(np.int64)
 
 
-def shortest_paths(g: BipartiteGraph, anchors: AnchorSet, q: int) -> np.ndarray:
+def shortest_paths(g: BipartiteGraph, anchors: np.ndarray, q: int) -> np.ndarray:
     """Exact hop distances (num_nodes x num_anchors) from all nodes to each
     anchor, up to depth q + 1.
 
@@ -50,7 +41,7 @@ def shortest_paths(g: BipartiteGraph, anchors: AnchorSet, q: int) -> np.ndarray:
     adjacency = sp.csr_matrix(
         (np.ones(len(g.csr_neighbors)), g.csr_neighbors, g.csr_offsets),
         shape=(g.num_nodes, g.num_nodes))
-    dist = dijkstra(adjacency, directed=False, indices=anchors.node_indices,
+    dist = dijkstra(adjacency, directed=False, indices=anchors,
                     unweighted=True, limit=q + 1)
     return np.ascontiguousarray(dist.T)
 
@@ -62,7 +53,7 @@ def correlation_weights(distances: np.ndarray, q: int) -> np.ndarray:
         return np.where(distances <= q, 1.0 / (distances + 1.0), 0.0)
 
 
-def pgnn_layer(h_prev: T.Tensor, anchors: AnchorSet, omega: np.ndarray,
+def pgnn_layer(h_prev: T.Tensor, anchors: np.ndarray, omega: np.ndarray,
                layer_weight: T.Tensor) -> T.Tensor:
     """One anchor-aggregation layer.
 
@@ -76,7 +67,7 @@ def pgnn_layer(h_prev: T.Tensor, anchors: AnchorSet, omega: np.ndarray,
             f"layer weight must be ({d}, {2 * d}), got {layer_weight.shape}")
     omega = np.asarray(omega, dtype=h_prev.dtype)
     m = len(anchors)
-    h_anchor = T.take(h_prev, anchors.node_indices)
+    h_anchor = T.take(h_prev, anchors)
     own = T.mul(h_prev, T.Tensor(omega.sum(axis=1, keepdims=True), dtype=h_prev.dtype))
     mixed = T.matmul(T.Tensor(omega, dtype=h_prev.dtype), h_anchor)
     stacked = T.concat([own, mixed], axis=1)
@@ -92,7 +83,7 @@ class TopologyEncoder:
     """
 
     def __init__(self, g: BipartiteGraph, num_anchors: int, q: int, latdim: int,
-                 num_layers: int, seed: int, anchors: AnchorSet | None = None,
+                 num_layers: int, seed: int, anchors: np.ndarray | None = None,
                  omega: np.ndarray | None = None):
         if num_layers < 1:
             raise ValueError("topology encoder needs at least one layer")
@@ -109,7 +100,7 @@ class TopologyEncoder:
             for l in range(num_layers)
         ]
 
-    def refresh_tables(self, g: BipartiteGraph, anchors: AnchorSet) -> None:
+    def refresh_tables(self, g: BipartiteGraph, anchors: np.ndarray) -> None:
         """Recompute ``omega`` for a new anchor set (keeps the layer weights)."""
         self.anchors = anchors
         self.omega = correlation_weights(shortest_paths(g, anchors, self.q), self.q)

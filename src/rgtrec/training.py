@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .attention import (AttentionParams, EdgeScoreTable, attention_scores,
-                        edge_rationale_probs, residual_gt)
+from .attention import AttentionParams, attention_scores, edge_rationale_probs, residual_gt
 from .data import InteractionDataset, BipartiteGraph, TRAIN, VAL, build_graph
 from .evaluation import evaluate
 from .losses import (EmbeddingBundle, LossReport, loss_bpr, loss_cir, loss_distill,
@@ -32,7 +31,7 @@ from .propagation import encode_masked, lightgcn_propagate
 from .sampling import (SampledSubgraph, build_masked_graph, sample_complement,
                        sample_rationale)
 from .seeding import substream
-from .topology import AnchorSet, TopologyEncoder, sample_anchors
+from .topology import TopologyEncoder, sample_anchors
 
 log = logging.getLogger(__name__)
 
@@ -223,15 +222,16 @@ class ModelState:
         out.update({f"adam/v/{k}": v for k, v in self.optimizer.v.items()})
         out["adam/t"] = np.asarray([self.optimizer.t], dtype=np.int64)
         if self.topo is not None:
-            out["anchors"] = self.topo.anchors.node_indices
+            out["anchors"] = self.topo.anchors
         return out
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self._arrays().items()}
 
     def check_snapshot(self, snap: dict[str, np.ndarray]) -> None:
-        """Raise ``ValueError`` unless ``snap`` has the keys and array shapes of
-        ``snapshot()`` and its anchors are nodes of the graph."""
+        """Raise ``ValueError`` unless ``snap`` has the keys, array shapes and
+        dtype kinds (integer or float) of ``snapshot()`` and its anchors are
+        nodes of the graph."""
         targets = self._arrays()
         for problem, keys in (("missing", targets.keys() - snap.keys()),
                               ("unexpected", snap.keys() - targets.keys())):
@@ -242,6 +242,9 @@ class ModelState:
             if targets[key].shape != arr.shape:
                 raise ValueError(f"{self.role} snapshot: shape mismatch for {key}: "
                                  f"{arr.shape} vs {targets[key].shape}")
+            if targets[key].dtype.kind != arr.dtype.kind:
+                raise ValueError(f"{self.role} snapshot: dtype mismatch for {key}: "
+                                 f"{arr.dtype} vs {targets[key].dtype}")
         anchors = snap.get("anchors")
         if anchors is not None and not ((anchors >= 0) & (anchors < self.graph.num_nodes)).all():
             raise ValueError(f"{self.role} snapshot: anchors outside the graph's nodes")
@@ -253,7 +256,7 @@ class ModelState:
         for key, arr in snap.items():
             if key == "anchors":
                 if not np.array_equal(arr, targets[key]):
-                    self.topo.refresh_tables(self.graph, AnchorSet(arr.copy()))
+                    self.topo.refresh_tables(self.graph, arr.copy())
             elif key == "adam/t":
                 self.optimizer.t = int(arr[0])
             else:
@@ -326,14 +329,16 @@ def make_bundle(out: PipelineOutputs, num_users: int) -> EmbeddingBundle:
                            subgraph=T.concat(means, axis=0))
 
 
-def rationale_score_table(state: ModelState, graph: BipartiteGraph, cfg: TrainConfig):
-    """Edge probabilities from the current parameters (no gradients kept)."""
+def rationale_score_table(state: ModelState, graph: BipartiteGraph,
+                          cfg: TrainConfig) -> np.ndarray:
+    """The (num_edges,) rationale probabilities of the current parameters
+    (no gradients kept)."""
     h_bar = state.topo.encode(state.emb) if state.topo is not None else state.emb
-    table = edge_rationale_probs(attention_scores(h_bar, graph, state.attn), graph)
-    drift = abs(float(table.probs.sum()) - 1.0)
+    probs = edge_rationale_probs(attention_scores(h_bar, graph, state.attn).values, graph)
+    drift = abs(float(probs.sum()) - 1.0)
     if drift > 1e-6:
         raise FloatingPointError(f"edge probabilities sum drifted by {drift:.2e}")
-    return table
+    return probs
 
 
 def predict_embeddings(state: ModelState, graph: BipartiteGraph,
@@ -351,13 +356,13 @@ def predict_embeddings(state: ModelState, graph: BipartiteGraph,
 # ---------------------------------------------------------------------------
 
 
-def draw_subgraphs(table: EdgeScoreTable, cfg: TrainConfig,
+def draw_subgraphs(probs: np.ndarray, cfg: TrainConfig,
                    epoch: int) -> tuple[SampledSubgraph, SampledSubgraph, SampledSubgraph]:
     """The rationale, masked and complement edge samples of ``epoch``."""
     seed = int(substream(cfg.seed, "subgraphs", epoch).integers(0, 2**31 - 1))
-    return (sample_rationale(table, cfg.rho_r, seed),
-            build_masked_graph(table, cfg.rho_m, seed, rho_r=cfg.rho_r),
-            sample_complement(table, cfg.rho_c, seed, rho_m=cfg.rho_m))
+    return (sample_rationale(probs, cfg.rho_r, seed),
+            build_masked_graph(probs, cfg.rho_m, seed, rho_r=cfg.rho_r),
+            sample_complement(probs, cfg.rho_c, seed, rho_m=cfg.rho_m))
 
 
 def negative_sample(graph: BipartiteGraph, batch_users: np.ndarray,
@@ -423,8 +428,8 @@ def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph
     # only because the benchmark in perfbench/run.py still passes it
     teacher = pair.teacher
 
-    table = rationale_score_table(teacher, graph, cfg)
-    sub_r, sub_m, sub_c = draw_subgraphs(table, cfg, epoch)
+    probs = rationale_score_table(teacher, graph, cfg)
+    sub_r, sub_m, sub_c = draw_subgraphs(probs, cfg, epoch)
     g_rationale = sub_r.materialize(graph)
     g_masked = sub_m.materialize(graph)
     g_complement = sub_c.materialize(graph)
@@ -653,13 +658,16 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
 
 def load_checkpoint_into(path, pair: DistillPair) -> None:
     """Load every model role of ``pair`` from a checkpoint, all or nothing:
-    ``ValueError``, raised before anything loads, when the epoch block or a
-    role of the pair is missing, when the file holds a role the pair lacks, or
-    when a role's keys or shapes differ from its snapshot's."""
+    ``ValueError``, raised before anything loads, when the epoch block is
+    missing or not one int64, when a role of the pair is missing, when the
+    file holds a role the pair lacks, or when a role's keys, shapes or dtype
+    kinds differ from its snapshot's."""
     blocks = read_checkpoint(path)
     if "epoch" not in blocks:
         raise ValueError(f"{path}: checkpoint has no epoch block")
-    epoch = int(blocks.pop("epoch")[0])
+    epoch = blocks.pop("epoch")
+    if epoch.dtype != np.int64 or epoch.shape != (1,):
+        raise ValueError(f"{path}: epoch block is {epoch.dtype} {epoch.shape}, not one int64")
     per_role: dict[str, dict[str, np.ndarray]] = {}
     for name, arr in blocks.items():
         role, _, key = name.partition("/")
@@ -675,4 +683,4 @@ def load_checkpoint_into(path, pair: DistillPair) -> None:
         state.check_snapshot(per_role[role])
     for role, state in states.items():
         state.load_snapshot(per_role[role])
-    pair.epoch = epoch
+    pair.epoch = int(epoch[0])

@@ -10,6 +10,7 @@ import math
 from collections import deque
 
 import numpy as np
+import scipy.sparse as sp
 
 from rgtrec import tensor as T
 from rgtrec.data import TRAIN
@@ -97,10 +98,13 @@ def per_head_light_self_attention(h_in: T.Tensor, g, params) -> T.Tensor:
     Head h uses rows ``h * head_dim:(h + 1) * head_dim`` of the fused
     ``wq``/``wk``/``wv`` matrices, gathered per slot and normalized with a
     composed per-segment softmax; head outputs are concatenated by column.
-    Built from elementwise tape ops only, not from the graph kernels.
+    Built from elementwise tape ops only, not from the graph kernels; the
+    per-node sums are products with a dense one-hot (node, slot) matrix.
     """
     src = np.repeat(np.arange(g.num_nodes), np.diff(g.csr_offsets))
     dst = g.csr_neighbors
+    scatter = T.Tensor((src[None, :] == np.arange(g.num_nodes)[:, None]).astype(np.float64),
+                       dtype=h_in.dtype)
     dh = params.head_dim
     head_outputs = []
     for hd in range(params.heads):
@@ -112,11 +116,49 @@ def per_head_light_self_attention(h_in: T.Tensor, g, params) -> T.Tensor:
         seg_max = np.full(g.num_nodes, -np.inf)
         np.maximum.at(seg_max, src, raw.values)
         e = T.exp(T.sub(raw, T.Tensor(seg_max[src], dtype=raw.dtype)))
-        alpha = T.div(e, T.take(T.segment_sum(e, src, g.num_nodes), src))
+        sums = T.reshape(T.matmul(scatter, T.reshape(e, (-1, 1))), (-1,))
+        alpha = T.div(e, T.take(sums, src))
         weighted = T.mul(T.take(v, dst), T.reshape(alpha, (-1, 1)))
-        head_outputs.append(T.segment_sum(weighted, src, g.num_nodes))
+        head_outputs.append(T.matmul(scatter, weighted))
     stacked = T.concat(head_outputs, axis=1) if len(head_outputs) > 1 else head_outputs[0]
     return T.matmul(stacked, T.transpose(params.wo))
+
+
+def _scatter_rows(idx: np.ndarray, values: np.ndarray, num: int) -> np.ndarray:
+    """Sum rows of ``values`` into ``num`` output slots given by ``idx``."""
+    if values.ndim == 1:
+        out = np.bincount(idx, weights=values, minlength=num)
+        return out.astype(values.dtype, copy=False)
+    ind = sp.csr_matrix(
+        (np.ones(len(idx), dtype=values.dtype), (idx, np.arange(len(idx)))),
+        shape=(num, len(idx)),
+    )
+    return np.asarray(ind @ values)
+
+
+def segment_softmax(scores, idx, num: int) -> T.Tensor:
+    """Softmax of ``scores`` within the segments given by ``idx``, per
+    column, as a taped op.
+
+    The generic form that ``tensor.segment_softmax`` specializes to a graph's
+    CSR rows, kept as the reference that op must equal bit for bit.
+    ``scores`` is 1-D, or 2-D with one column per head; the rows sharing an
+    ``idx`` entry form one segment.  Stabilized by subtracting the
+    per-segment maximum.  Segments with no entries produce no outputs.
+    """
+    scores = T.as_tensor(scores)
+    idx = np.asarray(idx, dtype=np.intp)
+    sv = scores.values
+    seg_max = np.full((num,) + sv.shape[1:], -np.inf, dtype=sv.dtype)
+    np.maximum.at(seg_max, idx, sv)
+    e = np.exp(sv - seg_max[idx])
+    out = e / _scatter_rows(idx, e, num)[idx]
+
+    def bw(g):
+        inner = _scatter_rows(idx, g * out, num)
+        return (out * (g - inner[idx]),)
+
+    return T._emit(out, (scores,), bw)
 
 
 def per_pair_loss_rec(s: T.Tensor, batch_pairs: np.ndarray,

@@ -174,7 +174,7 @@ def test_c2_oracle_equivalence():
         anchors = topo.sample_anchors(g, min(5, g.num_nodes), seed=trial)
         distances = topo.shortest_paths(g, anchors, q=q)
         nd = {k: list(g.neighbors(k)) for k in range(g.num_nodes)}
-        for col, a in enumerate(anchors.node_indices):
+        for col, a in enumerate(anchors):
             oracle = bfs_distances(g.num_nodes, nd, int(a), cutoff=q + 1)
             np.testing.assert_array_equal(distances[:, col], oracle)
 
@@ -201,8 +201,8 @@ def test_c2_oracle_equivalence():
             for slot in range(len(src)):
                 key = (hd, int(src[slot]), int(dst[slot]))
                 assert abs(alphas.values[slot, hd] - directed[key]) < 1e-6
-        table = A.edge_rationale_probs(alphas, g)
-        np.testing.assert_allclose(table.probs, probs_oracle, atol=1e-6)
+        probs = A.edge_rationale_probs(alphas.values, g)
+        np.testing.assert_allclose(probs, probs_oracle, atol=1e-6)
 
     _report(2, "shortest paths == BFS (50 graphs), propagation == mean of dense powers, "
                "attention == brute force (1e-6)")
@@ -218,21 +218,20 @@ def test_c3_distribution_invariants():
     for trial in range(5):
         g, h = random_instance(np.random.default_rng(500 + trial), max_nodes=16, d=4)
         params = A.AttentionParams(latdim=4, heads=2, seed=trial)
-        table = A.edge_rationale_probs(
-            A.attention_scores(T.Tensor(h.values), g, params), g)
-        assert abs(table.probs.sum() - 1.0) < 1e-6
+        probs = A.edge_rationale_probs(
+            A.attention_scores(T.Tensor(h.values), g, params).values, g)
+        assert abs(probs.sum() - 1.0) < 1e-6
 
     # sampler frequencies on the 5-edge fixture, 10,000 draws
     probs = np.array([0.40, 0.25, 0.15, 0.12, 0.08])
-    fixture = A.EdgeScoreTable(probs=probs)
     draws = 10_000
     counts_r = np.zeros(5)
     counts_m = np.zeros(5)
     for seed in range(draws):
-        counts_r[S.sample_rationale(fixture, 0.2, seed=seed).edge_indices[0]] += 1
-        counts_m[S.build_masked_graph(fixture, 0.8, seed=seed).edge_indices] += 1
+        counts_r[S.sample_rationale(probs, 0.2, seed=seed).edge_indices[0]] += 1
+        counts_m[S.build_masked_graph(probs, 0.8, seed=seed).edge_indices] += 1
     np.testing.assert_allclose(counts_r / draws, probs, atol=0.02)
-    expected_m = plackett_luce_topk_inclusion(S.inverted_weights(fixture), k=4)
+    expected_m = plackett_luce_topk_inclusion(S.inverted_weights(probs), k=4)
     np.testing.assert_allclose(counts_m / draws, expected_m, atol=0.02)
 
     # masked retention anti-correlated with rationale probability

@@ -110,8 +110,8 @@ class TestEdgeRationaleProbs:
         g = build_graph_from_edges(1, 1, np.array([[0, 1]]))
         params = A.AttentionParams(latdim=4, heads=2, seed=4)
         h = T.Tensor(np.random.default_rng(4).normal(size=(2, 4)))
-        table = A.edge_rationale_probs(A.attention_scores(h, g, params), g)
-        np.testing.assert_allclose(table.probs, [1.0])
+        probs = A.edge_rationale_probs(A.attention_scores(h, g, params).values, g)
+        np.testing.assert_allclose(probs, [1.0])
 
     def test_identical_heads_mean_equals_single_head(self):
         g = line_graph()
@@ -122,20 +122,20 @@ class TestEdgeRationaleProbs:
         h = T.Tensor(np.random.default_rng(5).normal(size=(3, 4)))
         alphas = A.attention_scores(h, g, params)
         np.testing.assert_allclose(alphas.values[:, 0], alphas.values[:, 1], atol=1e-12)
-        table = A.edge_rationale_probs(alphas, g)
-        single = A.edge_rationale_probs(T.Tensor(alphas.values[:, :1]), g)
-        np.testing.assert_allclose(table.probs, single.probs, atol=1e-12)
+        probs = A.edge_rationale_probs(alphas.values, g)
+        single = A.edge_rationale_probs(alphas.values[:, :1], g)
+        np.testing.assert_allclose(probs, single, atol=1e-12)
 
     def test_matches_brute_force_and_sums_to_one(self):
         rng = np.random.default_rng(6)
         g = random_graph(rng, 4, 4, p=0.6)
         params = A.AttentionParams(latdim=8, heads=4, seed=6)
         h = rng.normal(size=(g.num_nodes, 8))
-        table = A.edge_rationale_probs(A.attention_scores(T.Tensor(h), g, params), g)
+        probs = A.edge_rationale_probs(A.attention_scores(T.Tensor(h), g, params).values, g)
         _, oracle = brute_force_scores(h, g, params)
-        np.testing.assert_allclose(table.probs, oracle, atol=1e-6)
-        assert abs(table.probs.sum() - 1.0) < 1e-6
-        assert (table.probs >= 0).all()
+        np.testing.assert_allclose(probs, oracle, atol=1e-6)
+        assert abs(probs.sum() - 1.0) < 1e-6
+        assert (probs >= 0).all()
 
 
 class TestLightSelfAttention:

@@ -86,6 +86,19 @@ class TestTrain:
             assert (out / name).exists(), name
         assert "test recall@20" in capsys.readouterr().out
 
+    def test_empty_test_split_is_reported_not_scored(self, raw_file, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert main(["prepare", "--input", str(raw_file), "--out", str(data_dir),
+                     "--ratios", "1,0,0"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data_dir), "--out", str(out)] + TINY_FLAGS) == 0
+        printed = capsys.readouterr().out
+        assert "test split is empty: no test metrics" in printed.splitlines()
+        assert "recall@" not in printed
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert rows and all(row.endswith(",nan,nan") for row in rows)
+
     def test_user_with_every_item_trains(self, tmp_path, caplog):
         ds = make_block_dataset(num_users=12, num_items=24, num_blocks=3,
                                 interactions_per_user=16, seed=0)
@@ -178,8 +191,8 @@ class TestTrain:
         drawn = {}
         draw = TR.draw_subgraphs
 
-        def record(table, cfg, epoch):
-            subs = draw(table, cfg, epoch)
+        def record(probs, cfg, epoch):
+            subs = draw(probs, cfg, epoch)
             drawn.setdefault(epoch, []).append(subs)
             return subs
 

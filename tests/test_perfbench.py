@@ -43,11 +43,13 @@ def test_every_workload_config_loads():
             assert getattr(cfg, key) == value, (name, key)
 
 
-def test_benchmark_run_passes_its_checks():
+@pytest.mark.parametrize("workload", sorted(_load("workloads").WORKLOADS))
+def test_benchmark_run_passes_its_checks(workload):
     # run.py drives the program itself (train_epoch, checkpoints, evaluate); a
-    # change to how it calls them fails here rather than only in a benchmark run
+    # change to how it calls them fails here rather than only in a benchmark
+    # run.  rank_all is the one that round-trips a checkpoint byte for byte.
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "lastfm_train",
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "0"],
         cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr

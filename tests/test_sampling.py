@@ -3,17 +3,11 @@ import pytest
 from scipy import stats
 
 from rgtrec import sampling as S
-from rgtrec.attention import EdgeScoreTable
 from rgtrec.data import build_graph_from_edges
 from oracles import plackett_luce_topk_inclusion
 
 
-def table(probs):
-    probs = np.asarray(probs, dtype=np.float64)
-    return EdgeScoreTable(probs=probs)
-
-
-FIVE = table([0.40, 0.25, 0.15, 0.12, 0.08])
+FIVE = np.array([0.40, 0.25, 0.15, 0.12, 0.08])
 
 
 class TestSampleRationale:
@@ -22,13 +16,13 @@ class TestSampleRationale:
         np.testing.assert_array_equal(sub.edge_indices, np.arange(5))
 
     def test_dominant_edge_always_selected(self):
-        t = table([0.9999, 0.000025, 0.000025, 0.000025, 0.000025])
+        t = np.array([0.9999, 0.000025, 0.000025, 0.000025, 0.000025])
         for seed in range(50):
             sub = S.sample_rationale(t, 0.2, seed=seed)
             assert 0 in sub.edge_indices
 
     def test_empty_sample_rejected(self):
-        t = table(np.full(5, 0.2))
+        t = np.array(np.full(5, 0.2))
         with pytest.raises(ValueError, match="empty"):
             S.sample_rationale(t, 0.05, seed=0)
 
@@ -44,7 +38,7 @@ class TestSampleRationale:
         for seed in range(10_000):
             sub = S.sample_rationale(FIVE, 0.2, seed=seed)
             counts[sub.edge_indices[0]] += 1
-        np.testing.assert_allclose(counts / 10_000, FIVE.probs, atol=0.02)
+        np.testing.assert_allclose(counts / 10_000, FIVE, atol=0.02)
 
 
 class TestBuildMaskedGraph:
@@ -54,7 +48,7 @@ class TestBuildMaskedGraph:
             assert len(sub) == int(np.floor(rho * 5 + 0.5))
 
     def test_uniform_scores_keep_requested_count(self):
-        t = table(np.full(5, 0.2))
+        t = np.array(np.full(5, 0.2))
         sub = S.build_masked_graph(t, 0.6, seed=2)
         assert len(sub) == 3
 
@@ -63,7 +57,7 @@ class TestBuildMaskedGraph:
         for seed in range(4_000):
             sub = S.build_masked_graph(FIVE, 0.4, seed=seed)
             counts[sub.edge_indices] += 1
-        assert counts.argmin() == FIVE.probs.argmax()
+        assert counts.argmin() == FIVE.argmax()
 
     def test_retention_frequency_matches_inverted_distribution(self):
         # k=1 retention draws exactly from the normalized inverted scores
@@ -135,8 +129,8 @@ class TestInvariants:
             np.testing.assert_array_equal(a.edge_indices, b.edge_indices)
 
     def test_kinds_have_independent_streams(self):
-        r = S.sample_rationale(table(np.full(10, 0.1)), 0.5, seed=7)
-        m = S.build_masked_graph(table(np.full(10, 0.1)), 0.5, seed=7)
+        r = S.sample_rationale(np.array(np.full(10, 0.1)), 0.5, seed=7)
+        m = S.build_masked_graph(np.array(np.full(10, 0.1)), 0.5, seed=7)
         assert not np.array_equal(r.edge_indices, m.edge_indices)
 
     def test_sizes_always_round_of_rate(self):
@@ -144,7 +138,7 @@ class TestInvariants:
         for trial in range(20):
             n = int(rng.integers(4, 50))
             probs = rng.dirichlet(np.ones(n))
-            t = table(probs)
+            t = probs
             rho = float(rng.uniform(0.1, 0.99))
             if int(np.floor(rho * n + 0.5)) < 1:
                 continue
@@ -156,7 +150,7 @@ class TestInvariants:
     def test_retention_anticorrelated_with_rationale_probs(self):
         rng = np.random.default_rng(1)
         probs = rng.dirichlet(np.arange(1.0, 13.0))
-        t = table(probs)
+        t = probs
         counts = np.zeros(12)
         for seed in range(3_000):
             sub = S.build_masked_graph(t, 0.5, seed=seed)

@@ -6,6 +6,7 @@ import pytest
 from rgtrec import tensor as T
 from rgtrec.data import build_graph_from_edges
 from oracles import check_gradients, matmul_triple_loop, max_rel_err
+from oracles import segment_softmax as generic_segment_softmax
 
 
 class TestMatmul:
@@ -89,6 +90,19 @@ class TestBackward:
         with pytest.raises(T.GradientError, match="tape"):
             T.backward(T.Tensor(1.0))
 
+    def test_intermediate_gradients_are_freed_and_leaves_keep_theirs(self):
+        x = T.parameter([1.0, 2.0], name="x")
+        w = T.parameter([0.5, -1.0], name="w")
+        with T.Tape() as tape:
+            y = T.mul(x, w)
+            z = T.exp(y)
+            loss = T.tsum(T.add(z, y))
+            T.backward(loss, tape)
+        assert (y.grad, z.grad, loss.grad) == (None, None, None)
+        e = np.exp(x.values * w.values)
+        np.testing.assert_allclose(x.grad, w.values * (e + 1.0), rtol=1e-15)
+        np.testing.assert_allclose(w.grad, x.values * (e + 1.0), rtol=1e-15)
+
     def test_accumulation_across_tapes(self):
         x = T.parameter([1.0, 1.0])
         for _ in range(2):
@@ -154,28 +168,20 @@ class TestPrimitiveGradients:
 
         check_gradients(build, {"a": a})
 
-    def test_segment_sum_gradient(self):
-        rng = np.random.default_rng(1)
-        a = T.parameter(rng.normal(size=(6, 2)), name="a")
-        idx = np.array([0, 0, 1, 2, 2, 2])
-
-        def build():
-            return T.tsum(T.square(T.segment_sum(a, idx, 4)))
-
-        check_gradients(build, {"a": a})
-
     def test_segment_softmax_gradient_and_normalization(self):
+        g = kernel_graph()
         rng = np.random.default_rng(2)
-        a = T.parameter(rng.normal(size=(7,)) * 3, name="a")
-        idx = np.array([0, 0, 0, 1, 1, 3, 3])
+        slots = len(g.csr_neighbors)
+        a = T.parameter(rng.normal(size=(slots,)) * 3, name="a")
 
-        out = T.segment_softmax(a, idx, 4)
-        sums = np.bincount(idx, weights=out.values, minlength=4)
-        np.testing.assert_allclose(sums[[0, 1, 3]], 1.0, atol=1e-9)
+        out = T.segment_softmax(a, g)
+        sums = np.bincount(g.directed_src, weights=out.values, minlength=g.num_nodes)
+        np.testing.assert_allclose(sums[[0, 2, 3, 4, 5]], 1.0, atol=1e-9)
+        np.testing.assert_array_equal(sums[[1, 6]], 0.0)  # isolated nodes
 
         def build():
-            p = T.segment_softmax(a, idx, 4)
-            return T.tsum(T.mul(p, T.Tensor(np.arange(7.0))))
+            p = T.segment_softmax(a, g)
+            return T.tsum(T.mul(p, T.Tensor(np.arange(float(slots)))))
 
         check_gradients(build, {"a": a})
 
@@ -339,14 +345,59 @@ class TestGraphKernels:
         check_gradients(lambda: T.tsum(T.mul(T.logsumexp_rows(a), weights)), {"a": a})
 
     def test_segment_softmax_two_dimensional(self):
+        g = kernel_graph()
         rng = np.random.default_rng(6)
-        a = T.parameter(rng.normal(size=(7, 3)) * 3, name="a")
-        idx = np.array([0, 0, 0, 1, 1, 3, 3])
-        out = T.segment_softmax(a, idx, 4)
+        a = T.parameter(rng.normal(size=(len(g.csr_neighbors), 3)) * 3, name="a")
+        out = T.segment_softmax(a, g)
         for col in range(3):
             np.testing.assert_allclose(out.values[:, col],
-                                       T.segment_softmax(a.values[:, col], idx, 4).values,
+                                       T.segment_softmax(a.values[:, col], g).values,
                                        atol=1e-15)
-        weights = T.Tensor(rng.normal(size=(7, 3)))
-        check_gradients(lambda: T.tsum(T.mul(T.segment_softmax(a, idx, 4), weights)),
+        weights = T.Tensor(rng.normal(size=(len(g.csr_neighbors), 3)))
+        check_gradients(lambda: T.tsum(T.mul(T.segment_softmax(a, g), weights)),
                         {"a": a})
+
+    def test_segment_softmax_rejects_a_row_count_other_than_the_slots(self):
+        g = kernel_graph()
+        with pytest.raises(T.ShapeMismatchError, match="slots"):
+            T.segment_softmax(T.Tensor(np.zeros(len(g.csr_neighbors) + 1)), g)
+
+
+def graph_with_isolated_nodes(rng):
+    """Random bipartite graph in which about a third of the nodes have no edges."""
+    num_users, num_items = int(rng.integers(2, 30)), int(rng.integers(2, 30))
+    users = rng.permutation(num_users)[:max(1, 2 * num_users // 3)]
+    items = rng.permutation(num_items)[:max(1, 2 * num_items // 3)]
+    edges = [(u, num_users + i) for u in users for i in items if rng.random() < 0.3]
+    edges.append((int(users[0]), num_users + int(items[0])))
+    return build_graph_from_edges(num_users, num_items, np.array(sorted(set(edges))))
+
+
+class TestSegmentSoftmaxOracle:
+    """``segment_softmax`` over CSR rows against the generic scatter form in
+    ``oracles.segment_softmax``: equal bit for bit, values and gradients."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("heads", [None, 1, 4], ids=["1d", "2d-1", "2d-4"])
+    def test_bit_identical_to_generic_form(self, dtype, heads):
+        rng = np.random.default_rng(40 + (heads or 0))
+        for trial in range(20):
+            g = graph_with_isolated_nodes(rng)
+            assert (g.degree == 0).any()
+            shape = (len(g.csr_neighbors),) + ((heads,) if heads else ())
+            # a coarse grid makes ties within a row, including at the maximum
+            start = np.round(rng.normal(size=shape) * 8, 1 if trial % 2 else 6)
+            weights = rng.normal(size=shape).astype(dtype)
+            results = []
+            with T.using_dtype(dtype):
+                for op in (lambda x: T.segment_softmax(x, g),
+                           lambda x: generic_segment_softmax(x, g.directed_src, g.num_nodes)):
+                    a = T.parameter(start, name="a")
+                    with T.Tape() as tape:
+                        out = op(a)
+                        T.backward(T.tsum(T.mul(out, T.Tensor(weights))), tape)
+                    assert out.dtype == a.dtype == dtype
+                    results.append((out.values, a.grad))
+            (csr_out, csr_grad), (ref_out, ref_grad) = results
+            np.testing.assert_array_equal(csr_out, ref_out)
+            np.testing.assert_array_equal(csr_grad, ref_grad)

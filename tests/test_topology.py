@@ -25,20 +25,20 @@ class TestSampleAnchors:
     def test_full_sample_is_all_nodes(self):
         g = random_bipartite(np.random.default_rng(0), 5, 5)
         anchors = topo.sample_anchors(g, g.num_nodes, seed=1)
-        np.testing.assert_array_equal(anchors.node_indices, np.arange(g.num_nodes))
+        np.testing.assert_array_equal(anchors, np.arange(g.num_nodes))
 
     def test_requested_count_distinct(self):
         g = random_bipartite(np.random.default_rng(1), 20, 20)
         anchors = topo.sample_anchors(g, 16, seed=2)
         assert len(anchors) == 16
-        assert len(np.unique(anchors.node_indices)) == 16
-        assert anchors.node_indices.max() < g.num_nodes
+        assert len(np.unique(anchors)) == 16
+        assert anchors.max() < g.num_nodes
 
     def test_deterministic(self):
         g = random_bipartite(np.random.default_rng(2), 10, 10)
         a = topo.sample_anchors(g, 6, seed=7)
         b = topo.sample_anchors(g, 6, seed=7)
-        np.testing.assert_array_equal(a.node_indices, b.node_indices)
+        np.testing.assert_array_equal(a, b)
 
     def test_oversample_rejected(self):
         g = random_bipartite(np.random.default_rng(3), 3, 3)
@@ -50,7 +50,7 @@ class TestShortestPaths:
     def test_two_hop_path(self):
         # u0 - p0 - u1: users 0,1 and one item
         g = build_graph_from_edges(2, 1, np.array([[0, 2], [1, 2]]))
-        anchors = topo.AnchorSet(node_indices=np.array([0]))
+        anchors = np.array([0])
         distances = topo.shortest_paths(g, anchors, q=3)
         assert distances.shape == (3, 1)
         assert distances[1, 0] == 2.0
@@ -59,7 +59,7 @@ class TestShortestPaths:
         g = random_bipartite(np.random.default_rng(4), 8, 8)
         anchors = topo.sample_anchors(g, 5, seed=3)
         distances = topo.shortest_paths(g, anchors, q=2)
-        for col, a in enumerate(anchors.node_indices):
+        for col, a in enumerate(anchors):
             zero_rows = np.flatnonzero(distances[:, col] == 0)
             np.testing.assert_array_equal(zero_rows, [a])
 
@@ -73,7 +73,7 @@ class TestShortestPaths:
             anchors = topo.sample_anchors(g, min(6, g.num_nodes), seed=trial)
             distances = topo.shortest_paths(g, anchors, q=q)
             nd = neighbor_dict(g)
-            for col, a in enumerate(anchors.node_indices):
+            for col, a in enumerate(anchors):
                 oracle = bfs_distances(g.num_nodes, nd, int(a), cutoff=q + 1)
                 np.testing.assert_array_equal(distances[:, col], oracle)
 
@@ -119,8 +119,7 @@ class TestPgnnLayer:
     def make_inputs(self, num_nodes=6, d=3, num_anchors=2, seed=0):
         rng = substream(seed, "test-pgnn")
         h = T.parameter(rng.normal(size=(num_nodes, d)), name="h")
-        anchors = topo.AnchorSet(node_indices=np.sort(
-            rng.choice(num_nodes, size=num_anchors, replace=False)))
+        anchors = np.sort(rng.choice(num_nodes, size=num_anchors, replace=False))
         omega = rng.uniform(0, 1, size=(num_nodes, num_anchors))
         w = T.parameter(rng.normal(size=(d, 2 * d)), name="w")
         return h, anchors, omega, w
@@ -133,7 +132,7 @@ class TestPgnnLayer:
     def test_identity_construction(self):
         d = 3
         h = T.Tensor(np.random.default_rng(1).normal(size=(4, d)))
-        anchors = topo.AnchorSet(node_indices=np.array([0, 1, 2, 3]))
+        anchors = np.array([0, 1, 2, 3])
         # anchor a == k only: w[k,a] = 1 on the diagonal, W = [I | 0]
         w = T.Tensor(np.concatenate([np.eye(d), np.zeros((d, d))], axis=1))
         out = topo.pgnn_layer(h, anchors, np.eye(4), w)
@@ -148,7 +147,7 @@ class TestPgnnLayer:
         expect = np.zeros_like(hv)
         for k in range(hv.shape[0]):
             acc = np.zeros(hv.shape[1])
-            for col, a in enumerate(anchors.node_indices):
+            for col, a in enumerate(anchors):
                 concat = np.concatenate([hv[k], hv[a]])
                 acc += om[k, col] * (wv @ concat)
             expect[k] = acc / len(anchors)
@@ -212,8 +211,7 @@ class TestTopologyEncoder:
         g = random_bipartite(np.random.default_rng(7), 30, 40, p=0.1)
         first = topo.TopologyEncoder(g, num_anchors=8, q=2, latdim=3, num_layers=1, seed=6)
         fewer = topo.TopologyEncoder(g, num_anchors=4, q=2, latdim=3, num_layers=1, seed=6)
-        other = topo.AnchorSet(np.setdiff1d(np.arange(g.num_nodes),
-                                            fewer.anchors.node_indices)[:4])
+        other = np.setdiff1d(np.arange(g.num_nodes), fewer.anchors)[:4]
         moved = topo.TopologyEncoder(g, num_anchors=4, q=2, latdim=3, num_layers=1,
                                      seed=6, anchors=other)
         for enc in (first, fewer, moved):
@@ -226,8 +224,7 @@ class TestTopologyEncoder:
         shared = topo.TopologyEncoder(g, num_anchors=4, q=2, latdim=3, num_layers=1, seed=3,
                                       anchors=first.anchors, omega=first.omega)
         assert shared.omega is first.omega
-        other = topo.AnchorSet(np.setdiff1d(np.arange(g.num_nodes),
-                                            first.anchors.node_indices)[:4])
+        other = np.setdiff1d(np.arange(g.num_nodes), first.anchors)[:4]
         shared.refresh_tables(g, other)
         assert shared.anchors is other
         np.testing.assert_array_equal(

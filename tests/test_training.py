@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from rgtrec import tensor as T
@@ -459,6 +460,99 @@ class TestCheckpoint:
         p.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             TR.read_checkpoint(p)
+
+
+def header_ranges(data: bytes) -> list[range]:
+    """Byte ranges of the file header and of each block header (name length,
+    name, dtype code, ndim, shape, payload length) of a checkpoint."""
+    ranges = [range(0, 8)]
+    pos = 8
+    while pos < len(data):
+        (name_len,) = struct.unpack("<I", data[pos:pos + 4])
+        (ndim,) = struct.unpack("<I", data[pos + 5 + name_len:pos + 9 + name_len])
+        payload = pos + 4 + name_len + 5 + 4 * ndim + 8
+        ranges.append(range(pos, payload))
+        (nbytes,) = struct.unpack("<Q", data[payload - 8:payload])
+        pos = payload + nbytes
+    return ranges
+
+
+class TestCheckpointProperties:
+    """A damaged checkpoint either loads bit-exactly what was written or
+    raises ``ValueError`` and leaves every array and the epoch unchanged."""
+
+    @pytest.fixture(scope="class")
+    def case(self, tmp_path_factory):
+        with T.using_dtype(np.float64):
+            ds = split(make_block_dataset(num_users=3, num_items=4, num_blocks=1,
+                                          interactions_per_user=3, seed=0), seed=0)
+            graph = build_graph(ds)
+            cfg = tiny_cfg(latdim=2, heads=1, anchor_set=2, self_distill_ema=0.9)
+            source = TR.init_pair(graph, cfg)
+            source.epoch = 3
+            source.teacher.optimizer.t = 5
+            target = TR.init_pair(graph, TrainConfig(**{**cfg.__dict__, "seed": 999}))
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        TR.write_checkpoint(path, source)
+        return path, path.read_bytes(), self.state(source), target, self.state(target)
+
+    @staticmethod
+    def state(pair) -> dict:
+        out = {"epoch": np.asarray([pair.epoch], dtype=np.int64)}
+        for role, model in pair.states().items():
+            out.update({f"{role}/{k}": v for k, v in model.snapshot().items()})
+        return out
+
+    def differences(self, pair, expect: dict) -> list[str]:
+        def exact(state):
+            return {key: (arr.dtype.str, arr.shape, arr.tobytes()) for key, arr in state.items()}
+
+        got, want = exact(self.state(pair)), exact(expect)
+        return sorted(key for key in got.keys() | want.keys() if got.get(key) != want.get(key))
+
+    def load(self, case, data: bytes) -> bool:
+        """Load ``data`` into the target pair and check the property; True
+        when it loaded, after which the target is restored."""
+        path, _, source, target, before = case
+        path.write_bytes(data)
+        try:
+            TR.load_checkpoint_into(path, target)
+        except ValueError:
+            assert self.differences(target, before) == []
+            return False
+        assert self.differences(target, source) == []
+        for role, model in target.states().items():
+            model.load_snapshot({key[len(role) + 1:]: arr for key, arr in before.items()
+                                 if key.startswith(role + "/")})
+        target.epoch = int(before["epoch"][0])
+        return True
+
+    def test_every_truncation_is_refused(self, case):
+        data = case[1]
+        refused = [cut for cut in range(len(data)) if not self.load(case, data[:cut])]
+        assert refused == list(range(len(data)))
+        assert self.load(case, data)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(draw=st.data())
+    def test_header_byte_flips_load_exactly_or_are_refused(self, case, draw):
+        data = bytearray(case[1])
+        ranges = header_ranges(bytes(data))
+        for _ in range(draw.draw(st.integers(1, 3), label="flips")):
+            header = draw.draw(st.sampled_from(ranges), label="header")
+            pos = draw.draw(st.sampled_from(header), label="byte")
+            data[pos] ^= draw.draw(st.integers(1, 255), label="mask")
+        self.load(case, bytes(data))
+
+    def test_every_header_byte_with_its_low_bit_flipped(self, case):
+        # among these: dtype code 2 (float64) turned into 3 (int64), which
+        # keeps the payload size, so only the loader can refuse it
+        data = case[1]
+        for header in header_ranges(data):
+            for pos in header:
+                flipped = bytearray(data)
+                flipped[pos] ^= 0x01
+                self.load(case, bytes(flipped))
 
 
 class TestPrecision:

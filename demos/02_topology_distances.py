@@ -33,8 +33,9 @@ with np.printoptions(precision=3, suppress=True):
     print(omega)
 
 # nodes on the same side of the bridge share anchors within reach,
-# which is what the encoder turns into a global position signal
-encoder = TopologyEncoder(g, num_anchors=3, q=2, latdim=4, num_layers=2, seed=7)
+# which is what the encoder turns into a global position signal; it takes
+# the anchors sampled above and computes the same weights from them
+encoder = TopologyEncoder(g, anchors, q=2, latdim=4, num_layers=2, seed=7)
 h_id = T.Tensor(np.random.default_rng(0).normal(size=(g.num_nodes, 4)))
 h_out = encoder.encode(h_id)
 print("\nencoded shape:", h_out.shape, "(identity-injected: output = input + refinement)")

@@ -30,9 +30,11 @@ top = np.argsort(-probs)[:3]
 print("three most informative edges:",
       [tuple(map(int, g.edge_list[e])) for e in top])
 
+# each sampler checks only its own rate; TrainConfig.validate checks that
+# they fit together (rho_m > rho_r and rho_c <= rho_m / 4, as here)
 sub_r = sample_rationale(probs, rho_r=0.4, seed=11)
-sub_m = build_masked_graph(probs, rho_m=0.8, seed=11, rho_r=0.4)
-sub_c = sample_complement(probs, rho_c=0.1, seed=11, rho_m=0.8)
+sub_m = build_masked_graph(probs, rho_m=0.8, seed=11)
+sub_c = sample_complement(probs, rho_c=0.1, seed=11)
 print(f"\nrationale sample:  {len(sub_r)} edges {sub_r.edge_indices.tolist()}")
 print(f"masked (retained): {len(sub_m)} edges; reconstruction targets = "
       f"{sub_m.complement_indices(g.num_edges).tolist()}")

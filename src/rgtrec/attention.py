@@ -41,18 +41,18 @@ class AttentionParams:
     then ``wo``, so each equals the per-head draws stacked by row.
     """
 
-    def __init__(self, latdim: int, heads: int, seed: int, prefix: str = "attn"):
+    def __init__(self, latdim: int, heads: int, seed: int):
         if latdim % heads != 0:
             raise ValueError(f"latdim {latdim} not divisible by {heads} heads")
         self.latdim = latdim
         self.heads = heads
         self.head_dim = latdim // heads
-        rng = substream(seed, "attn-init", prefix)
+        rng = substream(seed, "attn-init", "attn")
         scale = 1.0 / np.sqrt(latdim)
 
         def mk(name):
             return T.parameter(rng.uniform(-scale, scale, size=(latdim, latdim)),
-                               name=f"{prefix}.{name}")
+                               name=f"attn.{name}")
 
         self.wq = mk("wq")
         self.wk = mk("wk")

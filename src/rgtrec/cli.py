@@ -45,7 +45,9 @@ LOSS_VARIANTS = {
     "full": {},
     "no_ranking": dict(lambda_ranking=0.0),
     "no_rec": dict(lambda_rec=0.0),
-    "no_distill": dict(lambda_distill=0.0, self_distill_ema=0.0),
+    # with EMA off the distillation term is a constant 0 whatever lambda_distill
+    # is, so this trains the base model unless the base config turns EMA on
+    "no_distill": dict(self_distill_ema=0.0),
     "no_reg": dict(lambda_reg=0.0),
 }
 
@@ -167,10 +169,7 @@ def cmd_train(args) -> int:
         _dump_first_epoch_subgraphs(ds, cfg, out / "subgraphs")
 
     pair, history = fit(ds, cfg, out_dir=out)
-    graph = build_graph(ds)
-    with T.using_dtype(cfg.precision):
-        s = predict_embeddings(pair.teacher, graph, cfg)
-    results = {"val": evaluate(s, ds, VAL), "test": evaluate(s, ds, TEST)}
+    results = dict(zip(("val", "test"), _evaluate_splits(pair, ds, cfg, VAL, TEST)))
     write_metrics_csv(out / "metrics.csv", results)
 
     print(f"finished after {len(history)} epochs (best epoch {pair.epoch})")
@@ -181,6 +180,13 @@ def cmd_train(args) -> int:
         print("test split is empty: no test metrics")
     print(f"checkpoint: {out / 'model.ckpt'}")
     return 0
+
+
+def _evaluate_splits(pair, ds, cfg: TrainConfig, *splits: int) -> list:
+    """The teacher's ranking results on each split, on the graph it trained on."""
+    with T.using_dtype(cfg.precision):
+        s = predict_embeddings(pair.teacher, pair.teacher.graph, cfg)
+    return [evaluate(s, ds, code) for code in splits]
 
 
 def _dump_first_epoch_subgraphs(ds, cfg, out_dir) -> None:
@@ -199,9 +205,7 @@ def cmd_evaluate(args) -> int:
     with T.using_dtype(cfg.precision):
         pair = init_pair(graph, cfg)
         load_checkpoint_into(args.checkpoint, pair)
-        s = predict_embeddings(pair.teacher, graph, cfg)
-    split_code = VAL if args.split == "val" else TEST
-    result = evaluate(s, ds, split_code)
+    (result,) = _evaluate_splits(pair, ds, cfg, VAL if args.split == "val" else TEST)
     if args.out:
         write_metrics_csv(args.out, {args.split: result})
         print(f"metrics written to {args.out}")
@@ -214,18 +218,19 @@ def cmd_evaluate(args) -> int:
 
 
 def run_variants(ds, base_cfg: TrainConfig, variants: dict[str, dict], seeds: list[int],
-                 group: str) -> list[dict]:
+                 group: str, runs: dict) -> list[dict]:
+    """One row per variant and seed; ``runs`` maps each ``dump_config`` text
+    trained so far to its (val, test) results, so no config trains twice."""
     rows = []
     for name, patch in variants.items():
         for seed in seeds:
             cfg = dataclasses.replace(base_cfg, seed=seed, **patch)
             cfg.validate()
-            pair, _ = fit(ds, cfg)
-            graph = build_graph(ds)
-            with T.using_dtype(cfg.precision):
-                s = predict_embeddings(pair.teacher, graph, cfg)
-            val = evaluate(s, ds, VAL)
-            test = evaluate(s, ds, TEST)
+            key = dump_config(cfg)
+            if key not in runs:
+                pair, _ = fit(ds, cfg)
+                runs[key] = _evaluate_splits(pair, ds, cfg, VAL, TEST)
+            val, test = runs[key]
             rows.append({
                 "group": group, "variant": name, "seed": seed,
                 "test_recall@40": f"{test.macro('recall', 40):.6f}",
@@ -244,8 +249,9 @@ def cmd_ablate(args) -> int:
         raise ConfigError(f"--num-seeds must be >= 1, got {args.num_seeds}")
     ds = load_prepared(args.data)
     seeds = [cfg.seed + i for i in range(args.num_seeds)]
-    rows = run_variants(ds, cfg, COMPONENT_VARIANTS, seeds, group="components")
-    rows += run_variants(ds, cfg, LOSS_VARIANTS, seeds, group="losses")
+    runs: dict = {}
+    rows = run_variants(ds, cfg, COMPONENT_VARIANTS, seeds, "components", runs)
+    rows += run_variants(ds, cfg, LOSS_VARIANTS, seeds, "losses", runs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_metric_series_csv(out / "ablation.csv", rows)
@@ -274,10 +280,7 @@ def cmd_grid(args) -> int:
         overrides = {key: value for (key, _), value in zip(axes, combo)}
         run_cfg = load_config(None, overrides={**_grid_base(cfg), **overrides})
         pair, _ = fit(ds, run_cfg)
-        graph = build_graph(ds)
-        with T.using_dtype(run_cfg.precision):
-            s = predict_embeddings(pair.teacher, graph, run_cfg)
-        val = evaluate(s, ds, VAL)
+        (val,) = _evaluate_splits(pair, ds, run_cfg, VAL)
         rows.append({**overrides,
                      "val_recall@20": f"{val.macro('recall', 20):.6f}",
                      "val_ndcg@20": f"{val.macro('ndcg', 20):.6f}"})

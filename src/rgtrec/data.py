@@ -179,9 +179,6 @@ class BipartiteGraph:
     def num_edges(self) -> int:
         return len(self.edge_list)
 
-    def neighbors(self, node: int) -> np.ndarray:
-        return self.csr_neighbors[self.csr_offsets[node]:self.csr_offsets[node + 1]]
-
     @cached_property
     def directed_src(self) -> np.ndarray:
         """Source node of every directed CSR slot (repeats each node by degree).

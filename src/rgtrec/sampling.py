@@ -80,28 +80,22 @@ def inverted_weights(probs: np.ndarray) -> np.ndarray:
     return (probs.max() - probs) + INVERSION_EPS
 
 
-def build_masked_graph(probs: np.ndarray, rho_m: float, seed: int,
-                       rho_r: float | None = None) -> SampledSubgraph:
+def build_masked_graph(probs: np.ndarray, rho_m: float, seed: int) -> SampledSubgraph:
     """Retained edge set E_M, drawn from the inverted rationale scores.
 
     High-rationale edges are the least likely to be retained; everything
-    outside E_M is masked out and becomes a reconstruction target.  The
-    retained set must stay denser than the rationale sample (rho_m > rho_r).
+    outside E_M is masked out and becomes a reconstruction target.
+    ``TrainConfig.validate`` keeps it denser than the rationale sample.
     """
     if not 0.0 < rho_m < 1.0:
         raise ValueError(f"mask retention rate must be in (0, 1), got {rho_m}")
-    if rho_r is not None and rho_m <= rho_r:
-        raise ValueError(f"mask retention rate {rho_m} must exceed rationale rate {rho_r}")
     return _draw(MASKED, inverted_weights(probs), rho_m, seed)
 
 
-def sample_complement(probs: np.ndarray, rho_c: float, seed: int,
-                      rho_m: float) -> SampledSubgraph:
+def sample_complement(probs: np.ndarray, rho_c: float, seed: int) -> SampledSubgraph:
     """Small noise-biased edge sample from the same inverted distribution."""
     if not 0.0 < rho_c < 1.0:
         raise ValueError(f"complement rate must be in (0, 1), got {rho_c}")
-    if rho_c > rho_m / 4.0:
-        raise ValueError(f"complement rate {rho_c} must be <= mask rate / 4 ({rho_m / 4.0})")
     return _draw(COMPLEMENT, inverted_weights(probs), rho_c, seed)
 
 

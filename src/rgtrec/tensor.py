@@ -81,73 +81,20 @@ class Tensor:
     def dtype(self):
         return self.values.dtype
 
-    def item(self) -> float:
-        if self.values.size != 1:
-            raise ValueError(f"item() on tensor of shape {self.shape}")
-        return float(self.values.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def detach(self) -> "Tensor":
         """Constant copy of this tensor; no gradient flows through it."""
         return Tensor(self.values.copy(), requires_grad=False, dtype=self.dtype)
 
-    # arithmetic sugar; all routed through the taped primitives
-    def __add__(self, other):
-        return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None):
-        return tmean(self, axis=axis)
-
-    def t(self):
-        return transpose(self)
-
-    def __repr__(self):
-        tag = f", name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad}{tag})"
-
-
-def parameter(values, name: str | None = None, dtype=None) -> Tensor:
+def parameter(values, name: str | None = None) -> Tensor:
     """A learnable leaf tensor owning a private copy of ``values``."""
-    arr = np.array(values, dtype=dtype or _DEFAULT_DTYPE)
-    return Tensor(arr, requires_grad=True, dtype=arr.dtype, name=name)
+    return Tensor(np.array(values, dtype=_DEFAULT_DTYPE), requires_grad=True, name=name)
 
 
-def as_tensor(x, dtype=None) -> Tensor:
+def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(x, dtype=dtype)
+    return Tensor(x)
 
 
 class _Record:
@@ -436,15 +383,9 @@ def _apply_heads(ops: list, x: np.ndarray) -> np.ndarray:
 
 
 def _node_sums(v: np.ndarray, g) -> np.ndarray:
-    """Sum of each node's CSR slot rows of ``v``, added in slot order.
-
-    A 2-D ``v`` goes through one CSR product (``indptr`` the graph's offsets,
-    ``indices`` the slot ids) in its own dtype; a 1-D one through
-    ``np.bincount``, which adds in float64 before rounding back.
-    """
-    if v.ndim == 1:
-        return np.bincount(g.directed_src, weights=v,
-                           minlength=g.num_nodes).astype(v.dtype, copy=False)
+    """Sum of each node's CSR slot rows of the 2-D ``v``, added in slot order,
+    by one CSR product (``indptr`` the graph's offsets, ``indices`` the slot
+    ids) in ``v``'s own dtype."""
     rows = sp.csr_matrix((np.ones(len(v), dtype=v.dtype), np.arange(len(v)), g.csr_offsets),
                          shape=(g.num_nodes, len(v)))
     return rows @ v
@@ -453,17 +394,18 @@ def _node_sums(v: np.ndarray, g) -> np.ndarray:
 def segment_softmax(scores, g) -> Tensor:
     """Softmax of ``scores`` over each node's CSR slots of ``g``, per column.
 
-    ``scores`` has one row per directed slot and is 1-D, or 2-D with one
-    column per head.  Stabilized by subtracting each node's maximum (a
-    constant, which leaves both the value and the gradient of the softmax
-    unchanged), taken with ``np.maximum.reduceat`` over the offsets of the
-    non-empty rows.  A node without slots simply produces no outputs.
+    ``scores`` is 2-D: one row per directed slot, one column per head.
+    Stabilized by subtracting each node's maximum (a constant, which leaves
+    both the value and the gradient of the softmax unchanged), taken with
+    ``np.maximum.reduceat`` over the offsets of the non-empty rows.  A node
+    without slots simply produces no outputs.
     """
     scores = as_tensor(scores)
     sv = scores.values
-    if sv.shape[0] != len(g.csr_neighbors):
+    if sv.ndim != 2 or sv.shape[0] != len(g.csr_neighbors):
         raise ShapeMismatchError(
-            f"segment_softmax: {sv.shape[0]} scores for {len(g.csr_neighbors)} slots")
+            f"segment_softmax: expected ({len(g.csr_neighbors)} slots, heads) scores, "
+            f"got {sv.shape}")
     counts = np.diff(g.csr_offsets)
     filled = counts > 0
     row_max = np.maximum.reduceat(sv, g.csr_offsets[:-1][filled], axis=0)
@@ -544,10 +486,6 @@ def reshape(a, shape) -> Tensor:
     return _emit(a.values.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def detach(a) -> Tensor:
-    return as_tensor(a).detach()
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 # ---------------------------------------------------------------------------
@@ -604,19 +542,18 @@ class Adam:
     offending parameter's name.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.values) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.values) for k, p in self.params.items()}
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
@@ -631,9 +568,5 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-            p.grad = None
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
+            p.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)
             p.grad = None

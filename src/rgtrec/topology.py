@@ -82,15 +82,14 @@ class TopologyEncoder:
     across instances; the layer weights are private to each instance.
     """
 
-    def __init__(self, g: BipartiteGraph, num_anchors: int, q: int, latdim: int,
-                 num_layers: int, seed: int, anchors: np.ndarray | None = None,
-                 omega: np.ndarray | None = None):
+    def __init__(self, g: BipartiteGraph, anchors: np.ndarray, q: int, latdim: int,
+                 num_layers: int, seed: int, omega: np.ndarray | None = None):
         if num_layers < 1:
             raise ValueError("topology encoder needs at least one layer")
         self.q = q
-        self.anchors = anchors if anchors is not None else sample_anchors(g, num_anchors, seed)
+        self.anchors = anchors
         if omega is None:
-            omega = correlation_weights(shortest_paths(g, self.anchors, q), q)
+            omega = correlation_weights(shortest_paths(g, anchors, q), q)
         self.omega = omega
         rng = substream(seed, "topo-init")
         scale = 1.0 / np.sqrt(latdim)

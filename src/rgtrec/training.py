@@ -186,8 +186,7 @@ def _role_seed(seed: int, role: str) -> int:
 class ModelState:
     """All learnable parameters of one model plus its optimizer."""
 
-    def __init__(self, graph: BipartiteGraph, cfg: TrainConfig, role: str,
-                 anchors=None, omega=None):
+    def __init__(self, graph: BipartiteGraph, cfg: TrainConfig, role: str, anchors, omega=None):
         self.role = role
         self.graph = graph
         seed = _role_seed(cfg.seed, role)
@@ -197,9 +196,8 @@ class ModelState:
             rng.uniform(-bound, bound, size=(graph.num_nodes, cfg.latdim)), name="emb")
         self.topo: TopologyEncoder | None = None
         if cfg.use_topology:
-            self.topo = TopologyEncoder(graph, cfg.anchor_set, cfg.q, cfg.latdim,
-                                        cfg.pnn_layers, seed=seed, anchors=anchors,
-                                        omega=omega)
+            self.topo = TopologyEncoder(graph, anchors, cfg.q, cfg.latdim,
+                                        cfg.pnn_layers, seed=seed, omega=omega)
         self.attn = AttentionParams(cfg.latdim, cfg.heads, seed=seed)
         self.optimizer = T.Adam(self.parameters(), lr=cfg.lr)
 
@@ -280,11 +278,11 @@ class DistillPair:
 
 def init_pair(graph: BipartiteGraph, cfg: TrainConfig) -> DistillPair:
     anchors = sample_anchors(graph, cfg.anchor_set, cfg.seed) if cfg.use_topology else None
-    teacher = ModelState(graph, cfg, "teacher", anchors=anchors)
+    teacher = ModelState(graph, cfg, "teacher", anchors)
     omega = teacher.topo.omega if teacher.topo is not None else None
     ema = None
     if cfg.self_distill_ema > 0.0:
-        ema = ModelState(graph, cfg, "ema", anchors=anchors, omega=omega)
+        ema = ModelState(graph, cfg, "ema", anchors, omega=omega)
         for name, p in ema.parameters().items():
             p.values[...] = teacher.parameters()[name].values
     return DistillPair(teacher=teacher, ema=ema)
@@ -361,8 +359,8 @@ def draw_subgraphs(probs: np.ndarray, cfg: TrainConfig,
     """The rationale, masked and complement edge samples of ``epoch``."""
     seed = int(substream(cfg.seed, "subgraphs", epoch).integers(0, 2**31 - 1))
     return (sample_rationale(probs, cfg.rho_r, seed),
-            build_masked_graph(probs, cfg.rho_m, seed, rho_r=cfg.rho_r),
-            sample_complement(probs, cfg.rho_c, seed, rho_m=cfg.rho_m))
+            build_masked_graph(probs, cfg.rho_m, seed),
+            sample_complement(probs, cfg.rho_c, seed))
 
 
 def negative_sample(graph: BipartiteGraph, batch_users: np.ndarray,
@@ -490,13 +488,13 @@ def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph
 # ---------------------------------------------------------------------------
 
 
-def fit(ds: InteractionDataset, cfg: TrainConfig, out_dir=None,
-        graph: BipartiteGraph | None = None) -> tuple[DistillPair, list[dict]]:
+def fit(ds: InteractionDataset, cfg: TrainConfig, out_dir=None) -> tuple[DistillPair, list[dict]]:
     """Train until the epoch limit or until validation Recall@20 stops
     improving for ``patience`` epochs (0 disables early stopping).
 
-    Returns the pair with the best-validation parameters restored, plus the
-    per-epoch history.  When ``out_dir`` is given, a JSON-lines log, the best
+    Returns the pair with the best-validation parameters restored (it trained
+    on ``pair.teacher.graph``), plus the per-epoch history.  When ``out_dir``
+    is given, a JSON-lines log, the best
     checkpoint and a crash checkpoint (when a loss or parameter check fails)
     are written.
     """
@@ -506,11 +504,11 @@ def fit(ds: InteractionDataset, cfg: TrainConfig, out_dir=None,
         out_path.mkdir(parents=True, exist_ok=True)
 
     with T.using_dtype(cfg.precision):
-        return _fit_inner(ds, cfg, out_path, graph)
+        return _fit_inner(ds, cfg, out_path)
 
 
-def _fit_inner(ds, cfg, out_path, graph):
-    graph = graph if graph is not None else build_graph(ds)
+def _fit_inner(ds, cfg, out_path):
+    graph = build_graph(ds)
     pair = init_pair(graph, cfg)
 
     has_val = bool((ds.split_assignment == VAL).any())

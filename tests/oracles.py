@@ -16,6 +16,11 @@ from rgtrec import tensor as T
 from rgtrec.data import TRAIN
 
 
+def neighbors(g, node: int) -> np.ndarray:
+    """Node ids of ``node``'s neighbours: its row of the graph's CSR arrays."""
+    return g.csr_neighbors[g.csr_offsets[node]:g.csr_offsets[node + 1]]
+
+
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n, k = a.shape
     k2, m = b.shape
@@ -279,10 +284,10 @@ def rejection_non_neighbors(g, user_nodes: np.ndarray, rng: np.random.Generator,
     lo, hi = g.num_users, g.num_users + g.num_items
     out = np.empty(len(user_nodes), dtype=np.int64)
     for j, user in enumerate(user_nodes.tolist()):
-        neighbors = set(g.neighbors(user).tolist())
+        taken = set(neighbors(g, user).tolist())
         for _ in range(max_tries):
             cand = int(rng.integers(lo, hi))
-            if cand not in neighbors:
+            if cand not in taken:
                 out[j] = cand
                 break
         else:

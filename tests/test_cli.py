@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rgtrec import cli
 from rgtrec import training as TR
 from rgtrec.cli import main
 from rgtrec.synthetic import make_block_dataset
@@ -273,6 +274,28 @@ class TestAblate:
         variants = {line.split(",")[1] for line in lines[1:]}
         assert variants == {"gt", "rgt_la", "ad", "full",
                             "no_ranking", "no_rec", "no_distill", "no_reg"}
+
+    def test_trains_each_distinct_model_once(self, prepared, tmp_path, monkeypatch):
+        # with EMA off in the base config, full and no_distill are rgt_la's
+        # model: 6 distinct models per seed, reported in all 8 rows
+        seeds = []
+        real_fit = cli.fit
+
+        def counting_fit(ds, cfg, *args, **kwargs):
+            seeds.append(cfg.seed)
+            return real_fit(ds, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit", counting_fit)
+        out = tmp_path / "ab"
+        assert main(["ablate", "--data", str(prepared), "--out", str(out),
+                     "--num-seeds", "2", "--seed", "3"] + TINY_FLAGS) == 0
+        assert sorted(seeds) == [3] * 6 + [4] * 6
+        rows = [line.split(",") for line in
+                (out / "ablation.csv").read_text().strip().splitlines()[1:]]
+        metrics = {(row[1], row[2]): row[3:] for row in rows}
+        for seed in ("3", "4"):
+            assert metrics[("full", seed)] == metrics[("rgt_la", seed)]
+            assert metrics[("no_distill", seed)] == metrics[("rgt_la", seed)]
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_no_seeds_is_a_config_error(self, prepared, tmp_path, capsys, count):

@@ -43,15 +43,25 @@ def test_every_workload_config_loads():
             assert getattr(cfg, key) == value, (name, key)
 
 
+def _run_benchmark(workload, trace):
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", trace],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0), proc.stderr
+
+
 @pytest.mark.parametrize("workload", sorted(_load("workloads").WORKLOADS))
 def test_benchmark_run_passes_its_checks(workload):
     # run.py drives the program itself (train_epoch, checkpoints, evaluate); a
     # change to how it calls them fails here rather than only in a benchmark
     # run.  rank_all is the one that round-trips a checkpoint byte for byte.
-    proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
-         "--seed", "1", "--seconds", "0", "--trace", "0"],
-        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    last = json.loads(proc.stdout.splitlines()[-1])
-    assert (last["correct"], last["failed"]) == (True, 0), proc.stderr
+    _run_benchmark(workload, "0")
+
+
+def test_traced_benchmark_run_passes_its_checks():
+    # a traced run calls every name in tracing.TARGETS through a wrapper, so
+    # a traced function whose signature run.py no longer matches fails here
+    _run_benchmark("lastfm_train", "1")

@@ -5,7 +5,7 @@ from rgtrec import propagation as P
 from rgtrec import tensor as T
 from rgtrec.attention import AttentionParams, residual_gt
 from rgtrec.data import build_graph_from_edges
-from rgtrec.topology import TopologyEncoder
+from rgtrec.topology import TopologyEncoder, sample_anchors
 from oracles import check_gradients, dense_sym_norm_adjacency
 
 
@@ -94,7 +94,8 @@ class TestEncodeMasked:
     def setup_pipeline(self, seed=0, num_users=4, num_items=4, d=4):
         rng = np.random.default_rng(seed)
         g = random_graph(rng, num_users, num_items)
-        topo = TopologyEncoder(g, num_anchors=3, q=2, latdim=d, num_layers=1, seed=seed)
+        topo = TopologyEncoder(g, sample_anchors(g, 3, seed), q=2, latdim=d, num_layers=1,
+                               seed=seed)
         attn = AttentionParams(latdim=d, heads=2, seed=seed)
         return g, topo, attn
 

@@ -79,11 +79,6 @@ class TestBuildMaskedGraph:
             counts[sub.edge_indices] += 1
         np.testing.assert_allclose(counts / n, expected, atol=0.02)
 
-    def test_rate_ordering_enforced(self):
-        with pytest.raises(ValueError, match="exceed"):
-            S.build_masked_graph(FIVE, 0.4, seed=0, rho_r=0.5)
-        S.build_masked_graph(FIVE, 0.6, seed=0, rho_r=0.5)  # fine
-
     def test_masked_out_partition(self):
         sub = S.build_masked_graph(FIVE, 0.6, seed=3)
         out = sub.complement_indices(5)
@@ -93,15 +88,8 @@ class TestBuildMaskedGraph:
 
 class TestSampleComplement:
     def test_single_edge_sample(self):
-        sub = S.sample_complement(FIVE, 0.2, seed=4, rho_m=0.9)
+        sub = S.sample_complement(FIVE, 0.2, seed=4)
         assert len(sub) == 1
-
-    def test_boundary_rate_accepted(self):
-        S.sample_complement(FIVE, 0.225, seed=0, rho_m=0.9)
-
-    def test_rate_ordering_enforced(self):
-        with pytest.raises(ValueError, match="mask rate"):
-            S.sample_complement(FIVE, 0.3, seed=0, rho_m=0.9)
 
     def test_frequencies_match_masking_distribution(self):
         # complement and masked-retention draw from the same inverted scores;
@@ -111,7 +99,7 @@ class TestSampleComplement:
         counts = np.zeros(5)
         n = 10_000
         for seed in range(n):
-            sub = S.sample_complement(FIVE, 0.2, seed=seed, rho_m=0.9)
+            sub = S.sample_complement(FIVE, 0.2, seed=seed)
             counts[sub.edge_indices[0]] += 1
         result = stats.chisquare(counts, f_exp=target * n)
         assert result.pvalue > 0.01
@@ -123,7 +111,7 @@ class TestInvariants:
         for fn in (
             lambda s: S.sample_rationale(FIVE, 0.4, seed=s),
             lambda s: S.build_masked_graph(FIVE, 0.8, seed=s),
-            lambda s: S.sample_complement(FIVE, 0.2, seed=s, rho_m=0.8),
+            lambda s: S.sample_complement(FIVE, 0.2, seed=s),
         ):
             a, b = fn(123), fn(123)
             np.testing.assert_array_equal(a.edge_indices, b.edge_indices)

@@ -172,16 +172,16 @@ class TestPrimitiveGradients:
         g = kernel_graph()
         rng = np.random.default_rng(2)
         slots = len(g.csr_neighbors)
-        a = T.parameter(rng.normal(size=(slots,)) * 3, name="a")
+        a = T.parameter(rng.normal(size=(slots, 1)) * 3, name="a")
 
         out = T.segment_softmax(a, g)
-        sums = np.bincount(g.directed_src, weights=out.values, minlength=g.num_nodes)
+        sums = np.bincount(g.directed_src, weights=out.values[:, 0], minlength=g.num_nodes)
         np.testing.assert_allclose(sums[[0, 2, 3, 4, 5]], 1.0, atol=1e-9)
         np.testing.assert_array_equal(sums[[1, 6]], 0.0)  # isolated nodes
 
         def build():
             p = T.segment_softmax(a, g)
-            return T.tsum(T.mul(p, T.Tensor(np.arange(float(slots)))))
+            return T.tsum(T.mul(p, T.Tensor(np.arange(float(slots)).reshape(-1, 1))))
 
         check_gradients(build, {"a": a})
 
@@ -350,8 +350,8 @@ class TestGraphKernels:
         a = T.parameter(rng.normal(size=(len(g.csr_neighbors), 3)) * 3, name="a")
         out = T.segment_softmax(a, g)
         for col in range(3):
-            np.testing.assert_allclose(out.values[:, col],
-                                       T.segment_softmax(a.values[:, col], g).values,
+            np.testing.assert_allclose(out.values[:, [col]],
+                                       T.segment_softmax(a.values[:, [col]], g).values,
                                        atol=1e-15)
         weights = T.Tensor(rng.normal(size=(len(g.csr_neighbors), 3)))
         check_gradients(lambda: T.tsum(T.mul(T.segment_softmax(a, g), weights)),
@@ -359,8 +359,11 @@ class TestGraphKernels:
 
     def test_segment_softmax_rejects_a_row_count_other_than_the_slots(self):
         g = kernel_graph()
-        with pytest.raises(T.ShapeMismatchError, match="slots"):
-            T.segment_softmax(T.Tensor(np.zeros(len(g.csr_neighbors) + 1)), g)
+        slots = len(g.csr_neighbors)
+        # a 1-D input is refused too: scores are always (slots, heads)
+        for shape in ((slots + 1, 2), (slots,)):
+            with pytest.raises(T.ShapeMismatchError, match="slots"):
+                T.segment_softmax(T.Tensor(np.zeros(shape)), g)
 
 
 def graph_with_isolated_nodes(rng):
@@ -378,13 +381,13 @@ class TestSegmentSoftmaxOracle:
     ``oracles.segment_softmax``: equal bit for bit, values and gradients."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("heads", [None, 1, 4], ids=["1d", "2d-1", "2d-4"])
+    @pytest.mark.parametrize("heads", [1, 4], ids=["2d-1", "2d-4"])
     def test_bit_identical_to_generic_form(self, dtype, heads):
-        rng = np.random.default_rng(40 + (heads or 0))
+        rng = np.random.default_rng(40 + heads)
         for trial in range(20):
             g = graph_with_isolated_nodes(rng)
             assert (g.degree == 0).any()
-            shape = (len(g.csr_neighbors),) + ((heads,) if heads else ())
+            shape = (len(g.csr_neighbors), heads)
             # a coarse grid makes ties within a row, including at the maximum
             start = np.round(rng.normal(size=shape) * 8, 1 if trial % 2 else 6)
             weights = rng.normal(size=shape).astype(dtype)

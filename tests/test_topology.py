@@ -5,7 +5,7 @@ from rgtrec import tensor as T
 from rgtrec import topology as topo
 from rgtrec.data import build_graph_from_edges
 from rgtrec.seeding import substream
-from oracles import bfs_distances, check_gradients
+from oracles import bfs_distances, check_gradients, neighbors
 
 
 def random_bipartite(rng, num_users, num_items, p=0.2):
@@ -18,7 +18,7 @@ def random_bipartite(rng, num_users, num_items, p=0.2):
 
 
 def neighbor_dict(g):
-    return {k: list(g.neighbors(k)) for k in range(g.num_nodes)}
+    return {k: list(neighbors(g, k)) for k in range(g.num_nodes)}
 
 
 class TestSampleAnchors:
@@ -173,7 +173,7 @@ class TestTopologyEncoder:
     def make_encoder(self, num_layers=2, seed=0):
         rng = np.random.default_rng(seed)
         g = random_bipartite(rng, 8, 8, p=0.25)
-        enc = topo.TopologyEncoder(g, num_anchors=4, q=2, latdim=3,
+        enc = topo.TopologyEncoder(g, topo.sample_anchors(g, 4, seed), q=2, latdim=3,
                                    num_layers=num_layers, seed=seed)
         return g, enc
 
@@ -209,20 +209,22 @@ class TestTopologyEncoder:
         # same graph, seed and q: a different anchor count, then a different
         # set of the same size, must each get the weights of their own anchors
         g = random_bipartite(np.random.default_rng(7), 30, 40, p=0.1)
-        first = topo.TopologyEncoder(g, num_anchors=8, q=2, latdim=3, num_layers=1, seed=6)
-        fewer = topo.TopologyEncoder(g, num_anchors=4, q=2, latdim=3, num_layers=1, seed=6)
+        first = topo.TopologyEncoder(g, topo.sample_anchors(g, 8, 6), q=2, latdim=3,
+                                     num_layers=1, seed=6)
+        fewer = topo.TopologyEncoder(g, topo.sample_anchors(g, 4, 6), q=2, latdim=3,
+                                     num_layers=1, seed=6)
         other = np.setdiff1d(np.arange(g.num_nodes), fewer.anchors)[:4]
-        moved = topo.TopologyEncoder(g, num_anchors=4, q=2, latdim=3, num_layers=1,
-                                     seed=6, anchors=other)
+        moved = topo.TopologyEncoder(g, other, q=2, latdim=3, num_layers=1, seed=6)
         for enc in (first, fewer, moved):
             np.testing.assert_array_equal(
                 enc.omega, topo.correlation_weights(topo.shortest_paths(g, enc.anchors, 2), 2))
 
     def test_shared_omega_and_refresh(self):
         g = random_bipartite(np.random.default_rng(8), 20, 20, p=0.15)
-        first = topo.TopologyEncoder(g, num_anchors=4, q=2, latdim=3, num_layers=1, seed=2)
-        shared = topo.TopologyEncoder(g, num_anchors=4, q=2, latdim=3, num_layers=1, seed=3,
-                                      anchors=first.anchors, omega=first.omega)
+        first = topo.TopologyEncoder(g, topo.sample_anchors(g, 4, 2), q=2, latdim=3,
+                                     num_layers=1, seed=2)
+        shared = topo.TopologyEncoder(g, first.anchors, q=2, latdim=3, num_layers=1, seed=3,
+                                      omega=first.omega)
         assert shared.omega is first.omega
         other = np.setdiff1d(np.arange(g.num_nodes), first.anchors)[:4]
         shared.refresh_tables(g, other)

@@ -62,6 +62,7 @@ class TestConfig:
             tiny_cfg(rho_r=1.0).validate()
         with pytest.raises(TR.ConfigError, match="rho_c"):
             tiny_cfg(rho_c=0.5).validate()
+        tiny_cfg(rho_m=0.9, rho_c=0.225).validate()  # rho_c = rho_m / 4 is allowed
         with pytest.raises(TR.ConfigError, match="boolean"):
             TR.parse_config_text("use_residual = maybe\n")
 
@@ -562,15 +563,14 @@ class TestPrecision:
         # (max |s32 - s64| over max |s64|) measured 1.7e-6 when this bound was
         # set, so 1e-4 leaves about 60x headroom.
         ds = split(make_block_dataset(200, 200, 10, 0.9, 15, seed=0), seed=0)
-        graph = build_graph(ds)
         s = {}
         for precision in ("float32", "float64"):
             cfg = TrainConfig(latdim=32, heads=4, gcn_layers=2, gt_layers=1, pnn_layers=1,
                               anchor_set=16, batch_size=4096, lr=0.01, epochs=5,
                               patience=0, precision=precision, seed=0)
-            pair, _ = TR.fit(ds, cfg, graph=graph)
+            pair, _ = TR.fit(ds, cfg)
             with T.using_dtype(precision):
-                s[precision] = TR.predict_embeddings(pair.teacher, graph, cfg)
+                s[precision] = TR.predict_embeddings(pair.teacher, pair.teacher.graph, cfg)
         assert s["float32"].dtype == np.float32
         diff = np.abs(s["float32"].astype(np.float64) - s["float64"]).max()
         assert diff / np.abs(s["float64"]).max() <= 1e-4

@@ -13,8 +13,8 @@ import rgtrec.tensor as T
 from rgtrec.data import TEST, InteractionDataset, build_graph, split
 from rgtrec.evaluation import evaluate, ndcg_at_k, recall_at_k
 from rgtrec.synthetic import make_block_dataset
-from rgtrec.training import (TrainConfig, fit, init_pair, load_checkpoint_into,
-                             predict_embeddings, read_checkpoint)
+from rgtrec.training import (TrainConfig, checkpoint_config, fit, init_pair,
+                             load_checkpoint_into, predict_embeddings, read_checkpoint)
 
 # --- metrics on a tiny hand-ranked list --------------------------------------
 ranking = np.array([12, 7, 3, 40, 9])
@@ -48,10 +48,24 @@ with tempfile.TemporaryDirectory() as tmp:
     for name in list(blocks)[:5]:
         print("  ", name, blocks[name].shape)
 
+    # the checkpoint stores its config and the hash of the graph it trained on,
+    # and loads only into a model of that config on that graph
     graph = build_graph(ds)
-    with T.using_dtype(cfg.precision):
+    saved_cfg = checkpoint_config(ckpt)
+    assert saved_cfg == cfg
+    with T.using_dtype(saved_cfg.precision):
         original = predict_embeddings(pair.teacher, graph, cfg)
-        restored_pair = init_pair(graph, cfg)
+        restored_pair = init_pair(graph, saved_cfg)
+        for p in restored_pair.teacher.parameters().values():
+            p.values += 1.0  # so that only the load can make the outputs agree
+        assert not np.array_equal(original, predict_embeddings(restored_pair.teacher, graph, cfg))
         load_checkpoint_into(ckpt, restored_pair)
         restored = predict_embeddings(restored_pair.teacher, graph, cfg)
-    print("round trip bit-exact:", np.array_equal(original, restored))
+    assert np.array_equal(original, restored)
+    print("round trip bit-exact: True")
+    try:
+        load_checkpoint_into(ckpt, init_pair(graph, TrainConfig(**{**cfg.__dict__, "heads": 4})))
+    except ValueError as exc:
+        print("refused for a model with 4 heads:", str(exc).split(": ", 1)[1])
+    else:
+        raise AssertionError("a model with 4 heads loaded a 2-head checkpoint")

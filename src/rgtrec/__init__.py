@@ -23,8 +23,8 @@ from .evaluation import RankingResult, evaluate, ndcg_at_k, recall_at_k
 from .losses import EmbeddingBundle, LossReport
 from .sampling import SampledSubgraph, build_masked_graph, sample_complement, sample_rationale
 from .synthetic import make_block_dataset
-from .training import (DistillPair, ModelState, TrainConfig, fit, init_pair,
-                       load_checkpoint_into, load_config, predict_embeddings,
+from .training import (DistillPair, ModelState, TrainConfig, checkpoint_config, fit,
+                       init_pair, load_checkpoint_into, load_config, predict_embeddings,
                        read_checkpoint, write_checkpoint)
 
 __version__ = "0.1.0"
@@ -36,7 +36,7 @@ __all__ = [
     "EmbeddingBundle", "LossReport",
     "SampledSubgraph", "build_masked_graph", "sample_complement", "sample_rationale",
     "make_block_dataset",
-    "DistillPair", "ModelState", "TrainConfig", "fit", "init_pair",
+    "DistillPair", "ModelState", "TrainConfig", "checkpoint_config", "fit", "init_pair",
     "load_checkpoint_into", "load_config", "predict_embeddings",
     "read_checkpoint", "write_checkpoint",
     "__version__",

@@ -28,9 +28,9 @@ from .data import (DataFormatError, TEST, VAL, build_graph, load_interactions,
                    load_prepared, save_prepared, split)
 from .evaluation import evaluate, write_metrics_csv, write_metric_series_csv
 from .sampling import dump_subgraph_tsv
-from .training import (ConfigError, TrainConfig, draw_subgraphs, dump_config, fit,
-                       init_pair, load_checkpoint_into, load_config, predict_embeddings,
-                       rationale_score_table)
+from .training import (ConfigError, TrainConfig, checkpoint_config, draw_subgraphs,
+                       dump_config, fit, init_pair, load_checkpoint_into, load_config,
+                       predict_embeddings, rationale_score_table)
 
 log = logging.getLogger(__name__)
 
@@ -116,14 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the first epoch's sampled edge lists as TSV")
     _add_config_flags(p)
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("evaluate", help="evaluate a checkpoint with the config it stores")
+    p.add_argument("--data", required=True, help="the prepared directory it trained on")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", default=None,
-                   help="config used for training (architecture must match)")
     p.add_argument("--split", default="test", choices=["val", "test"])
     p.add_argument("--out", default=None, help="metrics CSV path (default: stdout)")
-    _add_config_flags(p)
 
     p = sub.add_parser("ablate", help="component and loss-removal comparison")
     p.add_argument("--data", required=True)
@@ -199,7 +196,7 @@ def _dump_first_epoch_subgraphs(ds, cfg, out_dir) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = checkpoint_config(args.checkpoint)
     ds = load_prepared(args.data)
     graph = build_graph(ds)
     with T.using_dtype(cfg.precision):

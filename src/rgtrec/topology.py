@@ -86,7 +86,6 @@ class TopologyEncoder:
                  num_layers: int, seed: int, omega: np.ndarray | None = None):
         if num_layers < 1:
             raise ValueError("topology encoder needs at least one layer")
-        self.q = q
         self.anchors = anchors
         if omega is None:
             omega = correlation_weights(shortest_paths(g, anchors, q), q)
@@ -98,11 +97,6 @@ class TopologyEncoder:
                         name=f"topo.w{l}")
             for l in range(num_layers)
         ]
-
-    def refresh_tables(self, g: BipartiteGraph, anchors: np.ndarray) -> None:
-        """Recompute ``omega`` for a new anchor set (keeps the layer weights)."""
-        self.anchors = anchors
-        self.omega = correlation_weights(shortest_paths(g, anchors, self.q), self.q)
 
     def parameters(self) -> dict[str, T.Tensor]:
         return {w.name: w for w in self.layer_weights}

@@ -184,7 +184,7 @@ def _role_seed(seed: int, role: str) -> int:
 
 
 class ModelState:
-    """All learnable parameters of one model plus its optimizer."""
+    """All learnable parameters of one model."""
 
     def __init__(self, graph: BipartiteGraph, cfg: TrainConfig, role: str, anchors, omega=None):
         self.role = role
@@ -199,7 +199,6 @@ class ModelState:
             self.topo = TopologyEncoder(graph, anchors, cfg.q, cfg.latdim,
                                         cfg.pnn_layers, seed=seed, omega=omega)
         self.attn = AttentionParams(cfg.latdim, cfg.heads, seed=seed)
-        self.optimizer = T.Adam(self.parameters(), lr=cfg.lr)
 
     def parameters(self) -> dict[str, T.Tensor]:
         params = {"emb": self.emb}
@@ -216,9 +215,6 @@ class ModelState:
     def _arrays(self) -> dict[str, np.ndarray]:
         """The live arrays behind a snapshot, under their snapshot keys."""
         out = {f"param/{k}": p.values for k, p in self.parameters().items()}
-        out.update({f"adam/m/{k}": v for k, v in self.optimizer.m.items()})
-        out.update({f"adam/v/{k}": v for k, v in self.optimizer.v.items()})
-        out["adam/t"] = np.asarray([self.optimizer.t], dtype=np.int64)
         if self.topo is not None:
             out["anchors"] = self.topo.anchors
         return out
@@ -228,8 +224,7 @@ class ModelState:
 
     def check_snapshot(self, snap: dict[str, np.ndarray]) -> None:
         """Raise ``ValueError`` unless ``snap`` has the keys, array shapes and
-        dtype kinds (integer or float) of ``snapshot()`` and its anchors are
-        nodes of the graph."""
+        dtype kinds (integer or float) of ``snapshot()`` and the model's anchors."""
         targets = self._arrays()
         for problem, keys in (("missing", targets.keys() - snap.keys()),
                               ("unexpected", snap.keys() - targets.keys())):
@@ -243,29 +238,26 @@ class ModelState:
             if targets[key].dtype.kind != arr.dtype.kind:
                 raise ValueError(f"{self.role} snapshot: dtype mismatch for {key}: "
                                  f"{arr.dtype} vs {targets[key].dtype}")
-        anchors = snap.get("anchors")
-        if anchors is not None and not ((anchors >= 0) & (anchors < self.graph.num_nodes)).all():
-            raise ValueError(f"{self.role} snapshot: anchors outside the graph's nodes")
+        if "anchors" in snap and not np.array_equal(snap["anchors"], targets["anchors"]):
+            raise ValueError(f"{self.role} snapshot: anchors differ from the model's")
 
     def load_snapshot(self, snap: dict[str, np.ndarray]) -> None:
         """Restore from a snapshot; ``check_snapshot`` runs before anything loads."""
         self.check_snapshot(snap)
         targets = self._arrays()
         for key, arr in snap.items():
-            if key == "anchors":
-                if not np.array_equal(arr, targets[key]):
-                    self.topo.refresh_tables(self.graph, arr.copy())
-            elif key == "adam/t":
-                self.optimizer.t = int(arr[0])
-            else:
+            if key != "anchors":
                 targets[key][...] = arr
 
 
 @dataclass
 class DistillPair:
-    """The trained model, ``teacher``, plus its EMA copy ``ema`` in self-distillation mode."""
+    """The trained model, ``teacher``, with its optimizer and config, plus its
+    EMA copy ``ema`` in self-distillation mode."""
 
     teacher: ModelState
+    optimizer: T.Adam
+    cfg: TrainConfig
     ema: ModelState | None = None
     epoch: int = 0
 
@@ -285,7 +277,8 @@ def init_pair(graph: BipartiteGraph, cfg: TrainConfig) -> DistillPair:
         ema = ModelState(graph, cfg, "ema", anchors, omega=omega)
         for name, p in ema.parameters().items():
             p.values[...] = teacher.parameters()[name].values
-    return DistillPair(teacher=teacher, ema=ema)
+    return DistillPair(teacher=teacher, optimizer=T.Adam(teacher.parameters(), lr=cfg.lr),
+                       cfg=cfg, ema=ema)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +456,7 @@ def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph
             teacher_total, report = total_loss(rec, mae, distill_t, ranking, contrast,
                                                cfg, teacher.parameters())
             T.backward(teacher_total, tape)
-        teacher.optimizer.step()
+        pair.optimizer.step()
         teacher.assert_finite()
 
         if pair.ema is not None:
@@ -583,9 +576,10 @@ def _fit_inner(ds, cfg, out_path):
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"RGTR"
-_VERSION = 3  # 2: fused attention wq/wk/wv; 3: roles teacher and optional ema only
-_DTYPE_CODES = {np.dtype("float32"): 1, np.dtype("float64"): 2, np.dtype("int64"): 3}
-_CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("<i8")}
+_VERSION = 4  # 3: teacher and ema roles with Adam state; 4: config, graph hash, served model
+_DTYPE_CODES = {np.dtype("float32"): 1, np.dtype("float64"): 2, np.dtype("int64"): 3,
+                np.dtype("uint8"): 4}
+_CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("<i8"), 4: np.dtype("u1")}
 
 
 def _write_block(fh, name: str, arr: np.ndarray) -> None:
@@ -601,8 +595,10 @@ def _write_block(fh, name: str, arr: np.ndarray) -> None:
 
 
 def write_checkpoint(path, pair: DistillPair) -> None:
-    """Write a synced temporary file beside ``path``, then replace ``path`` with
-    it, so a failed write leaves the previous checkpoint intact."""
+    """Write the epoch, config text, graph hash and the teacher's parameters and
+    anchors: the served model, without the EMA model or optimizer that only shape
+    training.  A synced temporary file beside ``path`` replaces ``path``, so a
+    failed write leaves the previous checkpoint intact."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -611,9 +607,11 @@ def write_checkpoint(path, pair: DistillPair) -> None:
             fh.write(_MAGIC)
             fh.write(struct.pack("<I", _VERSION))
             _write_block(fh, "epoch", np.asarray([pair.epoch], dtype=np.int64))
-            for role, state in pair.states().items():
-                for key, arr in state.snapshot().items():
-                    _write_block(fh, f"{role}/{key}", arr)
+            for name, text in (("config", dump_config(pair.cfg)),
+                               ("graph", pair.teacher.graph.content_hash())):
+                _write_block(fh, name, np.frombuffer(text.encode("utf-8"), dtype=np.uint8))
+            for key, arr in pair.teacher._arrays().items():
+                _write_block(fh, key, arr)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -654,31 +652,42 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
     return blocks
 
 
-def load_checkpoint_into(path, pair: DistillPair) -> None:
-    """Load every model role of ``pair`` from a checkpoint, all or nothing:
-    ``ValueError``, raised before anything loads, when the epoch block is
-    missing or not one int64, when a role of the pair is missing, when the
-    file holds a role the pair lacks, or when a role's keys, shapes or dtype
-    kinds differ from its snapshot's."""
-    blocks = read_checkpoint(path)
-    if "epoch" not in blocks:
-        raise ValueError(f"{path}: checkpoint has no epoch block")
+def _header(path, blocks: dict[str, np.ndarray]) -> tuple[int, str, str]:
+    """Pop the epoch, config text and graph hash; ``ValueError`` names the
+    first block missing."""
+    for name in ("epoch", "config", "graph"):
+        if name not in blocks:
+            raise ValueError(f"{path}: checkpoint has no {name} block")
     epoch = blocks.pop("epoch")
     if epoch.dtype != np.int64 or epoch.shape != (1,):
         raise ValueError(f"{path}: epoch block is {epoch.dtype} {epoch.shape}, not one int64")
-    per_role: dict[str, dict[str, np.ndarray]] = {}
-    for name, arr in blocks.items():
-        role, _, key = name.partition("/")
-        per_role.setdefault(role, {})[key] = arr
-    states = pair.states()
-    unknown = sorted(per_role.keys() - states.keys())
-    if unknown:
-        raise ValueError(f"checkpoint contains unknown model role {unknown[0]!r}")
-    missing = sorted(states.keys() - per_role.keys())
-    if missing:
-        raise ValueError(f"{path}: checkpoint has no blocks for model role {missing[0]!r}")
-    for role, state in states.items():
-        state.check_snapshot(per_role[role])
-    for role, state in states.items():
-        state.load_snapshot(per_role[role])
-    pair.epoch = int(epoch[0])
+    config, graph = (blocks.pop(name).tobytes().decode("utf-8", errors="replace")
+                     for name in ("config", "graph"))
+    return int(epoch[0]), config, graph
+
+
+def checkpoint_config(path) -> TrainConfig:
+    """The config a checkpoint was trained with."""
+    _, text, _ = _header(path, read_checkpoint(path))
+    try:
+        return load_config(None, parse_config_text(text))
+    except ConfigError as exc:
+        raise ValueError(f"{path}: malformed config block: {exc}") from None
+
+
+def load_checkpoint_into(path, pair: DistillPair) -> None:
+    """Load the served model of a checkpoint into ``pair.teacher``, all or
+    nothing: ``ValueError``, raised before anything loads, when a header block
+    is missing or malformed, when the config text is not ``pair.cfg``'s, when
+    the graph hash is not the teacher graph's, or when the keys, shapes, dtype
+    kinds or anchors differ from the teacher's snapshot."""
+    blocks = read_checkpoint(path)
+    epoch, config, graph_hash = _header(path, blocks)
+    if config != dump_config(pair.cfg):
+        raise ValueError(f"{path}: checkpoint config differs from the model's")
+    current = pair.teacher.graph.content_hash()
+    if graph_hash != current:
+        raise ValueError(f"{path}: checkpoint graph {graph_hash!r} differs from "
+                         f"this data's graph {current!r}")
+    pair.teacher.load_snapshot(blocks)
+    pair.epoch = epoch

@@ -14,10 +14,11 @@ def float64_mode():
         yield
 
 
-@pytest.fixture(params=[1, 2])
+@pytest.fixture(params=[1, 2, 3])
 def old_checkpoint(request, tmp_path):
     """A checkpoint in a retired layout: version 1, with per-head attention
-    blocks, or version 2, which also holds a mimic model's blocks."""
+    blocks, version 2, which also holds a mimic model's blocks, or version 3,
+    with Adam state and an ema role."""
     version = request.param
     path = tmp_path / f"v{version}.ckpt"
     with path.open("wb") as fh:
@@ -29,10 +30,14 @@ def old_checkpoint(request, tmp_path):
                 for head in range(2):
                     training._write_block(fh, f"teacher/param/attn.{name}.{head}",
                                           np.zeros((4, 8)))
-        else:
+        elif version == 2:
             for prefix in ("teacher/param/attn.", "student/param/attn."):
                 for name in ("wq", "wk", "wv"):
                     training._write_block(fh, prefix + name, np.zeros((8, 8)))
+        else:
+            for role in ("teacher", "ema"):
+                training._write_block(fh, f"{role}/param/attn.wq", np.zeros((8, 8)))
+                training._write_block(fh, f"{role}/adam/t", np.asarray([1], dtype=np.int64))
         training._write_block(fh, "teacher/param/attn.wo", np.zeros((8, 8)))
     return version, path
 
@@ -45,8 +50,8 @@ def truncated_checkpoint(tmp_path):
         fh.write(b"RGTR")
         fh.write(struct.pack("<I", training._VERSION))
         training._write_block(fh, "epoch", np.asarray([1], dtype=np.int64))
-        training._write_block(fh, "teacher/param/emb", np.zeros((4, 8)))
+        training._write_block(fh, "param/emb", np.zeros((4, 8)))
     epoch_block = 4 + len("epoch") + 5 + 4 + 8 + 8
-    cut = 8 + epoch_block + 4 + len("teacher/param/emb") + 5 + 2  # 2 bytes into the shape
+    cut = 8 + epoch_block + 4 + len("param/emb") + 5 + 2  # 2 bytes into the shape
     path.write_bytes(path.read_bytes()[:cut])
     return path

@@ -26,8 +26,8 @@ from rgtrec.evaluation import evaluate, ndcg_at_k, recall_at_k
 from rgtrec.mf_baseline import BPRMatrixFactorization
 from rgtrec.seeding import substream
 from rgtrec.synthetic import make_block_dataset
-from rgtrec.training import (TrainConfig, fit, init_pair, load_checkpoint_into,
-                             negative_sample, predict_embeddings,
+from rgtrec.training import (TrainConfig, checkpoint_config, fit, init_pair,
+                             load_checkpoint_into, negative_sample, predict_embeddings,
                              rationale_score_table)
 from oracles import (bfs_distances, check_gradients, dense_sym_norm_adjacency, neighbors,
                      plackett_luce_topk_inclusion)
@@ -417,12 +417,17 @@ def test_c8_engineering_contracts(tmp_path):
     pair, h2 = fit(ds, cfg, out_dir=tmp_path)
     assert h1 == h2
 
-    # checkpoint round trip: identical forward outputs, bit for bit
+    # checkpoint round trip: identical forward outputs, bit for bit, in a pair
+    # built from the checkpoint's own config whose parameters all differ first
     graph = build_graph(ds)
+    ckpt = tmp_path / "model.ckpt"
     with T.using_dtype(cfg.precision):
         before = predict_embeddings(pair.teacher, graph, cfg)
-        fresh = init_pair(graph, dataclasses.replace(cfg, seed=99))
-        load_checkpoint_into(tmp_path / "model.ckpt", fresh)
+        fresh = init_pair(graph, checkpoint_config(ckpt))
+        for name, p in fresh.teacher.parameters().items():
+            p.values += 1.0
+            assert not np.array_equal(p.values, pair.teacher.parameters()[name].values)
+        load_checkpoint_into(ckpt, fresh)
         after = predict_embeddings(fresh.teacher, graph, cfg)
     assert np.array_equal(before, after)
 

@@ -210,40 +210,92 @@ class TestTrain:
                 assert dumped == sub.edge_indices.tolist(), sub.kind
 
 
+def run_cli(*args):
+    """``rgtrec`` in a fresh interpreter, so a traceback would show on stderr."""
+    return subprocess.run([sys.executable, "-m", "rgtrec.cli", *map(str, args)],
+                          capture_output=True, text=True)
+
+
 class TestEvaluate:
-    def test_checkpoint_metrics(self, prepared, tmp_path, capsys):
+    @pytest.fixture
+    def run(self, prepared, tmp_path, capsys):
+        """A run trained with TINY_FLAGS, whose ``--heads 2`` is not the default."""
         out = tmp_path / "run"
-        main(["train", "--data", str(prepared), "--out", str(out)] + TINY_FLAGS)
+        assert main(["train", "--data", str(prepared), "--out", str(out)] + TINY_FLAGS) == 0
         capsys.readouterr()
+        return out
+
+    def test_checkpoint_metrics(self, prepared, run, capsys):
+        # no config flag: the architecture comes from the checkpoint, so the
+        # scores are exactly the ones training wrote
         code = main(["evaluate", "--data", str(prepared),
-                     "--checkpoint", str(out / "model.ckpt"),
-                     "--split", "test"] + TINY_FLAGS)
+                     "--checkpoint", str(run / "model.ckpt"), "--split", "test"])
         assert code == 0
-        output = capsys.readouterr().out
-        assert output.startswith("split,K,recall,ndcg")
-        assert "test,20," in output
+        output = capsys.readouterr().out.splitlines()
+        rows = (run / "metrics.csv").read_text().splitlines()
+        assert output[0] == rows[0] == "split,K,recall,ndcg"
+        assert output[1:] == [row for row in rows if row.startswith("test,")]
+        assert "test,20," in output[2]
+
+    def test_config_flags_are_refused(self, prepared, run, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--data", str(prepared),
+                  "--checkpoint", str(run / "model.ckpt"), "--heads", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --heads 4" in capsys.readouterr().err
+
+    def test_help_lists_no_config_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["evaluate", "--help"])
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert flags == {"--help", "--data", "--checkpoint", "--split", "--out"}
+
+    @pytest.mark.parametrize("source", ["other_data", "other_split_seed"])
+    def test_other_graph_exits_one(self, raw_file, run, tmp_path, source):
+        other = tmp_path / "other"
+        if source == "other_data":
+            ds = make_block_dataset(num_users=12, num_items=24, num_blocks=3,
+                                    interactions_per_user=16, seed=1)
+            raw_file = tmp_path / "other.tsv"
+            raw_file.write_text("".join(f"u{u}\ti{i}\n" for u, i in ds.interactions))
+            assert main(["prepare", "--input", str(raw_file), "--out", str(other)]) == 0
+        else:
+            assert main(["prepare", "--input", str(raw_file), "--out", str(other),
+                         "--seed", "1"]) == 0
+        proc = run_cli("evaluate", "--data", other, "--checkpoint", run / "model.ckpt")
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert re.match(rf"^error: {re.escape(str(run / 'model.ckpt'))}: checkpoint graph "
+                        r"'[0-9a-f]{16}' differs from this data's graph '[0-9a-f]{16}'$",
+                        proc.stderr), proc.stderr
+
+    def test_malformed_config_block_exits_one(self, prepared, tmp_path):
+        path = tmp_path / "bad_config.ckpt"
+        with path.open("wb") as fh:
+            fh.write(b"RGTR" + struct.pack("<I", _VERSION))
+            TR._write_block(fh, "epoch", np.asarray([1], dtype=np.int64))
+            for name, text in (("config", "heads = many\n"), ("graph", "0" * 16)):
+                TR._write_block(fh, name, np.frombuffer(text.encode(), dtype=np.uint8))
+        proc = run_cli("evaluate", "--data", prepared, "--checkpoint", path)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"error: {path}: malformed config block: heads: expected an integer, got 'many'"]
 
     def test_missing_checkpoint_exits_one(self, prepared, tmp_path):
         code = main(["evaluate", "--data", str(prepared),
-                     "--checkpoint", str(tmp_path / "none.ckpt")] + TINY_FLAGS)
+                     "--checkpoint", str(tmp_path / "none.ckpt")])
         assert code == 1
 
     def test_old_version_checkpoint_exits_one_without_traceback(self, prepared,
                                                                 old_checkpoint):
         version, path = old_checkpoint
-        proc = subprocess.run(
-            [sys.executable, "-m", "rgtrec.cli", "evaluate", "--data", str(prepared),
-             "--checkpoint", str(path)] + TINY_FLAGS,
-            capture_output=True, text=True)
+        proc = run_cli("evaluate", "--data", prepared, "--checkpoint", path)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [f"error: unsupported checkpoint version {version}"]
 
     def test_truncated_checkpoint_exits_one_without_traceback(self, prepared,
                                                              truncated_checkpoint):
-        proc = subprocess.run(
-            [sys.executable, "-m", "rgtrec.cli", "evaluate", "--data", str(prepared),
-             "--checkpoint", str(truncated_checkpoint)] + TINY_FLAGS,
-            capture_output=True, text=True)
+        proc = run_cli("evaluate", "--data", prepared, "--checkpoint", truncated_checkpoint)
         assert proc.returncode == 1
         size = truncated_checkpoint.stat().st_size
         assert proc.stderr.splitlines() == [
@@ -251,14 +303,20 @@ class TestEvaluate:
 
     def test_checkpoint_without_blocks_exits_one_without_traceback(self, prepared,
                                                                   tmp_path):
+        # each file lacks the next header block; the error names it
         path = tmp_path / "header_only.ckpt"
-        path.write_bytes(b"RGTR" + struct.pack("<I", _VERSION))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rgtrec.cli", "evaluate", "--data", str(prepared),
-             "--checkpoint", str(path)] + TINY_FLAGS,
-            capture_output=True, text=True)
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines() == [f"error: {path}: checkpoint has no epoch block"]
+        with path.open("wb") as fh:
+            fh.write(b"RGTR" + struct.pack("<I", _VERSION))
+        blocks = [("epoch", np.asarray([1], dtype=np.int64)),
+                  ("config", np.frombuffer(b"heads = 2\n", dtype=np.uint8))]
+        for missing in ("epoch", "config", "graph"):
+            proc = run_cli("evaluate", "--data", prepared, "--checkpoint", path)
+            assert proc.returncode == 1
+            assert proc.stderr.splitlines() == [
+                f"error: {path}: checkpoint has no {missing} block"]
+            if blocks:
+                with path.open("ab") as fh:
+                    TR._write_block(fh, *blocks.pop(0))
 
 
 class TestAblate:

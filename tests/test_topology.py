@@ -219,17 +219,12 @@ class TestTopologyEncoder:
             np.testing.assert_array_equal(
                 enc.omega, topo.correlation_weights(topo.shortest_paths(g, enc.anchors, 2), 2))
 
-    def test_shared_omega_and_refresh(self):
+    def test_shared_omega(self):
         g = random_bipartite(np.random.default_rng(8), 20, 20, p=0.15)
         first = topo.TopologyEncoder(g, topo.sample_anchors(g, 4, 2), q=2, latdim=3,
                                      num_layers=1, seed=2)
         shared = topo.TopologyEncoder(g, first.anchors, q=2, latdim=3, num_layers=1, seed=3,
                                       omega=first.omega)
         assert shared.omega is first.omega
-        other = np.setdiff1d(np.arange(g.num_nodes), first.anchors)[:4]
-        shared.refresh_tables(g, other)
-        assert shared.anchors is other
-        np.testing.assert_array_equal(
-            shared.omega, topo.correlation_weights(topo.shortest_paths(g, other, 2), 2))
         np.testing.assert_array_equal(
             first.omega, topo.correlation_weights(topo.shortest_paths(g, first.anchors, 2), 2))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -265,20 +266,21 @@ class TestFit:
         assert teacher_params & set(inputs)
         assert not ema_params & set(inputs)
 
-    def test_ema_restored_with_the_best_epoch(self, tmp_path):
+    def test_ema_restored_with_the_best_epoch(self):
         # on this data every epoch reaches val Recall@20 = 1, so both runs keep
-        # epoch 0, and both checkpoints must hold epoch 0's teacher and ema
+        # epoch 0, and both must hold epoch 0's teacher and ema
         ds = tiny_dataset(seed=0)
-        blocks = []
+        snapshots = []
         for epochs in (1, 8):
             cfg = tiny_cfg(epochs=epochs, seed=0, self_distill_ema=0.9, lr=0.05)
-            pair, _ = TR.fit(ds, cfg, out_dir=tmp_path / str(epochs))
+            pair, _ = TR.fit(ds, cfg)
             assert pair.epoch == 1
-            blocks.append(TR.read_checkpoint(tmp_path / str(epochs) / "model.ckpt"))
-        assert blocks[0].keys() == blocks[1].keys()
-        assert any(name.startswith("ema/") for name in blocks[0])
-        for name, arr in blocks[0].items():
-            np.testing.assert_array_equal(arr, blocks[1][name], err_msg=name)
+            snapshots.append({f"{role}/{key}": arr for role, state in pair.states().items()
+                              for key, arr in state.snapshot().items()})
+        assert snapshots[0].keys() == snapshots[1].keys()
+        assert any(name.startswith("ema/") for name in snapshots[0])
+        for name, arr in snapshots[0].items():
+            np.testing.assert_array_equal(arr, snapshots[1][name], err_msg=name)
 
     def test_crash_log_names_the_failed_check(self, tmp_path, monkeypatch, caplog):
         def fail(*args):
@@ -300,16 +302,41 @@ class TestFit:
         assert h_sampled[0]["rec"] <= h_full[0]["rec"] + 1e-9
 
 
+def perturbed_pair(graph, cfg):
+    """A pair for ``cfg`` whose every parameter differs from a fresh one's."""
+    pair = TR.init_pair(graph, cfg)
+    for p in pair.teacher.parameters().values():
+        p.values += 1.0
+    return pair
+
+
+def state_of(pair) -> dict:
+    """The epoch and every array of every model of ``pair``, copied."""
+    out = {"epoch": np.asarray([pair.epoch], dtype=np.int64)}
+    for role, model in pair.states().items():
+        out.update({f"{role}/{k}": v for k, v in model.snapshot().items()})
+    return out
+
+
+def assert_state_equal(pair, expect: dict) -> None:
+    got = state_of(pair)
+    assert got.keys() == expect.keys()
+    for key, arr in got.items():
+        np.testing.assert_array_equal(arr, expect[key], err_msg=key)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         ds = tiny_dataset(seed=9)
         cfg = tiny_cfg(epochs=2)
         pair, _ = TR.fit(ds, cfg, out_dir=tmp_path)
         graph = build_graph(ds)
+        loaded_cfg = TR.checkpoint_config(tmp_path / "model.ckpt")
+        assert loaded_cfg == cfg
         with T.using_dtype(cfg.precision):
             before = TR.predict_embeddings(pair.teacher, graph, cfg)
-
-            fresh = TR.init_pair(graph, TrainConfig(**{**cfg.__dict__, "seed": 999}))
+            fresh = perturbed_pair(graph, loaded_cfg)
+            assert not np.array_equal(TR.predict_embeddings(fresh.teacher, graph, cfg), before)
             TR.load_checkpoint_into(tmp_path / "model.ckpt", fresh)
             after = TR.predict_embeddings(fresh.teacher, graph, cfg)
         np.testing.assert_array_equal(before, after)
@@ -317,12 +344,16 @@ class TestCheckpoint:
 
     def test_blocks_preserved_exactly(self, tmp_path):
         ds = tiny_dataset(seed=10)
-        cfg = tiny_cfg(epochs=1)
+        cfg = tiny_cfg(epochs=1, self_distill_ema=0.9)
         pair, _ = TR.fit(ds, cfg, out_dir=tmp_path)
         blocks = TR.read_checkpoint(tmp_path / "model.ckpt")
         snap = pair.teacher.snapshot()
+        # the served model only: no optimizer state, no EMA copy
+        assert list(blocks) == ["epoch", "config", "graph", *snap]
+        assert blocks["config"].tobytes().decode() == TR.dump_config(cfg)
+        assert blocks["graph"].tobytes().decode() == pair.teacher.graph.content_hash()
         for key, arr in snap.items():
-            np.testing.assert_array_equal(blocks[f"teacher/{key}"], arr)
+            np.testing.assert_array_equal(blocks[key], arr)
 
     def test_old_version_rejected(self, old_checkpoint):
         version, path = old_checkpoint
@@ -331,7 +362,7 @@ class TestCheckpoint:
 
     def test_truncated_file_rejected_at_every_part(self, tmp_path):
         ds = tiny_dataset(seed=12)
-        cfg = tiny_cfg(self_distill_ema=0.9)  # two roles: teacher and ema
+        cfg = tiny_cfg(self_distill_ema=0.9)  # the ema is not stored
         whole = tmp_path / "whole.ckpt"
         TR.write_checkpoint(whole, TR.init_pair(build_graph(ds), cfg))
         data = whole.read_bytes()
@@ -374,30 +405,25 @@ class TestCheckpoint:
         for cut in [8] + block_ends[:-1]:
             part = tmp_path / "part.ckpt"
             part.write_bytes(data[:cut])
-            with pytest.raises(ValueError, match="no epoch block|no blocks for model "
-                                                 "role|snapshot: missing"):
+            with pytest.raises(ValueError, match="no (epoch|config|graph) block|"
+                                                 "snapshot: missing"):
                 TR.load_checkpoint_into(part, pair)
         TR.load_checkpoint_into(whole, pair)
 
     def test_failed_load_changes_nothing(self, tmp_path):
         graph = build_graph(tiny_dataset(seed=12))
         cfg = tiny_cfg(self_distill_ema=0.9)
-        path = tmp_path / "ema.ckpt"
+        path = tmp_path / "model.ckpt"
         TR.write_checkpoint(path, TR.init_pair(graph, cfg))
-        # drop the last block, the ema's anchors: name length, name, dtype
-        # code and ndim, one shape entry, payload length, int64 payload
-        name = "ema/anchors"
-        last_block = 4 + len(name) + 5 + 4 + 8 + 8 * cfg.anchor_set
+        # drop the last block, the anchors: name length, name, dtype code and
+        # ndim, one shape entry, payload length, int64 payload
+        last_block = 4 + len("anchors") + 5 + 4 + 8 + 8 * cfg.anchor_set
         path.write_bytes(path.read_bytes()[:-last_block])
-        fresh = TR.init_pair(graph, TrainConfig(**{**cfg.__dict__, "seed": 999}))
-        before = {role: state.snapshot() for role, state in fresh.states().items()}
-        with pytest.raises(ValueError, match=r"^ema snapshot: missing anchors$"):
+        fresh = perturbed_pair(graph, TR.checkpoint_config(path))
+        before = state_of(fresh)
+        with pytest.raises(ValueError, match=r"^teacher snapshot: missing anchors$"):
             TR.load_checkpoint_into(path, fresh)
-        for role, state in fresh.states().items():
-            after = state.snapshot()
-            assert after.keys() == before[role].keys()
-            for key, arr in after.items():
-                np.testing.assert_array_equal(arr, before[role][key], err_msg=f"{role}/{key}")
+        assert_state_equal(fresh, before)
         assert fresh.epoch == 0
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
@@ -425,16 +451,19 @@ class TestCheckpoint:
     def test_snapshot_keys_must_match_exactly(self):
         state = TR.init_pair(build_graph(tiny_dataset(seed=12)), tiny_cfg()).teacher
         snap = state.snapshot()
-        with pytest.raises(ValueError, match=r"^teacher snapshot: missing adam/t$"):
-            state.load_snapshot({k: v for k, v in snap.items() if k != "adam/t"})
+        with pytest.raises(ValueError, match=r"^teacher snapshot: missing anchors$"):
+            state.load_snapshot({k: v for k, v in snap.items() if k != "anchors"})
         with pytest.raises(ValueError, match=r"^teacher snapshot: unexpected param/extra$"):
             state.load_snapshot({**snap, "param/extra": np.zeros(1)})
 
     @pytest.mark.parametrize("key, value, message", [
-        pytest.param("adam/t", np.zeros(2, dtype=np.int64),
-                     r"shape mismatch for adam/t: \(2,\) vs \(1,\)", id="shape"),
+        pytest.param("param/attn.wo", np.zeros((8, 9)),
+                     r"shape mismatch for param/attn.wo: \(8, 9\) vs \(8, 8\)", id="shape"),
+        # anchors outside the graph and other nodes of it: neither is the model's
         pytest.param("anchors", np.full(6, 10**6, dtype=np.int64),
-                     r"anchors outside the graph's nodes", id="anchor_range"),
+                     r"anchors differ from the model's", id="anchor_range"),
+        pytest.param("anchors", np.arange(6, dtype=np.int64),
+                     r"anchors differ from the model's", id="other_anchors"),
     ])
     def test_bad_snapshot_loads_nothing(self, key, value, message):
         state = TR.init_pair(build_graph(tiny_dataset(seed=12)), tiny_cfg()).teacher
@@ -461,6 +490,54 @@ class TestCheckpoint:
         p.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             TR.read_checkpoint(p)
+
+
+class TestCheckpointStrictness:
+    """A checkpoint loads only into a pair of its own config, graph and
+    anchors; anything else raises ``ValueError`` and changes nothing."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        graph = build_graph(tiny_dataset(seed=12))
+        cfg = tiny_cfg(self_distill_ema=0.9)
+        source = TR.init_pair(graph, cfg)
+        source.epoch = 2
+        path = tmp_path / "model.ckpt"
+        TR.write_checkpoint(path, source)
+        return graph, cfg, path
+
+    @staticmethod
+    def refused(path, pair, message):
+        before = state_of(pair)
+        with pytest.raises(ValueError, match=message):
+            TR.load_checkpoint_into(path, pair)
+        assert_state_equal(pair, before)
+
+    @pytest.mark.parametrize("change", [dict(heads=4), dict(seed=2)], ids=["heads", "seed"])
+    def test_pair_of_another_config(self, saved, change):
+        graph, cfg, path = saved
+        pair = perturbed_pair(graph, dataclasses.replace(cfg, **change))
+        self.refused(path, pair, "checkpoint config differs from the model's$")
+
+    @pytest.mark.parametrize("block", ["config", "graph"])
+    def test_flipped_payload_byte(self, saved, block):
+        graph, cfg, path = saved
+        data = bytearray(path.read_bytes())
+        start = data.index(block.encode()) + len(block) + 5 + 4 + 8  # its payload
+        data[start + 3] ^= 0x01
+        path.write_bytes(bytes(data))
+        self.refused(path, perturbed_pair(graph, cfg), f"checkpoint {block} ")
+
+    def test_anchors_of_another_pair(self, saved):
+        graph, cfg, path = saved
+        blocks = TR.read_checkpoint(path)
+        blocks["anchors"] = np.setdiff1d(np.arange(graph.num_nodes), blocks["anchors"])[:6]
+        with path.open("wb") as fh:
+            fh.write(b"RGTR" + struct.pack("<I", TR._VERSION))
+            for name, arr in blocks.items():
+                TR._write_block(fh, name, arr)
+        self.refused(path, perturbed_pair(graph, cfg),
+                     "^teacher snapshot: anchors differ from the model's$")
 
 
 def header_ranges(data: bytes) -> list[range]:
@@ -491,17 +568,16 @@ class TestCheckpointProperties:
             cfg = tiny_cfg(latdim=2, heads=1, anchor_set=2, self_distill_ema=0.9)
             source = TR.init_pair(graph, cfg)
             source.epoch = 3
-            source.teacher.optimizer.t = 5
-            target = TR.init_pair(graph, TrainConfig(**{**cfg.__dict__, "seed": 999}))
+            target = perturbed_pair(graph, cfg)
         path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
         TR.write_checkpoint(path, source)
         return path, path.read_bytes(), self.state(source), target, self.state(target)
 
     @staticmethod
     def state(pair) -> dict:
+        """The epoch and the teacher's arrays: what a checkpoint holds."""
         out = {"epoch": np.asarray([pair.epoch], dtype=np.int64)}
-        for role, model in pair.states().items():
-            out.update({f"{role}/{k}": v for k, v in model.snapshot().items()})
+        out.update(pair.teacher.snapshot())
         return out
 
     def differences(self, pair, expect: dict) -> list[str]:
@@ -522,9 +598,7 @@ class TestCheckpointProperties:
             assert self.differences(target, before) == []
             return False
         assert self.differences(target, source) == []
-        for role, model in target.states().items():
-            model.load_snapshot({key[len(role) + 1:]: arr for key, arr in before.items()
-                                 if key.startswith(role + "/")})
+        target.teacher.load_snapshot({k: v for k, v in before.items() if k != "epoch"})
         target.epoch = int(before["epoch"][0])
         return True
 

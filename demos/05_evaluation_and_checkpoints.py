@@ -43,10 +43,10 @@ cfg = TrainConfig(latdim=16, heads=2, gcn_layers=1, gt_layers=1, pnn_layers=1,
 with tempfile.TemporaryDirectory() as tmp:
     pair, _ = fit(ds, cfg, out_dir=tmp)
     ckpt = Path(tmp) / "model.ckpt"
-    blocks = read_checkpoint(ckpt)
-    print(f"\ncheckpoint holds {len(blocks)} named blocks, e.g.:")
-    for name in list(blocks)[:5]:
-        print("  ", name, blocks[name].shape)
+    members = read_checkpoint(ckpt)  # a zip of .npy members; numpy.load opens it too
+    print(f"\ncheckpoint holds {len(members)} members, e.g.:")
+    for name in list(members)[:5]:
+        print("  ", name, members[name].dtype, members[name].shape)
 
     # the checkpoint stores its config and the hash of the graph it trained on,
     # and loads only into a model of that config on that graph

@@ -190,7 +190,7 @@ def _dump_first_epoch_subgraphs(ds, cfg, out_dir) -> None:
     graph = build_graph(ds)
     with T.using_dtype(cfg.precision):
         pair = init_pair(graph, cfg)
-        probs = rationale_score_table(pair.teacher, graph, cfg)
+        probs = rationale_score_table(pair.teacher, graph)
     for sub in draw_subgraphs(probs, cfg, epoch=0):
         dump_subgraph_tsv(sub, graph, Path(out_dir) / f"{sub.kind}.tsv")
 
@@ -275,7 +275,7 @@ def cmd_grid(args) -> int:
     rows = []
     for combo in itertools.product(*(values for _, values in axes)):
         overrides = {key: value for (key, _), value in zip(axes, combo)}
-        run_cfg = load_config(None, overrides={**_grid_base(cfg), **overrides})
+        run_cfg = load_config(None, overrides={**dataclasses.asdict(cfg), **overrides})
         pair, _ = fit(ds, run_cfg)
         (val,) = _evaluate_splits(pair, ds, run_cfg, VAL)
         rows.append({**overrides,
@@ -286,10 +286,6 @@ def cmd_grid(args) -> int:
     write_metric_series_csv(out / "grid.csv", rows)
     print(f"{len(rows)} combinations written to {out / 'grid.csv'}")
     return 0
-
-
-def _grid_base(cfg: TrainConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in dataclasses.fields(TrainConfig)}
 
 
 def cmd_dump_config(args) -> int:
@@ -316,7 +312,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataFormatError, FileNotFoundError, ValueError, FloatingPointError) as exc:
+    except (DataFormatError, OSError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

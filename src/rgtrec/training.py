@@ -12,10 +12,12 @@ trained model.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import logging
 import os
-import struct
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -320,8 +322,7 @@ def make_bundle(out: PipelineOutputs, num_users: int) -> EmbeddingBundle:
                            subgraph=T.concat(means, axis=0))
 
 
-def rationale_score_table(state: ModelState, graph: BipartiteGraph,
-                          cfg: TrainConfig) -> np.ndarray:
+def rationale_score_table(state: ModelState, graph: BipartiteGraph) -> np.ndarray:
     """The (num_edges,) rationale probabilities of the current parameters
     (no gradients kept)."""
     h_bar = state.topo.encode(state.emb) if state.topo is not None else state.emb
@@ -419,7 +420,7 @@ def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph
     # only because the benchmark in perfbench/run.py still passes it
     teacher = pair.teacher
 
-    probs = rationale_score_table(teacher, graph, cfg)
+    probs = rationale_score_table(teacher, graph)
     sub_r, sub_m, sub_c = draw_subgraphs(probs, cfg, epoch)
     g_rationale = sub_r.materialize(graph)
     g_masked = sub_m.materialize(graph)
@@ -572,46 +573,31 @@ def _fit_inner(ds, cfg, out_path):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic "RGTR", version, length-prefixed named blocks
+# checkpoint format: a stored zip of .npy members, each with its CRC-32
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"RGTR"
-_VERSION = 4  # 3: teacher and ema roles with Adam state; 4: config, graph hash, served model
-_DTYPE_CODES = {np.dtype("float32"): 1, np.dtype("float64"): 2, np.dtype("int64"): 3,
-                np.dtype("uint8"): 4}
-_CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("<i8"), 4: np.dtype("u1")}
-
-
-def _write_block(fh, name: str, arr: np.ndarray) -> None:
-    encoded = name.encode("utf-8")
-    code = _DTYPE_CODES[arr.dtype]
-    payload = np.ascontiguousarray(arr).astype(_CODE_DTYPES[code], copy=False).tobytes()
-    fh.write(struct.pack("<I", len(encoded)))
-    fh.write(encoded)
-    fh.write(struct.pack("<BI", code, arr.ndim))
-    fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(struct.pack("<Q", len(payload)))
-    fh.write(payload)
+_VERSION = 5  # 4: the served model in RGTR blocks; 5: the same members in a zip
 
 
 def write_checkpoint(path, pair: DistillPair) -> None:
-    """Write the epoch, config text, graph hash and the teacher's parameters and
-    anchors: the served model, without the EMA model or optimizer that only shape
-    training.  A synced temporary file beside ``path`` replaces ``path``, so a
+    """Write the version, epoch, config text, graph hash and the teacher's
+    parameters and anchors: the served model, without the EMA model or optimizer
+    that only shape training.  Members are dated 1980-01-01, so equal pairs give
+    equal bytes.  A synced temporary file beside ``path`` replaces ``path``, so a
     failed write leaves the previous checkpoint intact."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    members = {"version": np.int64(_VERSION), "epoch": np.int64(pair.epoch),
+               "config": np.str_(dump_config(pair.cfg)),
+               "graph": np.str_(pair.teacher.graph.content_hash()),
+               **pair.teacher._arrays()}
     try:
         with tmp.open("wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", _VERSION))
-            _write_block(fh, "epoch", np.asarray([pair.epoch], dtype=np.int64))
-            for name, text in (("config", dump_config(pair.cfg)),
-                               ("graph", pair.teacher.graph.content_hash())):
-                _write_block(fh, name, np.frombuffer(text.encode("utf-8"), dtype=np.uint8))
-            for key, arr in pair.teacher._arrays().items():
-                _write_block(fh, key, arr)
+            with zipfile.ZipFile(fh, "w") as zf:
+                for name, arr in members.items():
+                    with zf.open(name, "w") as member:
+                        np.lib.format.write_array(member, np.asarray(arr), allow_pickle=False)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -621,49 +607,39 @@ def write_checkpoint(path, pair: DistillPair) -> None:
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
-    """Named blocks of a checkpoint.  Every read is checked against the file
-    size first, so a file cut short raises ``ValueError`` naming the byte
-    where it ends, never a ``struct.error`` or a huge allocation."""
+    """The members of a checkpoint.  Each is read whole, which checks its
+    CRC-32, before it is parsed, so anything but an intact zip of ``.npy``
+    members raises ``ValueError`` naming the file."""
     path = Path(path)
-    blocks: dict[str, np.ndarray] = {}
     with path.open("rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-
-        def read(n: int) -> bytes:
-            if fh.tell() + n > size:
-                raise ValueError(f"{path}: truncated at byte {size}")
-            return fh.read(n)
-
-        if read(4) != _MAGIC:
-            raise ValueError(f"{path} is not a checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", read(4))
-        if version != _VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        while fh.tell() < size:
-            (name_len,) = struct.unpack("<I", read(4))
-            name = read(name_len).decode("utf-8")
-            code, ndim = struct.unpack("<BI", read(5))
-            if code not in _CODE_DTYPES:
-                raise ValueError(f"{path}: block {name!r} has unknown dtype code {code}")
-            shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
-            (nbytes,) = struct.unpack("<Q", read(8))
-            arr = np.frombuffer(read(nbytes), dtype=_CODE_DTYPES[code]).reshape(shape)
-            blocks[name] = arr.copy()
-    return blocks
+        try:
+            with zipfile.ZipFile(fh) as zf:
+                return {name: np.lib.format.read_array(io.BytesIO(zf.read(name)),
+                                                       allow_pickle=False)
+                        for name in zf.namelist()}
+        except (zipfile.BadZipFile, EOFError, MemoryError, NotImplementedError, OSError,
+                RuntimeError, ValueError, zlib.error) as exc:
+            raise ValueError(f"{path} is not a readable checkpoint: {exc}") from None
 
 
-def _header(path, blocks: dict[str, np.ndarray]) -> tuple[int, str, str]:
-    """Pop the epoch, config text and graph hash; ``ValueError`` names the
-    first block missing."""
-    for name in ("epoch", "config", "graph"):
-        if name not in blocks:
-            raise ValueError(f"{path}: checkpoint has no {name} block")
-    epoch = blocks.pop("epoch")
-    if epoch.dtype != np.int64 or epoch.shape != (1,):
-        raise ValueError(f"{path}: epoch block is {epoch.dtype} {epoch.shape}, not one int64")
-    config, graph = (blocks.pop(name).tobytes().decode("utf-8", errors="replace")
-                     for name in ("config", "graph"))
-    return int(epoch[0]), config, graph
+def _header(path, members: dict[str, np.ndarray]) -> tuple[int, str, str]:
+    """Pop the version, epoch, config text and graph hash, and return the last
+    three; ``ValueError`` names the first one missing or not a scalar of its
+    kind, or the version when it is not this one."""
+    values = []
+    for name, kind in (("version", "i"), ("epoch", "i"), ("config", "U"), ("graph", "U")):
+        if name not in members:
+            raise ValueError(f"{path}: checkpoint has no {name} member")
+        arr = members.pop(name)
+        if arr.shape != () or arr.dtype.kind != kind:
+            expected = "an integer" if kind == "i" else "a string"
+            raise ValueError(f"{path}: {name} member is {arr.dtype} {arr.shape}, "
+                             f"not {expected} scalar")
+        values.append(arr.item())
+    version, epoch, config, graph = values
+    if version != _VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    return epoch, config, graph
 
 
 def checkpoint_config(path) -> TrainConfig:
@@ -672,22 +648,23 @@ def checkpoint_config(path) -> TrainConfig:
     try:
         return load_config(None, parse_config_text(text))
     except ConfigError as exc:
-        raise ValueError(f"{path}: malformed config block: {exc}") from None
+        raise ValueError(f"{path}: malformed config member: {exc}") from None
 
 
 def load_checkpoint_into(path, pair: DistillPair) -> None:
     """Load the served model of a checkpoint into ``pair.teacher``, all or
-    nothing: ``ValueError``, raised before anything loads, when a header block
-    is missing or malformed, when the config text is not ``pair.cfg``'s, when
-    the graph hash is not the teacher graph's, or when the keys, shapes, dtype
-    kinds or anchors differ from the teacher's snapshot."""
-    blocks = read_checkpoint(path)
-    epoch, config, graph_hash = _header(path, blocks)
+    nothing: ``ValueError``, raised before anything loads, when the file is
+    unreadable, when a header member is missing or malformed, when the config
+    text is not ``pair.cfg``'s, when the graph hash is not the teacher graph's,
+    or when the keys, shapes, dtype kinds or anchors differ from the teacher's
+    snapshot."""
+    members = read_checkpoint(path)
+    epoch, config, graph_hash = _header(path, members)
     if config != dump_config(pair.cfg):
         raise ValueError(f"{path}: checkpoint config differs from the model's")
     current = pair.teacher.graph.content_hash()
     if graph_hash != current:
         raise ValueError(f"{path}: checkpoint graph {graph_hash!r} differs from "
                          f"this data's graph {current!r}")
-    pair.teacher.load_snapshot(blocks)
+    pair.teacher.load_snapshot(members)
     pair.epoch = epoch

@@ -1,10 +1,11 @@
+import io
 import struct
+import zipfile
 
 import numpy as np
 import pytest
 
 from rgtrec import tensor as T
-from rgtrec import training
 
 
 @pytest.fixture(autouse=True)
@@ -14,44 +15,44 @@ def float64_mode():
         yield
 
 
-@pytest.fixture(params=[1, 2, 3])
+def npy_bytes(arr) -> bytes:
+    """One array in the ``.npy`` format, as a checkpoint member holds it."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.asarray(arr), allow_pickle=False)
+    return buf.getvalue()
+
+
+def write_zip(path, members: dict[str, bytes]) -> None:
+    """A zip of the given raw members, each with a CRC-32 of what it holds."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, raw in members.items():
+            zf.writestr(zipfile.ZipInfo(name), raw)
+
+
+def write_members(path, members: dict) -> None:
+    """A checkpoint-shaped zip of ``.npy`` members exactly as given, so a test
+    can leave out, add or replace members under valid CRCs."""
+    write_zip(path, {name: npy_bytes(arr) for name, arr in members.items()})
+
+
+@pytest.fixture(params=[1, 2, 3, 4])
 def old_checkpoint(request, tmp_path):
-    """A checkpoint in a retired layout: version 1, with per-head attention
-    blocks, version 2, which also holds a mimic model's blocks, or version 3,
-    with Adam state and an ema role."""
+    """A checkpoint in the retired ``RGTR`` block layout, versions 1 to 4:
+    magic, version, then one block (name length, name, dtype code 3 for
+    int64, ndim, shape, payload length, payload)."""
     version = request.param
     path = tmp_path / f"v{version}.ckpt"
-    with path.open("wb") as fh:
-        fh.write(b"RGTR")
-        fh.write(struct.pack("<I", version))
-        training._write_block(fh, "epoch", np.asarray([1], dtype=np.int64))
-        if version == 1:
-            for name in ("wq", "wk", "wv"):
-                for head in range(2):
-                    training._write_block(fh, f"teacher/param/attn.{name}.{head}",
-                                          np.zeros((4, 8)))
-        elif version == 2:
-            for prefix in ("teacher/param/attn.", "student/param/attn."):
-                for name in ("wq", "wk", "wv"):
-                    training._write_block(fh, prefix + name, np.zeros((8, 8)))
-        else:
-            for role in ("teacher", "ema"):
-                training._write_block(fh, f"{role}/param/attn.wq", np.zeros((8, 8)))
-                training._write_block(fh, f"{role}/adam/t", np.asarray([1], dtype=np.int64))
-        training._write_block(fh, "teacher/param/attn.wo", np.zeros((8, 8)))
+    path.write_bytes(b"RGTR" + struct.pack("<I", version)
+                     + struct.pack("<I", len(b"epoch")) + b"epoch"
+                     + struct.pack("<BIIQ", 3, 1, 1, 8) + struct.pack("<q", 1))
     return version, path
 
 
 @pytest.fixture
 def truncated_checkpoint(tmp_path):
-    """A current-version checkpoint cut inside the shape field of a block header."""
+    """A zip of two ``.npy`` members cut inside the second member's payload."""
     path = tmp_path / "truncated.ckpt"
-    with path.open("wb") as fh:
-        fh.write(b"RGTR")
-        fh.write(struct.pack("<I", training._VERSION))
-        training._write_block(fh, "epoch", np.asarray([1], dtype=np.int64))
-        training._write_block(fh, "param/emb", np.zeros((4, 8)))
-    epoch_block = 4 + len("epoch") + 5 + 4 + 8 + 8
-    cut = 8 + epoch_block + 4 + len("param/emb") + 5 + 2  # 2 bytes into the shape
-    path.write_bytes(path.read_bytes()[:cut])
+    write_zip(path, {"epoch": npy_bytes(np.int64(1)), "param/emb": npy_bytes(np.zeros((4, 8)))})
+    data = path.read_bytes()
+    path.write_bytes(data[:data.index(b"param/emb") + 200])
     return path

@@ -27,8 +27,7 @@ from rgtrec.mf_baseline import BPRMatrixFactorization
 from rgtrec.seeding import substream
 from rgtrec.synthetic import make_block_dataset
 from rgtrec.training import (TrainConfig, checkpoint_config, fit, init_pair,
-                             load_checkpoint_into, negative_sample, predict_embeddings,
-                             rationale_score_table)
+                             load_checkpoint_into, negative_sample, predict_embeddings)
 from oracles import (bfs_distances, check_gradients, dense_sym_norm_adjacency, neighbors,
                      plackett_luce_topk_inclusion)
 

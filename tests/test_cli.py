@@ -1,5 +1,4 @@
 import re
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +11,7 @@ from rgtrec import training as TR
 from rgtrec.cli import main
 from rgtrec.synthetic import make_block_dataset
 from rgtrec.training import _VERSION
+from conftest import write_members
 
 
 @pytest.fixture
@@ -269,17 +269,27 @@ class TestEvaluate:
                         r"'[0-9a-f]{16}' differs from this data's graph '[0-9a-f]{16}'$",
                         proc.stderr), proc.stderr
 
-    def test_malformed_config_block_exits_one(self, prepared, tmp_path):
-        path = tmp_path / "bad_config.ckpt"
-        with path.open("wb") as fh:
-            fh.write(b"RGTR" + struct.pack("<I", _VERSION))
-            TR._write_block(fh, "epoch", np.asarray([1], dtype=np.int64))
-            for name, text in (("config", "heads = many\n"), ("graph", "0" * 16)):
-                TR._write_block(fh, name, np.frombuffer(text.encode(), dtype=np.uint8))
+    def test_edited_config_exits_one(self, prepared, run):
+        # a config value changed in place, here q = 2 -> 4, still parses and
+        # matches the anchors and graph; the member's CRC-32 refuses it
+        path = run / "model.ckpt"
+        data = path.read_bytes()
+        line = "\nq = 2\n".encode("utf-32-le")
+        assert data.count(line) == 1
+        path.write_bytes(data.replace(line, "\nq = 4\n".encode("utf-32-le")))
         proc = run_cli("evaluate", "--data", prepared, "--checkpoint", path)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
-            f"error: {path}: malformed config block: heads: expected an integer, got 'many'"]
+            f"error: {path} is not a readable checkpoint: Bad CRC-32 for file 'config'"]
+
+    def test_malformed_config_block_exits_one(self, prepared, tmp_path):
+        path = tmp_path / "bad_config.ckpt"
+        write_members(path, {"version": np.int64(_VERSION), "epoch": np.int64(1),
+                             "config": np.str_("heads = many\n"), "graph": np.str_("0" * 16)})
+        proc = run_cli("evaluate", "--data", prepared, "--checkpoint", path)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"error: {path}: malformed config member: heads: expected an integer, got 'many'"]
 
     def test_missing_checkpoint_exits_one(self, prepared, tmp_path):
         code = main(["evaluate", "--data", str(prepared),
@@ -288,35 +298,55 @@ class TestEvaluate:
 
     def test_old_version_checkpoint_exits_one_without_traceback(self, prepared,
                                                                 old_checkpoint):
-        version, path = old_checkpoint
+        _, path = old_checkpoint
         proc = run_cli("evaluate", "--data", prepared, "--checkpoint", path)
         assert proc.returncode == 1
-        assert proc.stderr.splitlines() == [f"error: unsupported checkpoint version {version}"]
+        assert proc.stderr.splitlines() == [
+            f"error: {path} is not a readable checkpoint: File is not a zip file"]
 
     def test_truncated_checkpoint_exits_one_without_traceback(self, prepared,
                                                              truncated_checkpoint):
         proc = run_cli("evaluate", "--data", prepared, "--checkpoint", truncated_checkpoint)
         assert proc.returncode == 1
-        size = truncated_checkpoint.stat().st_size
         assert proc.stderr.splitlines() == [
-            f"error: {truncated_checkpoint}: truncated at byte {size}"]
+            f"error: {truncated_checkpoint} is not a readable checkpoint: File is not a zip file"]
 
     def test_checkpoint_without_blocks_exits_one_without_traceback(self, prepared,
                                                                   tmp_path):
-        # each file lacks the next header block; the error names it
+        # each file lacks the next header member; the error names it
         path = tmp_path / "header_only.ckpt"
-        with path.open("wb") as fh:
-            fh.write(b"RGTR" + struct.pack("<I", _VERSION))
-        blocks = [("epoch", np.asarray([1], dtype=np.int64)),
-                  ("config", np.frombuffer(b"heads = 2\n", dtype=np.uint8))]
-        for missing in ("epoch", "config", "graph"):
+        header = {"version": np.int64(_VERSION), "epoch": np.int64(1),
+                  "config": np.str_("heads = 2\n"), "graph": np.str_("0" * 16)}
+        for count, missing in enumerate(header):
+            write_members(path, dict(list(header.items())[:count]))
             proc = run_cli("evaluate", "--data", prepared, "--checkpoint", path)
             assert proc.returncode == 1
             assert proc.stderr.splitlines() == [
-                f"error: {path}: checkpoint has no {missing} block"]
-            if blocks:
-                with path.open("ab") as fh:
-                    TR._write_block(fh, *blocks.pop(0))
+                f"error: {path}: checkpoint has no {missing} member"]
+
+
+@pytest.mark.parametrize("case", ["train_config_dir", "evaluate_checkpoint_dir",
+                                  "train_out_file", "evaluate_out_under_file",
+                                  "train_data_file", "prepare_input_dir"])
+def test_wrong_path_kind_exits_one_with_one_line(raw_file, prepared, tmp_path, case):
+    # a directory where a file belongs, or a file where a directory belongs
+    out = tmp_path / "run"
+    ckpt = tmp_path / "model.ckpt"
+    if case.startswith("evaluate"):
+        assert main(["train", "--data", str(prepared), "--out", str(out)] + TINY_FLAGS) == 0
+        ckpt = out / "model.ckpt"
+    args = {
+        "train_config_dir": ["train", "--data", prepared, "--out", out, "--config", tmp_path],
+        "evaluate_checkpoint_dir": ["evaluate", "--data", prepared, "--checkpoint", tmp_path],
+        "train_out_file": ["train", "--data", prepared, "--out", raw_file] + TINY_FLAGS,
+        "evaluate_out_under_file": ["evaluate", "--data", prepared, "--checkpoint", ckpt,
+                                    "--out", raw_file / "m.csv"],
+        "train_data_file": ["train", "--data", raw_file, "--out", out] + TINY_FLAGS,
+        "prepare_input_dir": ["prepare", "--input", tmp_path, "--out", tmp_path / "d"],
+    }[case]
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
 
 
 class TestAblate:

@@ -1,7 +1,9 @@
 import dataclasses
+import io
 import json
 import math
-import struct
+import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from rgtrec.data import InteractionDataset, TRAIN, VAL, build_graph, split
 from rgtrec.seeding import substream
 from rgtrec.synthetic import make_block_dataset
 from rgtrec.training import TrainConfig
+from conftest import npy_bytes, write_members, write_zip
 from oracles import rejection_negative_sample
 
 
@@ -346,68 +349,72 @@ class TestCheckpoint:
         ds = tiny_dataset(seed=10)
         cfg = tiny_cfg(epochs=1, self_distill_ema=0.9)
         pair, _ = TR.fit(ds, cfg, out_dir=tmp_path)
-        blocks = TR.read_checkpoint(tmp_path / "model.ckpt")
+        members = TR.read_checkpoint(tmp_path / "model.ckpt")
         snap = pair.teacher.snapshot()
         # the served model only: no optimizer state, no EMA copy
-        assert list(blocks) == ["epoch", "config", "graph", *snap]
-        assert blocks["config"].tobytes().decode() == TR.dump_config(cfg)
-        assert blocks["graph"].tobytes().decode() == pair.teacher.graph.content_hash()
-        for key, arr in snap.items():
-            np.testing.assert_array_equal(blocks[key], arr)
+        assert list(members) == ["version", "epoch", "config", "graph", *snap]
+        assert members["version"][()] == TR._VERSION
+        assert members["config"][()] == TR.dump_config(cfg)
+        assert members["graph"][()] == pair.teacher.graph.content_hash()
+        # a plain numpy.load sees the same members
+        with np.load(tmp_path / "model.ckpt") as inspected:
+            assert inspected.files == list(members)
+            for key, arr in snap.items():
+                np.testing.assert_array_equal(members[key], arr)
+                np.testing.assert_array_equal(inspected[key], arr)
+
+    def test_equal_pairs_write_equal_bytes(self, tmp_path, monkeypatch):
+        # members carry a fixed date, not the time of the write
+        pair = TR.init_pair(build_graph(tiny_dataset(seed=12)), tiny_cfg())
+        written = []
+        for now in (1.7e9, 1.7e9 + 3600):
+            monkeypatch.setattr(time, "time", lambda: now)
+            TR.write_checkpoint(tmp_path / "model.ckpt", pair)
+            written.append((tmp_path / "model.ckpt").read_bytes())
+        assert written[0] == written[1]
 
     def test_old_version_rejected(self, old_checkpoint):
-        version, path = old_checkpoint
-        with pytest.raises(ValueError, match=rf"^unsupported checkpoint version {version}$"):
+        _, path = old_checkpoint
+        with pytest.raises(ValueError, match=rf"^{path} is not a readable checkpoint: "
+                                             "File is not a zip file$"):
             TR.read_checkpoint(path)
+
+    @pytest.mark.parametrize("member, value, message", [
+        ("version", np.int64(6), r"unsupported checkpoint version 6"),
+        ("epoch", np.arange(2), r"epoch member is int64 \(2,\), not an integer scalar"),
+        ("config", np.int64(1), r"config member is int64 \(\), not a string scalar"),
+    ])
+    def test_bad_header_member_rejected(self, tmp_path, member, value, message):
+        path = tmp_path / "model.ckpt"
+        pair = TR.init_pair(build_graph(tiny_dataset(seed=12)), tiny_cfg())
+        TR.write_checkpoint(path, pair)
+        write_members(path, {**TR.read_checkpoint(path), member: value})
+        with pytest.raises(ValueError, match=rf"^{path}: {message}$"):
+            TR.load_checkpoint_into(path, pair)
 
     def test_truncated_file_rejected_at_every_part(self, tmp_path):
         ds = tiny_dataset(seed=12)
         cfg = tiny_cfg(self_distill_ema=0.9)  # the ema is not stored
         whole = tmp_path / "whole.ckpt"
-        TR.write_checkpoint(whole, TR.init_pair(build_graph(ds), cfg))
+        pair = TR.init_pair(build_graph(ds), cfg)
+        TR.write_checkpoint(whole, pair)
         data = whole.read_bytes()
-        # layout: magic(4) version(4), then per block: name length(4), name,
-        # dtype code(1) ndim(4), shape(4 * ndim), payload length(8), payload
-        (name_len,) = struct.unpack("<I", data[8:12])
-        name_end = 12 + name_len
-        (ndim,) = struct.unpack("<I", data[name_end + 1:name_end + 5])
-        shape_end = name_end + 5 + 4 * ndim
-        payload_start = shape_end + 8
-        (nbytes,) = struct.unpack("<Q", data[shape_end:payload_start])
-        # inside the magic, the first name, shape and payload, and the last payload
-        cuts = {2, 12 + name_len // 2, shape_end - 2, payload_start + 3, len(data) - 1}
-        # every byte up to 24 bytes into the second block, except the two block
-        # boundaries there: a file cut at one reads as a shorter checkpoint
-        boundaries = {8, payload_start + nbytes}
-        cuts |= set(range(payload_start + nbytes + 24)) - boundaries
+        # inside each member's local header, at its payload and in the middle
+        # of it, and every byte of the central directory's tail
+        cuts = set(range(len(data) - 400, len(data)))
+        with zipfile.ZipFile(whole) as zf:
+            for info in zf.infolist():
+                start = info.header_offset
+                cuts |= {start, start + 1, start + 29, start + 30 + len(info.filename),
+                         start + info.compress_size // 2}
         for cut in sorted(cuts):
             part = tmp_path / "part.ckpt"
             part.write_bytes(data[:cut])
-            with pytest.raises(ValueError, match=rf"truncated at byte {cut}$"):
+            with pytest.raises(ValueError, match=rf"^{part} is not a readable checkpoint: "):
                 TR.read_checkpoint(part)
-        assert TR.read_checkpoint(whole)
-
-        # a cut at a block boundary reads as a shorter file; loading it must
-        # still fail, whichever blocks it lost
-        block_ends = []
-        pos = 8
-        while pos < len(data):
-            (name_len,) = struct.unpack("<I", data[pos:pos + 4])
-            pos += 4 + name_len
-            (ndim,) = struct.unpack("<I", data[pos + 1:pos + 5])
-            pos += 5 + 4 * ndim
-            (nbytes,) = struct.unpack("<Q", data[pos:pos + 8])
-            pos += 8 + nbytes
-            block_ends.append(pos)
-        assert block_ends[-1] == len(data)
-        pair = TR.init_pair(build_graph(ds), cfg)
-        assert pair.ema is not None
-        for cut in [8] + block_ends[:-1]:
-            part = tmp_path / "part.ckpt"
-            part.write_bytes(data[:cut])
-            with pytest.raises(ValueError, match="no (epoch|config|graph) block|"
-                                                 "snapshot: missing"):
+            with pytest.raises(ValueError, match=r"is not a readable checkpoint: "):
                 TR.load_checkpoint_into(part, pair)
+        assert TR.read_checkpoint(whole)
         TR.load_checkpoint_into(whole, pair)
 
     def test_failed_load_changes_nothing(self, tmp_path):
@@ -415,10 +422,9 @@ class TestCheckpoint:
         cfg = tiny_cfg(self_distill_ema=0.9)
         path = tmp_path / "model.ckpt"
         TR.write_checkpoint(path, TR.init_pair(graph, cfg))
-        # drop the last block, the anchors: name length, name, dtype code and
-        # ndim, one shape entry, payload length, int64 payload
-        last_block = 4 + len("anchors") + 5 + 4 + 8 + 8 * cfg.anchor_set
-        path.write_bytes(path.read_bytes()[:-last_block])
+        members = TR.read_checkpoint(path)
+        del members["anchors"]
+        write_members(path, members)
         fresh = perturbed_pair(graph, TR.checkpoint_config(path))
         before = state_of(fresh)
         with pytest.raises(ValueError, match=r"^teacher snapshot: missing anchors$"):
@@ -432,19 +438,19 @@ class TestCheckpoint:
         TR.write_checkpoint(path, pair)
         previous = path.read_bytes()
         pair.teacher.emb.values += 1.0
-        write_block = TR._write_block
+        write_array = np.lib.format.write_array
         written = []
 
-        def fail_after_first_block(fh, name, arr):
+        def fail_after_first_member(fp, arr, **kwargs):
             if written:
                 raise OSError("disk full")
-            written.append(name)
-            write_block(fh, name, arr)
+            written.append(arr.item())
+            write_array(fp, arr, **kwargs)
 
-        monkeypatch.setattr(TR, "_write_block", fail_after_first_block)
+        monkeypatch.setattr(np.lib.format, "write_array", fail_after_first_member)
         with pytest.raises(OSError, match="disk full"):
             TR.write_checkpoint(path, pair)
-        assert written == ["epoch"]
+        assert written == [TR._VERSION]
         assert path.read_bytes() == previous
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
@@ -474,21 +480,48 @@ class TestCheckpoint:
         np.testing.assert_array_equal(state.emb.values, snap["param/emb"])
 
     def test_unknown_dtype_code_rejected(self, tmp_path):
+        # a member whose .npy header names no dtype, under a CRC that matches
         path = tmp_path / "odd.ckpt"
-        with path.open("wb") as fh:
-            fh.write(b"RGTR")
-            fh.write(struct.pack("<I", TR._VERSION))
-            TR._write_block(fh, "epoch", np.asarray([1], dtype=np.int64))
-        data = bytearray(path.read_bytes())
-        data[8 + 4 + len("epoch")] = 9    # the block's dtype code byte
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="'epoch' has unknown dtype code 9"):
+        raw = npy_bytes(np.int64(1)).replace(b"'<i8'", b"'<x9'")
+        write_zip(path, {"version": npy_bytes(np.int64(TR._VERSION)), "epoch": raw})
+        with pytest.raises(ValueError, match=r"not a readable checkpoint: "
+                                             r"descr is not a valid dtype descriptor: '<x9'$"):
             TR.read_checkpoint(path)
+
+    def test_shape_beyond_the_payload_rejected(self, tmp_path):
+        # a header naming 10**13 float64 values over 32 bytes of payload, under
+        # a CRC that matches: no allocation error escapes
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": (10**13,)})
+        path = tmp_path / "huge.ckpt"
+        write_zip(path, {"param/emb": header.getvalue() + bytes(32)})
+        with pytest.raises(ValueError, match=rf"^{path} is not a readable checkpoint: "):
+            TR.read_checkpoint(path)
+
+    def test_half_width_dtype_with_its_old_crc_refused(self, tmp_path):
+        # a member above 4 KB whose header names a dtype half as wide keeps
+        # its kind and shape; a lazy np.load member read parses it without
+        # reaching the member's end, where the CRC is checked
+        graph = build_graph(tiny_dataset(seed=12))
+        cfg = tiny_cfg(latdim=32)
+        path = tmp_path / "model.ckpt"
+        TR.write_checkpoint(path, TR.init_pair(graph, cfg))
+        data = bytearray(path.read_bytes())
+        assert TR.read_checkpoint(path)["param/emb"].nbytes > 4096
+        at = data.index(b"'<f8'", data.index(b"param/emb"))
+        data[at:at + 5] = b"'<f4'"
+        path.write_bytes(bytes(data))
+        pair = perturbed_pair(graph, cfg)
+        before = state_of(pair)
+        with pytest.raises(ValueError, match=r"Bad CRC-32 for file 'param/emb'$"):
+            TR.load_checkpoint_into(path, pair)
+        assert_state_equal(pair, before)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.ckpt"
         p.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(ValueError, match="not a readable checkpoint: File is not a zip file"):
             TR.read_checkpoint(p)
 
 
@@ -521,38 +554,32 @@ class TestCheckpointStrictness:
 
     @pytest.mark.parametrize("block", ["config", "graph"])
     def test_flipped_payload_byte(self, saved, block):
+        # the member's stored CRC-32 no longer matches what it holds
         graph, cfg, path = saved
         data = bytearray(path.read_bytes())
-        start = data.index(block.encode()) + len(block) + 5 + 4 + 8  # its payload
+        start = data.index(b"\n", data.index(block.encode())) + 1  # its text
         data[start + 3] ^= 0x01
         path.write_bytes(bytes(data))
+        self.refused(path, perturbed_pair(graph, cfg), f"Bad CRC-32 for file '{block}'$")
+
+    @pytest.mark.parametrize("block", ["config", "graph"])
+    def test_rewritten_header_member(self, saved, block):
+        # another config or graph under a valid CRC: the loader's checks refuse it
+        graph, cfg, path = saved
+        members = TR.read_checkpoint(path)
+        text = str(members[block][()])
+        members[block] = np.str_(text.replace("q = 2\n", "q = 4\n") if block == "config"
+                                 else text[::-1])
+        write_members(path, members)
         self.refused(path, perturbed_pair(graph, cfg), f"checkpoint {block} ")
 
     def test_anchors_of_another_pair(self, saved):
         graph, cfg, path = saved
-        blocks = TR.read_checkpoint(path)
-        blocks["anchors"] = np.setdiff1d(np.arange(graph.num_nodes), blocks["anchors"])[:6]
-        with path.open("wb") as fh:
-            fh.write(b"RGTR" + struct.pack("<I", TR._VERSION))
-            for name, arr in blocks.items():
-                TR._write_block(fh, name, arr)
+        members = TR.read_checkpoint(path)
+        members["anchors"] = np.setdiff1d(np.arange(graph.num_nodes), members["anchors"])[:6]
+        write_members(path, members)
         self.refused(path, perturbed_pair(graph, cfg),
                      "^teacher snapshot: anchors differ from the model's$")
-
-
-def header_ranges(data: bytes) -> list[range]:
-    """Byte ranges of the file header and of each block header (name length,
-    name, dtype code, ndim, shape, payload length) of a checkpoint."""
-    ranges = [range(0, 8)]
-    pos = 8
-    while pos < len(data):
-        (name_len,) = struct.unpack("<I", data[pos:pos + 4])
-        (ndim,) = struct.unpack("<I", data[pos + 5 + name_len:pos + 9 + name_len])
-        payload = pos + 4 + name_len + 5 + 4 * ndim + 8
-        ranges.append(range(pos, payload))
-        (nbytes,) = struct.unpack("<Q", data[payload - 8:payload])
-        pos = payload + nbytes
-    return ranges
 
 
 class TestCheckpointProperties:
@@ -610,24 +637,24 @@ class TestCheckpointProperties:
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(draw=st.data())
-    def test_header_byte_flips_load_exactly_or_are_refused(self, case, draw):
+    def test_byte_flips_load_exactly_or_are_refused(self, case, draw):
         data = bytearray(case[1])
-        ranges = header_ranges(bytes(data))
         for _ in range(draw.draw(st.integers(1, 3), label="flips")):
-            header = draw.draw(st.sampled_from(ranges), label="header")
-            pos = draw.draw(st.sampled_from(header), label="byte")
+            pos = draw.draw(st.integers(0, len(data) - 1), label="byte")
             data[pos] ^= draw.draw(st.integers(1, 255), label="mask")
         self.load(case, bytes(data))
 
-    def test_every_header_byte_with_its_low_bit_flipped(self, case):
-        # among these: dtype code 2 (float64) turned into 3 (int64), which
-        # keeps the payload size, so only the loader can refuse it
+    def test_every_byte_with_one_bit_flipped(self, case):
+        # bit ``pos % 8`` of byte ``pos``: every byte, and every bit position
+        # in each field longer than a byte; among these are the zip's sizes,
+        # offsets and CRCs, and each .npy header's dtype and shape
         data = case[1]
-        for header in header_ranges(data):
-            for pos in header:
-                flipped = bytearray(data)
-                flipped[pos] ^= 0x01
-                self.load(case, bytes(flipped))
+        loaded = 0
+        for pos in range(len(data)):
+            flipped = bytearray(data)
+            flipped[pos] ^= 1 << (pos % 8)
+            loaded += self.load(case, bytes(flipped))
+        assert 0 < loaded < len(data) // 2  # dates, attributes and the like
 
 
 class TestPrecision:

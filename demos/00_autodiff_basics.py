@@ -16,11 +16,11 @@ w = T.parameter([[0.5, -0.5], [1.0, 0.0]], name="w")
 with T.Tape() as tape:
     y = T.logsumexp_rows(T.matmul(x, w))
     loss = T.tsum(T.mul(y, y))
-    T.backward(loss, tape)
+    grads = T.backward(loss, tape)  # {tensor: gradient}, one entry per leaf
 
 print("loss      ", float(loss.values))
-print("dloss/dx  \n", x.grad)
-print("dloss/dw  \n", w.grad)
+print("dloss/dx  \n", grads[x])
+print("dloss/dw  \n", grads[w])
 
 # 2. check one gradient entry against a central finite difference -------------
 h = 1e-6
@@ -30,7 +30,7 @@ up = float(T.tsum(T.square(T.logsumexp_rows(T.matmul(x, w)))).values)
 x.values[0, 0] = orig - h
 down = float(T.tsum(T.square(T.logsumexp_rows(T.matmul(x, w)))).values)
 x.values[0, 0] = orig
-print("analytic  ", x.grad[0, 0])
+print("analytic  ", grads[x][0, 0])
 print("numeric   ", (up - down) / (2 * h))
 
 # 3. Adam drives a quadratic toward its minimum -------------------------------
@@ -39,8 +39,8 @@ opt = T.Adam({"p": p}, lr=0.2)
 for step in range(120):
     with T.Tape() as tape:
         loss = T.tsum(T.square(p))
-        T.backward(loss, tape)
-    opt.step()
+        grads = T.backward(loss, tape)
+    opt.step(grads)
     if step % 30 == 29:
         print(f"step {step + 1:3d}: p = {float(p.values[0]):+.4f}")
 print("target 0; note the constant-magnitude early steps, then the damping")

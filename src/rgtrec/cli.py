@@ -203,14 +203,9 @@ def cmd_evaluate(args) -> int:
         pair = init_pair(graph, cfg)
         load_checkpoint_into(args.checkpoint, pair)
     (result,) = _evaluate_splits(pair, ds, cfg, VAL if args.split == "val" else TEST)
+    write_metrics_csv(args.out or sys.stdout, {args.split: result})
     if args.out:
-        write_metrics_csv(args.out, {args.split: result})
         print(f"metrics written to {args.out}")
-    else:
-        print("split,K,recall,ndcg")
-        for k in result.ks:
-            print(f"{args.split},{k},{result.macro('recall', k):.6f},"
-                  f"{result.macro('ndcg', k):.6f}")
     return 0
 
 

@@ -297,7 +297,8 @@ def _tsv_rows(path: Path, columns: int):
 
 def load_prepared(data_dir) -> InteractionDataset:
     """Rebuild a split dataset from ``splits.tsv`` + ``ids.tsv``.  A malformed
-    row raises ``DataFormatError`` naming its file and line."""
+    row, or a (user, item) pair listed twice, raises ``DataFormatError``
+    naming its file and line."""
     data = Path(data_dir)
     ids: dict[str, dict[str, int]] = {"user": {}, "item": {}}
     path = data / "ids.tsv"
@@ -311,7 +312,7 @@ def load_prepared(data_dir) -> InteractionDataset:
                                   f"with index {len(table)}")
         table[token] = len(table)
 
-    pairs: list[tuple[int, int]] = []
+    first_line: dict[tuple[int, int], int] = {}  # pair -> line, in file order
     assignment: list[int] = []
     split_code = {name: code for code, name in enumerate(SPLIT_NAMES)}
     path = data / "splits.tsv"
@@ -322,15 +323,18 @@ def load_prepared(data_dir) -> InteractionDataset:
         if s_name not in split_code:
             raise DataFormatError(f"{path}:{lineno}: unknown split {s_name!r}; "
                                   "expected train, val or test")
-        pairs.append((ids["user"][u_tok], ids["item"][i_tok]))
+        first = first_line.setdefault((ids["user"][u_tok], ids["item"][i_tok]), lineno)
+        if first != lineno:
+            raise DataFormatError(f"{path}:{lineno}: user {u_tok!r} and item {i_tok!r} "
+                                  f"already listed on line {first}")
         assignment.append(split_code[s_name])
-    if not pairs:
+    if not first_line:
         raise DataFormatError(f"{path}: no interactions")
 
     return InteractionDataset(
         num_users=len(ids["user"]),
         num_items=len(ids["item"]),
-        interactions=np.asarray(pairs, dtype=np.int64),
+        interactions=np.asarray(list(first_line), dtype=np.int64),
         user_tokens=list(ids["user"]),
         item_tokens=list(ids["item"]),
         split_assignment=np.asarray(assignment, dtype=np.int8),

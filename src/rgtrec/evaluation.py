@@ -132,18 +132,21 @@ def evaluate(s: np.ndarray, ds: InteractionDataset, split: int,
                          recall=recall, ndcg=ndcg)
 
 
-def write_metrics_csv(path, results: dict[str, RankingResult]) -> None:
-    """CSV rows of (split, K, recall, ndcg)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["split", "K", "recall", "ndcg"])
-        for split_name, result in results.items():
-            for k in result.ks:
-                writer.writerow([split_name, k,
-                                 f"{result.macro('recall', k):.6f}",
-                                 f"{result.macro('ndcg', k):.6f}"])
+def write_metrics_csv(out, results: dict[str, RankingResult]) -> None:
+    """CSV rows of (split, K, recall, ndcg), to a path or an open text stream."""
+    if not hasattr(out, "write"):
+        path = Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            write_metrics_csv(fh, results)
+        return
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["split", "K", "recall", "ndcg"])
+    for split_name, result in results.items():
+        for k in result.ks:
+            writer.writerow([split_name, k,
+                             f"{result.macro('recall', k):.6f}",
+                             f"{result.macro('ndcg', k):.6f}"])
 
 
 def write_metric_series_csv(path, rows: list[dict]) -> None:
@@ -154,7 +157,7 @@ def write_metric_series_csv(path, rows: list[dict]) -> None:
         raise ValueError("no rows to write")
     keys = list(rows[0])
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
+        writer = csv.DictWriter(fh, fieldnames=keys, lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

@@ -1,15 +1,13 @@
 """Dense-array reverse-mode autodiff substrate.
 
-A ``Tensor`` wraps a numpy array together with an optional gradient buffer.
-Operations executed while a ``Tape`` is active append records of the primitive
-and its saved inputs; ``backward`` replays the tape in reverse creation order
-(which is a reverse topological order for define-by-run graphs), visiting each
-record exactly once and accumulating gradients additively into the leaves'
-``.grad``.
+A ``Tensor`` wraps a numpy array.  Operations executed while a ``Tape`` is
+active append records of the primitive and its saved inputs; ``backward``
+replays the tape in reverse creation order (which is a reverse topological
+order for define-by-run graphs), visiting each record exactly once, and
+returns the gradients of the leaves as a map keyed by tensor.
 
-Gradients accumulate across tape replays; they are zeroed only by the
-optimizer.  Tensors are immutable after creation except for the grad buffer
-and in-place optimizer updates, and a tape is confined to a single thread.
+Tensors are immutable after creation except for in-place optimizer updates,
+and a tape is confined to a single thread.
 """
 
 from __future__ import annotations
@@ -23,14 +21,6 @@ import scipy.sparse as sp
 
 class ShapeMismatchError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
-
-
-class GradientError(RuntimeError):
-    """Backward pass failed or produced a non-finite gradient."""
-
-
-class OptimizerError(RuntimeError):
-    """Optimizer encountered an invalid (non-finite) gradient."""
 
 
 _DEFAULT_DTYPE = np.float32
@@ -57,21 +47,19 @@ def using_dtype(dtype):
 
 
 class Tensor:
-    """A numpy array with an optional same-shape gradient buffer.
+    """A numpy array, hashed by identity so it can key a gradient map.
 
-    ``requires_grad`` marks leaves (parameters) whose gradients should be
-    retained.  Tensors produced by operations inherit ``requires_grad`` from
+    ``requires_grad`` marks leaves (parameters) whose gradients ``backward``
+    returns.  Tensors produced by operations inherit ``requires_grad`` from
     their inputs and are recorded on the active tape when one exists.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "name", "is_leaf")
+    __slots__ = ("values", "requires_grad", "name")
 
     def __init__(self, values, requires_grad: bool = False, dtype=None, name: str | None = None):
         self.values = np.asarray(values, dtype=dtype or _DEFAULT_DTYPE)
-        self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self.name = name
-        self.is_leaf = True
 
     @property
     def shape(self) -> tuple:
@@ -141,7 +129,6 @@ def _emit(out_values, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor
     out = Tensor(out_values, requires_grad=requires, dtype=out_values.dtype)
     tape = active_tape()
     if requires and tape is not None:
-        out.is_leaf = False
         tape.records.append(_Record(out, tuple(inputs), backward_fn))
     return out
 
@@ -491,42 +478,30 @@ def reshape(a, shape) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def backward(loss: Tensor, tape: Tape | None = None) -> None:
-    """Propagate d(loss)/d(x) into ``.grad`` of every reachable leaf.
+def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
+    """d(loss)/d(x) for every leaf x on ``tape`` that the loss reaches.
 
-    The seed gradient is 1.0.  An op's output (a non-leaf) holds its
-    gradient only until its record has passed it on, then it is reset to
-    None, so intermediate gradients are freed during the pass; leaves keep
-    theirs.  Raises if the loss is not scalar, the tape is empty, or any leaf
-    parameter ends up with a non-finite gradient.
+    The seed gradient is 1.0.  An op output's gradient leaves the map when
+    its record passes it on, so intermediate gradients are freed during the
+    pass and the map returned holds only leaves.  Raises ValueError if the
+    tape is empty or the loss is not scalar.
     """
-    tape = tape or active_tape()
-    if tape is None or not tape.records:
-        raise GradientError("backward requires a non-empty tape")
+    if not tape.records:
+        raise ValueError("backward requires a non-empty tape")
     if loss.values.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
 
-    loss.grad = np.ones_like(loss.values)
-    leaves: dict[int, Tensor] = {}
+    grads = {loss: np.ones_like(loss.values)}
     for record in reversed(tape.records):
-        g_out = record.out.grad
+        g_out = grads.pop(record.out, None)
         if g_out is None:
             continue
-        grads = record.backward_fn(g_out)
-        record.out.grad = None
-        for t, g in zip(record.inputs, grads):
-            if not t.requires_grad:
-                continue
-            # grad buffers are only ever replaced, never written in place,
-            # so sharing the incoming array on first assignment is safe
-            t.grad = g if t.grad is None else t.grad + g
-            if t.is_leaf:
-                leaves[id(t)] = t
-
-    for t in leaves.values():
-        if t.grad is not None and not np.isfinite(t.grad).all():
-            label = t.name or f"tensor{t.shape}"
-            raise GradientError(f"non-finite gradient for parameter {label}")
+        for t, g in zip(record.inputs, record.backward_fn(g_out)):
+            if t.requires_grad:
+                # map entries are only ever replaced, never written in place,
+                # so keeping the incoming array on first assignment is safe
+                grads[t] = grads[t] + g if t in grads else g
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +510,7 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
 
 
 class Adam:
-    """Adam over a name -> Tensor parameter mapping.
-
-    ``step`` applies the bias-corrected update in place, advances the moment
-    buffers and zeroes the gradients.  A non-finite gradient aborts with the
-    offending parameter's name.
-    """
+    """Adam over a name -> Tensor parameter mapping."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -551,17 +521,20 @@ class Adam:
         self.m = {k: np.zeros_like(p.values) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.values) for k, p in self.params.items()}
 
-    def step(self) -> None:
+    def step(self, grads: dict[Tensor, np.ndarray]) -> None:
+        """Apply one bias-corrected update, in place, to every parameter that
+        has a gradient in ``grads`` (the map ``backward`` returns).  All or
+        nothing: a non-finite gradient raises FloatingPointError naming its
+        parameter before any parameter or moment changes."""
+        todo = [(name, p, grads[p]) for name, p in self.params.items() if p in grads]
+        for name, _, g in todo:
+            if not np.isfinite(g).all():
+                raise FloatingPointError(f"non-finite gradient for parameter {name}")
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            if not np.isfinite(g).all():
-                raise OptimizerError(f"non-finite gradient for parameter {name}")
+        for name, p, g in todo:
             m = self.m[name]
             v = self.v[name]
             m *= b1
@@ -569,4 +542,3 @@ class Adam:
             v *= b2
             v += (1.0 - b2) * g * g
             p.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)
-            p.grad = None

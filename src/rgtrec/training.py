@@ -456,8 +456,8 @@ def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph
                 distill_t = loss_distill(make_bundle(out, ds.num_users), ema_bundle)
             teacher_total, report = total_loss(rec, mae, distill_t, ranking, contrast,
                                                cfg, teacher.parameters())
-            T.backward(teacher_total, tape)
-        pair.optimizer.step()
+            # the gradients go straight to Adam, so none outlives the step
+            pair.optimizer.step(T.backward(teacher_total, tape))
         teacher.assert_finite()
 
         if pair.ema is not None:

@@ -77,12 +77,9 @@ def check_gradients(build_loss, params: dict[str, T.Tensor], h: float = 1e-5,
     tensors; it is re-run under a fresh tape for the analytic pass and re-run
     (value only) for each perturbation.
     """
-    for p in params.values():
-        p.grad = None
     with T.Tape() as tape:
-        loss = build_loss()
-        T.backward(loss, tape)
-    analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.values))
+        grads = T.backward(build_loss(), tape)
+    analytic = {k: (grads[p].copy() if p in grads else np.zeros_like(p.values))
                 for k, p in params.items()}
 
     def value():

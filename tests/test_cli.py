@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rgtrec import cli
+from rgtrec import tensor as T
 from rgtrec import training as TR
 from rgtrec.cli import main
 from rgtrec.synthetic import make_block_dataset
@@ -47,6 +48,14 @@ BAD_KEYS = [(key, value, f"unknown config key {key!r}") for key, value in [
     ("latdim", "abc", "latdim: expected an integer, got 'abc'"),
     ("lr", "fast", "lr: expected a number, got 'fast'"),
 ]
+
+
+def listed_twice(rows, split):
+    """``splits.tsv`` rows with the first pair moved to train and listed again,
+    last, in ``split``: a double train edge, or a test item that can never
+    be ranked."""
+    pair = rows[1].rsplit("\t", 1)[0]
+    return rows[:1] + [pair + "\ttrain"] + rows[2:] + [pair + "\t" + split]
 
 
 class TestPrepare:
@@ -117,6 +126,26 @@ class TestTrain:
         assert code == 0
         assert "reconstruction skips the edges of 1 users" in caplog.text
 
+    def test_nonfinite_gradient_exits_one_with_crash_checkpoint(self, prepared, tmp_path,
+                                                                capsys, monkeypatch):
+        # sqrt(0 * row 0) adds 0 to the loss, but its gradient is 0 * inf = NaN
+        loss_bpr = TR.loss_bpr
+
+        def nan_gradient_bpr(s, triples):
+            return T.add(loss_bpr(s, triples), T.tmean(T.sqrt(T.mul(T.take(s, [0]), 0.0))))
+
+        monkeypatch.setattr(TR, "loss_bpr", nan_gradient_bpr)
+        out = tmp_path / "run"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            code = main(["train", "--data", str(prepared), "--out", str(out)] + TINY_FLAGS)
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1, errors
+        assert re.fullmatch(r"error: non-finite gradient for parameter \S+", errors[0]), errors
+        assert (out / "crash.ckpt").exists()
+        assert not (out / "model.ckpt").exists()
+
     @pytest.mark.parametrize("key, value, message", BAD_KEYS,
                              ids=[k if m.startswith("unknown") else f"{k}={v}"
                                   for k, v, m in BAD_KEYS])
@@ -151,8 +180,12 @@ class TestTrain:
         ("ids.tsv", lambda rows: [], r"ids\.tsv: empty file"),
         ("ids.tsv", lambda rows: rows[:1] + ["user\tu0\t7"] + rows[2:],
          r"ids\.tsv:2: expected a new user token with index 0"),
+        ("splits.tsv", lambda rows: listed_twice(rows, "train"),
+         r"splits\.tsv:\d+: user 'u\d+' and item 'i\d+' already listed on line 2"),
+        ("splits.tsv", lambda rows: listed_twice(rows, "test"),
+         r"splits\.tsv:\d+: user 'u\d+' and item 'i\d+' already listed on line 2"),
     ], ids=["user", "item", "split", "columns", "no_rows", "empty_splits", "empty_ids",
-            "index"])
+            "index", "twice_in_train", "train_and_test"])
     def test_malformed_prepared_dir_exits_one_without_traceback(self, prepared, tmp_path,
                                                                 file, edit, message):
         path = prepared / file

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -229,6 +230,11 @@ class TestWriters:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "split,K,recall,ndcg"
         assert len(lines) == 3
+        # a stream gets the same bytes, lines ending in "\n" alone
+        stream = io.StringIO()
+        E.write_metrics_csv(stream, {"val": result})
+        assert out.read_bytes() == stream.getvalue().encode()
+        assert b"\r" not in out.read_bytes()
 
     def test_series_csv(self, tmp_path):
         rows = [{"variant": "full", "seed": 0, "recall@40": 0.5},

@@ -219,8 +219,8 @@ class TestLossRecPerUser:
         s = T.parameter(s0.copy(), name="s")
         with T.Tape() as tape:
             loss = fn(s, batch, cands)
-            T.backward(loss, tape)
-        return float(loss.values), s.grad
+            grads = T.backward(loss, tape)
+        return float(loss.values), grads[s]
 
     def assert_matches_oracle(self, batch, cands, seed):
         s0 = np.random.default_rng(seed).normal(size=(self.NUM_USERS + self.NUM_ITEMS, 6))
@@ -351,9 +351,9 @@ class TestLossDistill:
         student = L.EmbeddingBundle(s_user, zero, zero, zero)
         with T.Tape() as tape:
             out = L.loss_distill(student, teacher)
-            T.backward(out, tape)
-        assert t_user.grad is None
-        assert s_user.grad is not None and np.abs(s_user.grad).sum() > 0
+            grads = T.backward(out, tape)
+        assert t_user not in grads
+        assert np.abs(grads[s_user]).sum() > 0
 
     def test_gradients(self):
         rng = np.random.default_rng(17)

@@ -51,6 +51,7 @@ def _run_benchmark(workload, trace):
     assert proc.returncode == 0, proc.stderr
     last = json.loads(proc.stdout.splitlines()[-1])
     assert (last["correct"], last["failed"]) == (True, 0), proc.stderr
+    return last["metrics"]
 
 
 @pytest.mark.parametrize("workload", sorted(_load("workloads").WORKLOADS))
@@ -63,5 +64,8 @@ def test_benchmark_run_passes_its_checks(workload):
 
 def test_traced_benchmark_run_passes_its_checks():
     # a traced run calls every name in tracing.TARGETS through a wrapper, so
-    # a traced function whose signature run.py no longer matches fails here
-    _run_benchmark("lastfm_train", "1")
+    # a traced function whose signature run.py no longer matches fails here;
+    # the backward and Adam spans show the wrappers still see both calls
+    metrics = _run_benchmark("lastfm_train", "1")
+    for name in ("tensor.backward_s", "tensor.adam_s"):
+        assert metrics[name]["value"] > 0, name

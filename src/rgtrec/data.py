@@ -65,6 +65,16 @@ class InteractionDataset:
         return [np.asarray(sorted(items), dtype=np.int64) for items in out]
 
 
+def _text_lines(path: Path):
+    """(1-based line number, line) of a UTF-8 text file; a byte that is not
+    UTF-8 raises ``DataFormatError`` naming the file."""
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_interactions(path, format: str = "tsv_pairs") -> InteractionDataset:
     """Read one interaction per line, reindexing tokens to dense 0-based ids.
 
@@ -81,19 +91,18 @@ def load_interactions(path, format: str = "tsv_pairs") -> InteractionDataset:
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
 
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(sep)]
-            if len(parts) < 2 or not parts[0] or not parts[1]:
-                raise DataFormatError(f"{path}:{lineno}: expected <user>{sep!r}<item>, got {raw!r}")
-            u = users.setdefault(parts[0], len(users))
-            i = items.setdefault(parts[1], len(items))
-            if (u, i) not in seen:
-                seen.add((u, i))
-                pairs.append((u, i))
+    for lineno, raw in _text_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(sep)]
+        if len(parts) < 2 or not parts[0] or not parts[1]:
+            raise DataFormatError(f"{path}:{lineno}: expected <user>{sep!r}<item>, got {raw!r}")
+        u = users.setdefault(parts[0], len(users))
+        i = items.setdefault(parts[1], len(items))
+        if (u, i) not in seen:
+            seen.add((u, i))
+            pairs.append((u, i))
 
     if not pairs:
         raise DataFormatError(f"{path}: no interactions found")
@@ -170,6 +179,7 @@ class BipartiteGraph:
     csr_edge_ids: np.ndarray   # undirected edge id per directed slot
     edge_list: np.ndarray      # (num_edges, 2) with user node < item node
     degree: np.ndarray         # (num_nodes,)
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
@@ -184,6 +194,16 @@ class BipartiteGraph:
         """Source node of every directed CSR slot (repeats each node by degree).
         Computed once per graph; the CSR arrays are never modified."""
         return np.repeat(np.arange(self.num_nodes), np.diff(self.csr_offsets))
+
+    def operator(self, key, build):
+        """``build(self)``, computed once per ``key`` and kept with the graph:
+        the sparse operators of the graph kernels, keyed by what they depend
+        on (head count, dtype).  The CSR arrays are never modified, so a kept
+        operator never goes stale; a sampled subgraph keeps its operators for
+        its epoch, the full graph for the whole run."""
+        if key not in self._operators:
+            self._operators[key] = build(self)
+        return self._operators[key]
 
     @cached_property
     def _non_neighbor_keys(self) -> np.ndarray:
@@ -284,15 +304,15 @@ def save_prepared(ds: InteractionDataset, out_dir) -> None:
 def _tsv_rows(path: Path, columns: int):
     """(line number, fields) of each row after the header line; a file with no
     header or a row without exactly ``columns`` fields raises ``DataFormatError``."""
-    with path.open("r", encoding="utf-8") as fh:
-        if not fh.readline():
-            raise DataFormatError(f"{path}: empty file; expected a header line")
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != columns:
-                raise DataFormatError(f"{path}:{lineno}: expected {columns} tab-separated "
-                                      f"fields, got {len(fields)}")
-            yield lineno, fields
+    lines = _text_lines(path)
+    if next(lines, None) is None:
+        raise DataFormatError(f"{path}: empty file; expected a header line")
+    for lineno, line in lines:
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != columns:
+            raise DataFormatError(f"{path}:{lineno}: expected {columns} tab-separated "
+                                  f"fields, got {len(fields)}")
+        yield lineno, fields
 
 
 def load_prepared(data_dir) -> InteractionDataset:

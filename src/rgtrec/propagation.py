@@ -3,11 +3,11 @@
 Propagation follows the parameter-free neighborhood averaging of LightGCN:
 each layer replaces a node's embedding with the sum of its neighbors'
 embeddings weighted by 1/sqrt(deg_k * deg_k'), with degrees taken on the
-graph actually being propagated.  A layer is one sparse-dense product
-(``tensor.edge_spmm``) over the graph's CSR arrays with those constant
-weights.  Zero-degree nodes keep their embedding unchanged.  The encoder
-chains this with the topology encoder and the residual transformer on the
-masked graph.
+graph actually being propagated.  A layer is one product (``tensor.spmm``)
+with the graph's normalized adjacency, built once per graph and dtype, in
+which every zero-degree node is a unit self-loop, so it keeps its embedding
+unchanged.  The encoder chains this with the topology encoder and the
+residual transformer on the masked graph.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import tensor as T
 from .attention import AttentionParams, residual_gt
@@ -32,6 +33,17 @@ def symmetric_edge_weights(g: BipartiteGraph) -> np.ndarray:
     return 1.0 / np.sqrt(deg[src] * deg[dst])
 
 
+def lightgcn_operator(g: BipartiteGraph, dtype) -> sp.csr_matrix:
+    """The (num_nodes, num_nodes) normalized adjacency of ``g`` in ``dtype``,
+    with ``symmetric_edge_weights`` on the slots and a unit self-loop on
+    every zero-degree node."""
+    n = g.num_nodes
+    adj = sp.csr_matrix((symmetric_edge_weights(g), g.csr_neighbors, g.csr_offsets),
+                        shape=(n, n))
+    loops = sp.diags((g.degree == 0).astype(np.float64), format="csr")
+    return (adj + loops).astype(dtype)
+
+
 def lightgcn_propagate(g: BipartiteGraph, s0: T.Tensor, num_layers: int) -> T.Tensor:
     """Degree-normalized neighborhood propagation.
 
@@ -40,17 +52,15 @@ def lightgcn_propagate(g: BipartiteGraph, s0: T.Tensor, num_layers: int) -> T.Te
     """
     if num_layers < 1:
         raise ValueError(f"need at least one propagation layer, got {num_layers}")
-    isolated = g.degree == 0
-    if isolated.any():
-        log.debug("propagation passes %d zero-degree nodes through unchanged",
-                  int(isolated.sum()))
-    beta = T.Tensor(symmetric_edge_weights(g).reshape(-1, 1), dtype=s0.dtype)
-    keep = T.Tensor(isolated.astype(s0.values.dtype).reshape(-1, 1), dtype=s0.dtype)
+    isolated = int((g.degree == 0).sum())
+    if isolated:
+        log.debug("propagation passes %d zero-degree nodes through unchanged", isolated)
+    op = g.operator(("lightgcn", s0.dtype), lambda g: lightgcn_operator(g, s0.dtype))
 
     layers = [s0]
     s = s0
     for _ in range(num_layers):
-        s = T.add(T.edge_spmm(beta, s, g, 1), T.mul(keep, s))
+        s = T.spmm(op, s)
         layers.append(s)
 
     out = layers[0]

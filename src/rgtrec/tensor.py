@@ -283,7 +283,8 @@ def tmean(a, axis=None) -> Tensor:
 
 def square(a) -> Tensor:
     a = as_tensor(a)
-    return mul(a, a)
+    av = a.values
+    return _emit(av * av, (a,), lambda g: (g * (2 * av),))
 
 
 def take(a, idx) -> Tensor:
@@ -335,6 +336,15 @@ def logsumexp_rows(a) -> Tensor:
 # directed slots are ``csr_offsets[n]:csr_offsets[n + 1]``, slot s runs from
 # ``directed_src[s]`` to ``csr_neighbors[s]``.  A dense operand of width
 # ``heads * head_dim`` holds head h in columns ``h * head_dim:(h + 1) * head_dim``.
+# The sparse structures are built once per graph and kept on it
+# (``BipartiteGraph.operator``).
+
+
+def spmm(op, x) -> Tensor:
+    """``op @ x`` for a constant sparse operator ``op``; the backward is
+    ``op.T @ grad``."""
+    x = as_tensor(x)
+    return _emit(op @ x.values, (x,), lambda g: (op.T @ g,))
 
 
 def _check_node_table(g, x: np.ndarray, heads: int, what: str) -> None:
@@ -350,32 +360,61 @@ def _slot_dots(a: np.ndarray, b: np.ndarray, g, heads: int) -> np.ndarray:
                      np.take(b, g.csr_neighbors, axis=0).reshape(shape))
 
 
-def _head_ops(w: np.ndarray, g) -> list[sp.csr_matrix]:
-    """One (num_nodes, num_nodes) CSR matrix per column of the slot weights ``w``."""
-    n = g.num_nodes
-    return [sp.csr_matrix((col, g.csr_neighbors, g.csr_offsets), shape=(n, n))
-            for col in np.ascontiguousarray(w.T)]
+def _index_dtype(g, heads: int = 1):
+    """int32 when every index of a ``heads``-wide operator of ``g`` fits:
+    scipy keeps int32 index arrays without a copy or a range scan."""
+    return np.int32 if heads * max(g.num_nodes, len(g.csr_neighbors)) < 2**31 else np.int64
 
 
-def _apply_heads(ops: list, x: np.ndarray) -> np.ndarray:
-    """op_h @ x[:, head h] for every head, side by side."""
-    if len(ops) == 1:
-        return ops[0] @ x
-    width = x.shape[1] // len(ops)
-    out = np.empty((ops[0].shape[0], x.shape[1]), dtype=np.result_type(ops[0].dtype, x.dtype))
-    for h, op in enumerate(ops):
-        cols = slice(h * width, (h + 1) * width)
-        out[:, cols] = op @ x[:, cols]
-    return out
+def _heads_layout(g, heads: int):
+    """``(indptr, indices, order)`` of the all-heads operator of ``g``.
+
+    Row ``n * heads + h`` holds node n's slots in slot order, at columns
+    ``dst * heads + h``.  ``order`` gathers a (num_slots, heads) weight table
+    into that row order.
+    """
+    idx = _index_dtype(g, heads)
+    counts = np.diff(g.csr_offsets)
+    starts = heads * g.csr_offsets[:-1, None] + np.arange(heads) * counts[:, None]
+    indptr = np.append(starts.ravel(), heads * len(g.csr_neighbors)).astype(idx)
+    src = g.directed_src
+    # stored position of (slot s, head h): the row's start plus s's rank in its node
+    pos = (starts[src] + (np.arange(len(src)) - g.csr_offsets[src])[:, None]).ravel()
+    order = np.empty(len(pos), dtype=np.intp)
+    order[pos] = np.arange(len(pos))
+    indices = np.empty(len(pos), dtype=idx)
+    indices[pos] = (heads * g.csr_neighbors[:, None] + np.arange(heads)).ravel()
+    return indptr, indices, order
+
+
+def _heads_op(w: np.ndarray, g) -> sp.csr_matrix:
+    """The (num_nodes * heads, num_nodes * heads) CSR operator of the slot
+    weights ``w`` (num_slots, heads): row ``n * heads + h`` is node n's slots
+    with head h's weights.  Its structure is built once per graph."""
+    heads = w.shape[1]
+    indptr, indices, order = g.operator(("heads", heads), lambda g: _heads_layout(g, heads))
+    n = g.num_nodes * heads
+    return sp.csr_matrix((np.take(w, order), indices, indptr), shape=(n, n))
+
+
+def _apply_heads(op, x: np.ndarray) -> np.ndarray:
+    """Every head of ``op`` on its column block of the (num_nodes, heads *
+    head_dim) table ``x``, in one product over its (num_nodes * heads,
+    head_dim) view."""
+    return (op @ x.reshape(op.shape[1], -1)).reshape(x.shape[0], -1)
+
+
+def _slot_sum_op(g, dtype) -> sp.csr_matrix:
+    rows, idx = len(g.csr_neighbors), _index_dtype(g)
+    return sp.csr_matrix((np.ones(rows, dtype=dtype), np.arange(rows, dtype=idx),
+                          g.csr_offsets.astype(idx)), shape=(g.num_nodes, rows))
 
 
 def _node_sums(v: np.ndarray, g) -> np.ndarray:
     """Sum of each node's CSR slot rows of the 2-D ``v``, added in slot order,
-    by one CSR product (``indptr`` the graph's offsets, ``indices`` the slot
-    ids) in ``v``'s own dtype."""
-    rows = sp.csr_matrix((np.ones(len(v), dtype=v.dtype), np.arange(len(v)), g.csr_offsets),
-                         shape=(g.num_nodes, len(v)))
-    return rows @ v
+    by one product with the graph's cached slot-sum operator (``indptr`` the
+    graph's offsets, ``indices`` the slot ids) in ``v``'s own dtype."""
+    return g.operator(("slot_sums", v.dtype), lambda g: _slot_sum_op(g, v.dtype)) @ v
 
 
 def segment_softmax(scores, g) -> Tensor:
@@ -411,9 +450,9 @@ def edge_dot(q, k, g, heads: int) -> Tensor:
 
     Returns (num_slots, heads): per head, the dot product of the slot
     source's block of ``q`` with the slot destination's block of ``k``.  The
-    backward forms one CSR matrix per head from the incoming gradient and
-    multiplies it into ``k`` and (transposed) into ``q``; all heads share one
-    tape record.
+    backward forms the all-heads operator of the incoming gradient and
+    multiplies it into ``k`` and (transposed) into ``q``, every head in one
+    product; all heads share one tape record.
     """
     q, k = as_tensor(q), as_tensor(k)
     _check_node_table(g, q.values, heads, "edge_dot q")
@@ -423,9 +462,9 @@ def edge_dot(q, k, g, heads: int) -> Tensor:
     out = _slot_dots(qv, kv, g, heads)
 
     def bw(grad):
-        ops = _head_ops(grad, g)
-        return (_apply_heads(ops, kv) if q.requires_grad else None,
-                _apply_heads([op.T for op in ops], qv) if k.requires_grad else None)
+        op = _heads_op(grad, g)
+        return (_apply_heads(op, kv) if q.requires_grad else None,
+                _apply_heads(op.T, qv) if k.requires_grad else None)
 
     return _emit(out, (q, k), bw)
 
@@ -435,7 +474,8 @@ def edge_spmm(w, x, g, heads: int) -> Tensor:
 
     ``w`` is (num_slots, heads).  Row n, head block h of the output is the
     sum over n's slots s of ``w[s, h] * x[dst(s), block h]``; a node without
-    neighbours gets a zero row.  The backward is ``op_h.T @ grad`` for ``x``
+    neighbours gets a zero row.  Every head is applied in one product with the
+    all-heads operator ``op``.  The backward is ``op.T @ grad`` for ``x``
     and, only when ``w`` requires a gradient, the per-slot dot products
     ``<grad[src(s)], x[dst(s)]>`` per head.  All heads share one tape record.
     """
@@ -445,12 +485,12 @@ def edge_spmm(w, x, g, heads: int) -> Tensor:
         raise ShapeMismatchError(
             f"edge_spmm: expected weights ({len(g.csr_neighbors)}, {heads}), got {w.shape}")
     xv = x.values
-    ops = _head_ops(w.values, g)
-    out = _apply_heads(ops, xv)
+    op = _heads_op(w.values, g)
+    out = _apply_heads(op, xv)
 
     def bw(grad):
         return (_slot_dots(grad, xv, g, heads) if w.requires_grad else None,
-                _apply_heads([op.T for op in ops], grad) if x.requires_grad else None)
+                _apply_heads(op.T, grad) if x.requires_grad else None)
 
     return _emit(out, (w, x), bw)
 
@@ -483,8 +523,12 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
 
     The seed gradient is 1.0.  An op output's gradient leaves the map when
     its record passes it on, so intermediate gradients are freed during the
-    pass and the map returned holds only leaves.  Raises ValueError if the
-    tape is empty or the loss is not scalar.
+    pass and the map returned holds only leaves.  A tensor's second gradient
+    allocates the sum; its third and later ones are added into that buffer
+    with ``+=``.  An array that a ``backward_fn`` returned is never written,
+    because it can be shared (``add`` hands one gradient to both operands) or
+    be a read-only ``broadcast_to`` view.  Raises ValueError if the tape is
+    empty or the loss is not scalar.
     """
     if not tape.records:
         raise ValueError("backward requires a non-empty tape")
@@ -492,15 +536,24 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
 
     grads = {loss: np.ones_like(loss.values)}
+    owned: set[Tensor] = set()  # tensors whose entry is a sum allocated here
     for record in reversed(tape.records):
         g_out = grads.pop(record.out, None)
         if g_out is None:
             continue
+        owned.discard(record.out)
         for t, g in zip(record.inputs, record.backward_fn(g_out)):
-            if t.requires_grad:
-                # map entries are only ever replaced, never written in place,
-                # so keeping the incoming array on first assignment is safe
-                grads[t] = grads[t] + g if t in grads else g
+            if not t.requires_grad:
+                continue
+            total = grads.get(t)
+            if total is None:
+                grads[t] = g
+            elif t in owned and total.dtype == g.dtype and total.shape == g.shape:
+                total += g
+            else:
+                grads[t] = total = total + g
+                if total.ndim:  # a 0-d sum comes back as an immutable numpy scalar
+                    owned.add(t)
     return grads
 
 

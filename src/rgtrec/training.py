@@ -15,6 +15,7 @@ import dataclasses
 import io
 import json
 import logging
+import math
 import os
 import zipfile
 import zlib
@@ -81,6 +82,9 @@ class TrainConfig:
 
     def validate(self) -> None:
         c = self
+        for name, kind in _CONFIG_FIELDS.items():
+            if kind == "float" and not math.isfinite(getattr(c, name)):
+                raise ConfigError(f"{name} must be finite")
         checks = [
             (c.latdim >= 1, "latdim must be >= 1"),
             (c.heads >= 1, "heads must be >= 1"),
@@ -155,7 +159,11 @@ def parse_config_text(text: str) -> dict:
 def load_config(path=None, overrides: dict | None = None) -> TrainConfig:
     values = {}
     if path is not None:
-        values.update(parse_config_text(Path(path).read_text(encoding="utf-8")))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        values.update(parse_config_text(text))
     for key, value in (overrides or {}).items():
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"unknown config key {key!r}; valid keys: "

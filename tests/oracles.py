@@ -163,6 +163,78 @@ def segment_softmax(scores, idx, num: int) -> T.Tensor:
     return T._emit(out, (scores,), bw)
 
 
+def _slot_dots(a: np.ndarray, b: np.ndarray, g, heads: int) -> np.ndarray:
+    """(num_slots, heads): per head, <a[src(s)] block, b[dst(s)] block>."""
+    shape = (len(g.csr_neighbors), heads, a.shape[1] // heads)
+    return np.einsum("shd,shd->sh", a[g.directed_src].reshape(shape),
+                     b[g.csr_neighbors].reshape(shape))
+
+
+def _per_head_ops(w: np.ndarray, g) -> list:
+    """One (num_nodes, num_nodes) CSR matrix per column of the slot weights."""
+    n = g.num_nodes
+    return [sp.csr_matrix((col, g.csr_neighbors, g.csr_offsets), shape=(n, n))
+            for col in np.ascontiguousarray(w.T)]
+
+
+def _per_head_apply(ops: list, x: np.ndarray) -> np.ndarray:
+    """op_h @ x[:, head h] for every head, one product per head, side by side."""
+    if len(ops) == 1:
+        return ops[0] @ x
+    width = x.shape[1] // len(ops)
+    out = np.empty((ops[0].shape[0], x.shape[1]), dtype=np.result_type(ops[0].dtype, x.dtype))
+    for h, op in enumerate(ops):
+        cols = slice(h * width, (h + 1) * width)
+        out[:, cols] = op @ x[:, cols]
+    return out
+
+
+def per_head_edge_dot(q, k, g, heads: int) -> T.Tensor:
+    """``tensor.edge_dot`` with a backward of one CSR product per head: the
+    reference the all-heads operator must equal bit for bit."""
+    q, k = T.as_tensor(q), T.as_tensor(k)
+    qv, kv = q.values, k.values
+
+    def bw(grad):
+        ops = _per_head_ops(grad, g)
+        return (_per_head_apply(ops, kv) if q.requires_grad else None,
+                _per_head_apply([op.T for op in ops], qv) if k.requires_grad else None)
+
+    return T._emit(_slot_dots(qv, kv, g, heads), (q, k), bw)
+
+
+def per_head_edge_spmm(w, x, g, heads: int) -> T.Tensor:
+    """``tensor.edge_spmm`` as one CSR product per head, forward and backward."""
+    w, x = T.as_tensor(w), T.as_tensor(x)
+    xv = x.values
+    ops = _per_head_ops(w.values, g)
+
+    def bw(grad):
+        return (_slot_dots(grad, xv, g, heads) if w.requires_grad else None,
+                _per_head_apply([op.T for op in ops], grad) if x.requires_grad else None)
+
+    return T._emit(_per_head_apply(ops, xv), (w, x), bw)
+
+
+def keep_mask_lightgcn(g, s0: T.Tensor, num_layers: int) -> T.Tensor:
+    """LightGCN as a weighted neighbour sum plus ``keep * s``, where ``keep``
+    is 1 on zero-degree nodes and 0 elsewhere: three records per layer, the
+    reference for the one-product layer with self-loops."""
+    deg = g.degree.astype(np.float64)
+    beta = T.Tensor((1.0 / np.sqrt(deg[g.directed_src] * deg[g.csr_neighbors])).reshape(-1, 1),
+                    dtype=s0.dtype)
+    keep = T.Tensor((g.degree == 0).astype(s0.dtype).reshape(-1, 1), dtype=s0.dtype)
+    layers = [s0]
+    s = s0
+    for _ in range(num_layers):
+        s = T.add(per_head_edge_spmm(beta, s, g, 1), T.mul(keep, s))
+        layers.append(s)
+    out = layers[0]
+    for layer in layers[1:]:
+        out = T.add(out, layer)
+    return T.div(out, float(len(layers)))
+
+
 def per_pair_loss_rec(s: T.Tensor, batch_pairs: np.ndarray,
                       candidate_item_nodes: np.ndarray) -> T.Tensor:
     """The recommendation loss with one candidate score row per (user,

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import subprocess
 import sys
@@ -50,6 +51,9 @@ BAD_KEYS = [(key, value, f"unknown config key {key!r}") for key, value in [
 ]
 
 
+FLOAT_KEYS = [f.name for f in dataclasses.fields(TR.TrainConfig) if f.type == "float"]
+
+
 def listed_twice(rows, split):
     """``splits.tsv`` rows with the first pair moved to train and listed again,
     last, in ``split``: a double train edge, or a test item that can never
@@ -85,6 +89,12 @@ class TestPrepare:
         with pytest.raises(SystemExit) as exc:
             main(["prepare", "--input", str(raw_file), "--bogus-flag", "1"])
         assert exc.value.code == 2
+
+    def test_non_utf8_input_exits_one_naming_the_file(self, raw_file, tmp_path, capsys):
+        raw_file.write_bytes(raw_file.read_bytes() + b"u\xff\ti0\n")
+        assert main(["prepare", "--input", str(raw_file), "--out", str(tmp_path / "d")]) == 1
+        assert capsys.readouterr().err == f"error: {raw_file}: not UTF-8 text " \
+                                          "(invalid start byte)\n"
 
 
 class TestTrain:
@@ -199,6 +209,29 @@ class TestTrain:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
         assert re.match(rf"^error: {re.escape(str(prepared))}/{message}", lines[0]), lines[0]
+
+    @pytest.mark.parametrize("file", ["ids.tsv", "splits.tsv"])
+    def test_non_utf8_prepared_file_exits_one_naming_it(self, prepared, tmp_path, capsys,
+                                                        file):
+        path = prepared / file
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        code = main(["train", "--data", str(prepared), "--out", str(tmp_path / "r")]
+                    + TINY_FLAGS)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text " \
+                                          "(invalid start byte)\n"
+
+    @pytest.mark.parametrize("key, value", [("lambda_rec", "nan"), ("temperature", "inf")])
+    def test_non_finite_config_exits_two_before_training(self, prepared, tmp_path, capsys,
+                                                         key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "r"
+        code = main(["train", "--data", str(prepared), "--out", str(out), "--config", str(cfg)]
+                    + TINY_FLAGS)
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {key} must be finite\n"
+        assert not out.exists()
 
     def test_flag_overrides_config_file(self, prepared, tmp_path, capsys):
         cfg = tmp_path / "base.cfg"
@@ -450,6 +483,24 @@ class TestGrid:
 
 
 class TestDumpConfig:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_key_exits_two(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["dump-config", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {key} must be finite\n"
+
+    def test_every_float_key_is_checked(self):
+        assert len(FLOAT_KEYS) == 12
+
+    def test_non_utf8_config_exits_two_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"lr = 0.01\xff\n")
+        assert main(["dump-config", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {cfg}: not UTF-8 text " \
+                                          "(invalid start byte)\n"
+
     def test_prints_resolved_config(self, capsys):
         code = main(["dump-config", "--latdim", "16", "--heads", "4"])
         assert code == 0
@@ -465,6 +516,20 @@ class TestDumpConfig:
         code = main(["dump-config", "--config", str(cfg_file)])
         assert code == 0
         assert "lr = 0.0042" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 7.28 TiB for an array", "error: Unable to allocate 7.28 TiB for an array"),
+    ("", "error: out of memory"),
+])
+def test_memory_error_exits_one_with_one_line(capsys, monkeypatch, message, line):
+    # a raised MemoryError, never a real huge allocation
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "load_config", exhausted)
+    assert main(["dump-config"]) == 1
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_public_api():

@@ -6,7 +6,7 @@ from rgtrec import tensor as T
 from rgtrec.attention import AttentionParams, residual_gt
 from rgtrec.data import build_graph_from_edges
 from rgtrec.topology import TopologyEncoder, sample_anchors
-from oracles import check_gradients, dense_sym_norm_adjacency
+from oracles import check_gradients, dense_sym_norm_adjacency, keep_mask_lightgcn
 
 
 def random_graph(rng, num_users, num_items, p=0.3, min_degree_one=True):
@@ -132,3 +132,54 @@ class TestEncodeMasked:
         params.update(topo.parameters())
         params.update(attn.parameters())
         check_gradients(build, params, max_components=20)
+
+
+class TestLightGCNOperator:
+    """A layer is one product with the cached normalized adjacency, in which
+    every zero-degree node is a unit self-loop."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_bit_identical_to_keep_mask_reference(self, dtype, layers):
+        rng = np.random.default_rng(60 + layers)
+        for _ in range(8):
+            g = random_graph(rng, int(rng.integers(2, 12)), int(rng.integers(2, 12)),
+                             p=0.2, min_degree_one=False)
+            assert (g.degree == 0).any()
+            start = rng.normal(size=(g.num_nodes, 3))
+            weights = T.Tensor(rng.normal(size=(g.num_nodes, 3)).astype(dtype), dtype=dtype)
+            results = []
+            with T.using_dtype(dtype):
+                for propagate in (P.lightgcn_propagate, keep_mask_lightgcn):
+                    s0 = T.parameter(start)
+                    with T.Tape() as tape:
+                        out = propagate(g, s0, layers)
+                        grads = T.backward(T.tsum(T.mul(out, weights)), tape)
+                    assert out.dtype == dtype
+                    results.append((out.values, grads[s0]))
+            for got, want in zip(*results):
+                np.testing.assert_array_equal(got, want)
+
+    def test_one_record_per_layer(self):
+        g = random_graph(np.random.default_rng(2), 4, 5)
+        s0 = T.parameter(np.ones((g.num_nodes, 2)))
+        with T.Tape() as tape:
+            P.lightgcn_propagate(g, s0, 3)
+        assert len(tape) == 3 + 3 + 1  # a product per layer, the layer sum, the mean
+
+    def test_float32_and_float64_get_their_own_operators(self):
+        # one graph serves both precisions in turn; each must match a fresh graph
+        rng = np.random.default_rng(4)
+        edges = random_graph(rng, 5, 7, min_degree_one=False).edge_list
+        start = rng.normal(size=(12, 4))
+        shared = build_graph_from_edges(5, 7, edges)
+        for dtype in (np.float32, np.float64, np.float32):
+            outs = []
+            for g in (shared, build_graph_from_edges(5, 7, edges)):
+                with T.using_dtype(dtype):
+                    params = AttentionParams(latdim=4, heads=2, seed=0)
+                    local = P.lightgcn_propagate(g, T.Tensor(start), 2)
+                    out = P.encode_masked(g, local, None, params, gt_layers=2)
+                assert out.dtype == dtype
+                outs.append(out.values)
+            np.testing.assert_array_equal(*outs)

@@ -6,6 +6,7 @@ import pytest
 from rgtrec import tensor as T
 from rgtrec.data import build_graph_from_edges
 from oracles import check_gradients, matmul_triple_loop, max_rel_err
+from oracles import per_head_edge_dot, per_head_edge_spmm
 from oracles import segment_softmax as generic_segment_softmax
 
 
@@ -132,6 +133,70 @@ class TestBackward:
         assert np.isinf(grads[x]).all()
         with pytest.raises(FloatingPointError, match="parameter bad$"):
             T.Adam({"bad": x}).step(grads)
+
+
+def spy_on_backward(tape):
+    """Wrap every record's ``backward_fn`` so that each array it returns is
+    kept with a copy; ``backward`` must leave them all as they were."""
+    returned = []
+    for record in tape.records:
+        def spy(g, fn=record.backward_fn):
+            out = fn(g)
+            returned.extend((a, np.array(a)) for a in out if a is not None)
+            return out
+        record.backward_fn = spy
+    return returned
+
+
+class TestGradientAccumulation:
+    """``backward`` adds a tensor's third and later gradients in place, into
+    the sum that its second allocated, and never into an array that a
+    ``backward_fn`` returned."""
+
+    def run(self, build, x):
+        with T.Tape() as tape:
+            loss = build(x)
+            returned = spy_on_backward(tape)
+            grads = T.backward(loss, tape)
+        for array, before in returned:
+            np.testing.assert_array_equal(array, before)
+        return grads[x]
+
+    def test_add_of_a_tensor_to_itself(self):
+        # add(x, x) is recorded last, so its gradients land first: one array,
+        # tsum's read-only broadcast view, handed to both operands; the third
+        # gradient, from mul, lands after both
+        c = np.array([0.5, -2.0, 3.0])
+        x = T.parameter([1.0, 2.0, 3.0])
+        grad = self.run(lambda x: T.tsum(T.add(T.mul(x, c), T.add(x, x))), x)
+        np.testing.assert_array_equal(grad, 2.0 + c)
+
+    def test_sum_broadcast_views_used_three_times(self):
+        x = T.parameter([1.0, 2.0])
+        grad = self.run(lambda x: T.add(T.add(T.tsum(x), T.tsum(x)), T.tsum(x)), x)
+        np.testing.assert_array_equal(grad, [3.0, 3.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_many_uses_sum_in_reverse_record_order(self, dtype):
+        # the later record's gradient arrives first: ((c4 + c3) + c2) + ...
+        rng = np.random.default_rng(3)
+        consts = [rng.normal(size=(4, 3)).astype(dtype) for _ in range(5)]
+        with T.using_dtype(dtype):
+            x = T.parameter(rng.normal(size=(4, 3)))
+            grad = self.run(lambda x: T.tsum(T.concat([T.mul(x, c) for c in consts], 1)), x)
+        expect = consts[-1]
+        for c in consts[-2::-1]:
+            expect = expect + c
+        assert grad.dtype == dtype
+        np.testing.assert_array_equal(grad, expect)
+
+    def test_square_is_one_record_with_the_product_rule_gradient(self):
+        x = T.parameter([1.5, -2.0, 0.25])
+        with T.Tape() as tape:
+            loss = T.tsum(T.square(x))
+            assert [r.inputs for r in tape.records[:1]] == [(x,)]
+            grads = T.backward(loss, tape)
+        np.testing.assert_array_equal(grads[x], 2.0 * x.values)
 
 
 class TestPrimitiveGradients:
@@ -421,3 +486,47 @@ class TestSegmentSoftmaxOracle:
             (csr_out, csr_grad), (ref_out, ref_grad) = results
             np.testing.assert_array_equal(csr_out, ref_out)
             np.testing.assert_array_equal(csr_grad, ref_grad)
+
+
+class TestAllHeadsOperator:
+    """``edge_dot`` and ``edge_spmm`` apply every head in one product with the
+    all-heads operator; they must equal the one-product-per-head reference
+    in ``oracles`` bit for bit, values and gradients."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_bit_identical_to_per_head_products(self, dtype, heads):
+        rng = np.random.default_rng(50 + heads)
+        for _ in range(8):
+            g = graph_with_isolated_nodes(rng)
+            assert (g.degree == 0).any()
+            width = heads * int(rng.integers(1, 4))
+            tables = [rng.normal(size=(g.num_nodes, width)) for _ in range(2)]
+            slots = rng.normal(size=(len(g.csr_neighbors), heads))
+            weights = rng.normal(size=(len(g.csr_neighbors), heads)).astype(dtype)
+            cotangent = rng.normal(size=(g.num_nodes, width)).astype(dtype)
+            with T.using_dtype(dtype):
+                for fused, reference, a_start, b_start, w in (
+                        (T.edge_dot, per_head_edge_dot, tables[0], tables[1], weights),
+                        (T.edge_spmm, per_head_edge_spmm, slots, tables[0], cotangent)):
+                    results = []
+                    for op in (fused, reference):
+                        a = T.parameter(a_start, name="a")
+                        b = T.parameter(b_start, name="b")
+                        with T.Tape() as tape:
+                            out = op(a, b, g, heads)
+                            grads = T.backward(T.tsum(T.mul(out, T.Tensor(w))), tape)
+                        assert out.dtype == dtype
+                        results.append((out.values, grads[a], grads[b]))
+                    for got, want in zip(*results):
+                        np.testing.assert_array_equal(got, want)
+
+    def test_operator_structure_is_built_once_per_graph_and_head_count(self, monkeypatch):
+        g = graph_with_isolated_nodes(np.random.default_rng(0))
+        built = []
+        layout = T._heads_layout
+        monkeypatch.setattr(T, "_heads_layout", lambda g, h: built.append(h) or layout(g, h))
+        for heads in (2, 2, 4, 2, 4):
+            x = T.Tensor(np.ones((g.num_nodes, 4)))
+            T.edge_spmm(T.Tensor(np.ones((len(g.csr_neighbors), heads))), x, g, heads)
+        assert built == [2, 4]

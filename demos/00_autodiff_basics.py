@@ -7,14 +7,13 @@ import numpy as np
 
 from rgtrec import tensor as T
 
-T.set_default_dtype(np.float64)
-
 # 1. forward + backward on a tiny expression ----------------------------------
-x = T.parameter([[1.0, 2.0], [3.0, 4.0]], name="x")
-w = T.parameter([[0.5, -0.5], [1.0, 0.0]], name="w")
+with T.using_dtype(np.float64):  # new tensors are float32 outside the block
+    x = T.parameter([[1.0, 2.0], [3.0, 4.0]])
+    w = T.parameter([[0.5, 1.0], [-0.5, 0.0]])
 
 with T.Tape() as tape:
-    y = T.logsumexp_rows(T.matmul(x, w))
+    y = T.logsumexp_rows(T.linear(x, w))  # x @ w.T, the one dense product
     loss = T.tsum(T.mul(y, y))
     grads = T.backward(loss, tape)  # {tensor: gradient}, one entry per leaf
 
@@ -26,15 +25,16 @@ print("dloss/dw  \n", grads[w])
 h = 1e-6
 orig = x.values[0, 0]
 x.values[0, 0] = orig + h
-up = float(T.tsum(T.square(T.logsumexp_rows(T.matmul(x, w)))).values)
+up = float(T.tsum(T.square(T.logsumexp_rows(T.linear(x, w)))).values)
 x.values[0, 0] = orig - h
-down = float(T.tsum(T.square(T.logsumexp_rows(T.matmul(x, w)))).values)
+down = float(T.tsum(T.square(T.logsumexp_rows(T.linear(x, w)))).values)
 x.values[0, 0] = orig
 print("analytic  ", grads[x][0, 0])
 print("numeric   ", (up - down) / (2 * h))
 
 # 3. Adam drives a quadratic toward its minimum -------------------------------
-p = T.parameter([4.0], name="p")
+with T.using_dtype(np.float64):
+    p = T.parameter([4.0])
 opt = T.Adam({"p": p}, lr=0.2)
 for step in range(120):
     with T.Tape() as tape:

@@ -50,17 +50,16 @@ class AttentionParams:
         rng = substream(seed, "attn-init", "attn")
         scale = 1.0 / np.sqrt(latdim)
 
-        def mk(name):
-            return T.parameter(rng.uniform(-scale, scale, size=(latdim, latdim)),
-                               name=f"attn.{name}")
+        def mk():
+            return T.parameter(rng.uniform(-scale, scale, size=(latdim, latdim)))
 
-        self.wq = mk("wq")
-        self.wk = mk("wk")
-        self.wv = mk("wv")
-        self.wo = mk("wo")
+        self.wq = mk()
+        self.wk = mk()
+        self.wv = mk()
+        self.wo = mk()
 
     def parameters(self) -> dict[str, T.Tensor]:
-        return {w.name: w for w in (self.wq, self.wk, self.wv, self.wo)}
+        return {"attn.wq": self.wq, "attn.wk": self.wk, "attn.wv": self.wv, "attn.wo": self.wo}
 
 
 def _log_isolated(g: BipartiteGraph) -> None:
@@ -73,8 +72,8 @@ def attention_scores(h_bar: T.Tensor, g: BipartiteGraph, params: AttentionParams
     """Neighbor-normalized attention over directed CSR slots, shape
     (num_slots, heads)."""
     _log_isolated(g)
-    q = T.matmul(h_bar, T.transpose(params.wq))
-    k = T.matmul(h_bar, T.transpose(params.wk))
+    q = T.linear(h_bar, params.wq)
+    k = T.linear(h_bar, params.wk)
     raw = T.mul(T.edge_dot(q, k, g, params.heads), 1.0 / np.sqrt(params.head_dim))
     return T.segment_softmax(raw, g)
 
@@ -103,9 +102,9 @@ def light_self_attention(h_in: T.Tensor, g: BipartiteGraph, params: AttentionPar
     Isolated nodes receive a zero row (their neighborhood is empty).
     """
     alphas = attention_scores(h_in, g, params)
-    v = T.matmul(h_in, T.transpose(params.wv))
+    v = T.linear(h_in, params.wv)
     heads_out = T.edge_spmm(alphas, v, g, params.heads)
-    return T.matmul(heads_out, T.transpose(params.wo))
+    return T.linear(heads_out, params.wo)
 
 
 def residual_gt(h_in: T.Tensor, g: BipartiteGraph, params: AttentionParams,

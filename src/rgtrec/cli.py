@@ -87,6 +87,8 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
         raise ConfigError(f"bad ratio value in {text!r}: {exc}") from exc
     if len(parts) != 3:
         raise ConfigError(f"expected three comma-separated ratios, got {text!r}")
+    if not np.isfinite(parts).all():
+        raise ConfigError(f"ratios must be finite, got {text!r}")
     if any(r < 0 for r in parts):
         raise ConfigError(f"ratios must be non-negative, got {text!r}")
     if abs(sum(parts) - 1.0) > 1e-9:

@@ -59,10 +59,10 @@ class InteractionDataset:
 
     def positives_by_user(self, split: int) -> list[np.ndarray]:
         """Item indices per user within one split (sorted, possibly empty)."""
-        out: list[list[int]] = [[] for _ in range(self.num_users)]
-        for u, i in self.pairs(split):
-            out[u].append(i)
-        return [np.asarray(sorted(items), dtype=np.int64) for items in out]
+        users, items = self.pairs(split).T
+        order = np.lexsort((items, users))
+        ends = np.cumsum(np.bincount(users, minlength=self.num_users))
+        return np.split(items[order], ends[:-1])
 
 
 def _text_lines(path: Path):
@@ -139,19 +139,21 @@ def split(ds: InteractionDataset, ratios=(0.7, 0.05, 0.25), seed: int = 0) -> In
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3:
         raise ValueError("ratios must have three entries")
+    if not np.isfinite(ratios).all():
+        raise ValueError(f"non-finite split ratio in {ratios}")
     if any(r < 0 for r in ratios):
         raise ValueError(f"negative split ratio in {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {sum(ratios)}")
 
     assignment = np.empty(ds.num_interactions, dtype=np.int8)
-    by_user: dict[int, list[int]] = {}
-    for row, (u, _) in enumerate(ds.interactions):
-        by_user.setdefault(int(u), []).append(row)
-
-    for u, rows in by_user.items():
+    users = ds.interactions[:, 0]
+    by_user = np.argsort(users, kind="stable")  # each user's rows, in row order
+    counts = np.bincount(users, minlength=ds.num_users)
+    ends = np.cumsum(counts)
+    for u in np.flatnonzero(counts):
         rng = substream(seed, "split", u)
-        rows = np.asarray(rows)
+        rows = by_user[ends[u] - counts[u]:ends[u]]
         rng.shuffle(rows)
         n = len(rows)
         n_train, n_val, n_test = _allocate(n, ratios)

@@ -121,7 +121,7 @@ def loss_rec(s: T.Tensor, batch_pairs: np.ndarray,
 
     uniq, inverse = np.unique(users, return_inverse=True)
     cands = T.take(s, candidate_item_nodes)
-    scores = T.matmul(T.take(s, uniq), T.transpose(cands))
+    scores = T.linear(T.take(s, uniq), cands)
     lse = T.take(T.logsumexp_rows(scores), inverse)
     pos_scores = _pair_scores(s, users, positives)
     return T.tmean(T.sub(lse, pos_scores))
@@ -133,7 +133,7 @@ def loss_bpr(s_pathway: T.Tensor, triples: np.ndarray) -> T.Tensor:
         raise ValueError("ranking loss needs a non-empty triple batch")
     pos = _pair_scores(s_pathway, triples[:, 0], triples[:, 1])
     neg = _pair_scores(s_pathway, triples[:, 0], triples[:, 2])
-    return T.tmean(T.softplus(T.neg(T.sub(pos, neg))))
+    return T.tmean(T.softplus(T.sub(neg, pos)))
 
 
 @dataclass

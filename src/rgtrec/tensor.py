@@ -26,24 +26,18 @@ class ShapeMismatchError(ValueError):
 _DEFAULT_DTYPE = np.float32
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used for newly created tensors (float32 or float64)."""
+@contextlib.contextmanager
+def using_dtype(dtype):
+    """Create new tensors in ``dtype`` (float32 or float64) within the block."""
     global _DEFAULT_DTYPE
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"unsupported dtype {dt}; use float32 or float64")
-    _DEFAULT_DTYPE = dt.type
-
-
-@contextlib.contextmanager
-def using_dtype(dtype):
-    """Temporarily switch the default tensor dtype."""
-    previous = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    previous, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dt.type
     try:
         yield
     finally:
-        set_default_dtype(previous)
+        _DEFAULT_DTYPE = previous
 
 
 class Tensor:
@@ -54,12 +48,11 @@ class Tensor:
     their inputs and are recorded on the active tape when one exists.
     """
 
-    __slots__ = ("values", "requires_grad", "name")
+    __slots__ = ("values", "requires_grad")
 
-    def __init__(self, values, requires_grad: bool = False, dtype=None, name: str | None = None):
+    def __init__(self, values, requires_grad: bool = False, dtype=None):
         self.values = np.asarray(values, dtype=dtype or _DEFAULT_DTYPE)
         self.requires_grad = bool(requires_grad)
-        self.name = name
 
     @property
     def shape(self) -> tuple:
@@ -74,9 +67,9 @@ class Tensor:
         return Tensor(self.values.copy(), requires_grad=False, dtype=self.dtype)
 
 
-def parameter(values, name: str | None = None) -> Tensor:
+def parameter(values) -> Tensor:
     """A learnable leaf tensor owning a private copy of ``values``."""
-    return Tensor(np.array(values, dtype=_DEFAULT_DTYPE), requires_grad=True, name=name)
+    return Tensor(np.array(values, dtype=_DEFAULT_DTYPE), requires_grad=True)
 
 
 def as_tensor(x) -> Tensor:
@@ -202,28 +195,21 @@ def neg(a) -> Tensor:
     return _emit(-a.values, (a,), lambda g: (-g,))
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product of two 2-D tensors; gradients flow to both operands."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ShapeMismatchError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(f"matmul inner dimensions do not match: {a.shape} x {b.shape}")
-    out = a.values @ b.values
-    av, bv = a.values, b.values
+def linear(x, w) -> Tensor:
+    """``x @ w.T`` for ``x`` (rows, in) and ``w`` (out, in), without copying
+    ``w``; gradients flow to both operands."""
+    x, w = as_tensor(x), as_tensor(w)
+    if x.values.ndim != 2 or w.values.ndim != 2:
+        raise ShapeMismatchError(f"linear expects 2-D operands, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[1]:
+        raise ShapeMismatchError(f"linear inner dimensions do not match: {x.shape} x {w.shape}.T")
+    xv, wv = x.values, w.values
 
     def bw(g):
-        return (g @ bv.T if a.requires_grad else None,
-                av.T @ g if b.requires_grad else None)
+        return (g @ wv if x.requires_grad else None,
+                g.T @ xv if w.requires_grad else None)
 
-    return _emit(out, (a, b), bw)
-
-
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.values.ndim != 2:
-        raise ShapeMismatchError(f"transpose expects a 2-D tensor, got {a.shape}")
-    return _emit(np.ascontiguousarray(a.values.T), (a,), lambda g: (g.T,))
+    return _emit(xv @ wv.T, (x, w), bw)
 
 
 def exp(a) -> Tensor:
@@ -341,8 +327,8 @@ def logsumexp_rows(a) -> Tensor:
 
 
 def spmm(op, x) -> Tensor:
-    """``op @ x`` for a constant sparse operator ``op``; the backward is
-    ``op.T @ grad``."""
+    """``op @ x`` for a constant operator ``op``, a scipy sparse matrix or a
+    dense array; the backward is ``op.T @ grad``."""
     x = as_tensor(x)
     return _emit(op @ x.values, (x,), lambda g: (op.T @ g,))
 

@@ -69,9 +69,9 @@ def pgnn_layer(h_prev: T.Tensor, anchors: np.ndarray, omega: np.ndarray,
     m = len(anchors)
     h_anchor = T.take(h_prev, anchors)
     own = T.mul(h_prev, T.Tensor(omega.sum(axis=1, keepdims=True), dtype=h_prev.dtype))
-    mixed = T.matmul(T.Tensor(omega, dtype=h_prev.dtype), h_anchor)
+    mixed = T.spmm(omega, h_anchor)
     stacked = T.concat([own, mixed], axis=1)
-    return T.div(T.matmul(stacked, T.transpose(layer_weight)), float(m))
+    return T.div(T.linear(stacked, layer_weight), float(m))
 
 
 class TopologyEncoder:
@@ -93,13 +93,12 @@ class TopologyEncoder:
         rng = substream(seed, "topo-init")
         scale = 1.0 / np.sqrt(latdim)
         self.layer_weights = [
-            T.parameter(rng.uniform(-scale, scale, size=(latdim, 2 * latdim)),
-                        name=f"topo.w{l}")
-            for l in range(num_layers)
+            T.parameter(rng.uniform(-scale, scale, size=(latdim, 2 * latdim)))
+            for _ in range(num_layers)
         ]
 
     def parameters(self) -> dict[str, T.Tensor]:
-        return {w.name: w for w in self.layer_weights}
+        return {f"topo.w{l}": w for l, w in enumerate(self.layer_weights)}
 
     def encode(self, h_id: T.Tensor) -> T.Tensor:
         """Refine through all layers, then inject additively: H_id + chain(H_id)."""

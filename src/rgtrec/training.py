@@ -203,7 +203,7 @@ class ModelState:
         rng = substream(seed, "emb-init")
         bound = 0.5 / np.sqrt(cfg.latdim)
         self.emb = T.parameter(
-            rng.uniform(-bound, bound, size=(graph.num_nodes, cfg.latdim)), name="emb")
+            rng.uniform(-bound, bound, size=(graph.num_nodes, cfg.latdim)))
         self.topo: TopologyEncoder | None = None
         if cfg.use_topology:
             self.topo = TopologyEncoder(graph, anchors, cfg.q, cfg.latdim,

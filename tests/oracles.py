@@ -13,7 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from rgtrec import tensor as T
-from rgtrec.data import TRAIN
+from rgtrec.data import TEST, TRAIN, VAL
+from rgtrec.seeding import substream
 
 
 def neighbors(g, node: int) -> np.ndarray:
@@ -101,29 +102,29 @@ def per_head_light_self_attention(h_in: T.Tensor, g, params) -> T.Tensor:
     ``wq``/``wk``/``wv`` matrices, gathered per slot and normalized with a
     composed per-segment softmax; head outputs are concatenated by column.
     Built from elementwise tape ops only, not from the graph kernels; the
-    per-node sums are products with a dense one-hot (node, slot) matrix.
+    per-node sums are ``T.spmm`` products with a dense one-hot (node, slot)
+    matrix.
     """
     src = np.repeat(np.arange(g.num_nodes), np.diff(g.csr_offsets))
     dst = g.csr_neighbors
-    scatter = T.Tensor((src[None, :] == np.arange(g.num_nodes)[:, None]).astype(np.float64),
-                       dtype=h_in.dtype)
+    scatter = (src[None, :] == np.arange(g.num_nodes)[:, None]).astype(h_in.dtype)
     dh = params.head_dim
     head_outputs = []
     for hd in range(params.heads):
         rows = np.arange(hd * dh, (hd + 1) * dh)
-        q = T.matmul(h_in, T.transpose(T.take(params.wq, rows)))
-        k = T.matmul(h_in, T.transpose(T.take(params.wk, rows)))
-        v = T.matmul(h_in, T.transpose(T.take(params.wv, rows)))
+        q = T.linear(h_in, T.take(params.wq, rows))
+        k = T.linear(h_in, T.take(params.wk, rows))
+        v = T.linear(h_in, T.take(params.wv, rows))
         raw = T.mul(T.tsum(T.mul(T.take(q, src), T.take(k, dst)), axis=1), 1.0 / np.sqrt(dh))
         seg_max = np.full(g.num_nodes, -np.inf)
         np.maximum.at(seg_max, src, raw.values)
         e = T.exp(T.sub(raw, T.Tensor(seg_max[src], dtype=raw.dtype)))
-        sums = T.reshape(T.matmul(scatter, T.reshape(e, (-1, 1))), (-1,))
+        sums = T.spmm(scatter, e)
         alpha = T.div(e, T.take(sums, src))
         weighted = T.mul(T.take(v, dst), T.reshape(alpha, (-1, 1)))
-        head_outputs.append(T.matmul(scatter, weighted))
+        head_outputs.append(T.spmm(scatter, weighted))
     stacked = T.concat(head_outputs, axis=1) if len(head_outputs) > 1 else head_outputs[0]
-    return T.matmul(stacked, T.transpose(params.wo))
+    return T.linear(stacked, params.wo)
 
 
 def _scatter_rows(idx: np.ndarray, values: np.ndarray, num: int) -> np.ndarray:
@@ -241,7 +242,7 @@ def per_pair_loss_rec(s: T.Tensor, batch_pairs: np.ndarray,
     positive) pair, so a user with several positives is scored once per pair."""
     users, positives = batch_pairs[:, 0], batch_pairs[:, 1]
     cands = T.take(s, candidate_item_nodes)
-    lse = T.logsumexp_rows(T.matmul(T.take(s, users), T.transpose(cands)))
+    lse = T.logsumexp_rows(T.linear(T.take(s, users), cands))
     pos = T.tsum(T.mul(T.take(s, users), T.take(s, positives)), axis=1)
     return T.tmean(T.sub(lse, pos))
 
@@ -344,6 +345,33 @@ def plackett_luce_topk_inclusion(weights: np.ndarray, k: int) -> np.ndarray:
         for pos in range(k):
             inclusion[perm[pos]] += prob
     return inclusion
+
+
+def per_user_lists_split(ds, ratios, seed: int) -> np.ndarray:
+    """``data.split``'s assignment built row by row: each user's rows are
+    collected into a list in row order, shuffled with the user's own
+    ``substream(seed, "split", u)`` and cut by a largest-remainder
+    allocation, with one train row kept for users of fewer than three rows."""
+    by_user: dict[int, list[int]] = {}
+    for row, (u, _) in enumerate(ds.interactions):
+        by_user.setdefault(int(u), []).append(row)
+    out = np.empty(ds.num_interactions, dtype=np.int8)
+    for u, rows in by_user.items():
+        rows = np.asarray(rows)
+        substream(seed, "split", u).shuffle(rows)
+        n = len(rows)
+        quotas = [n * r for r in ratios]
+        counts = [int(q) for q in quotas]
+        by_remainder = sorted(range(3), key=lambda b: quotas[b] - counts[b], reverse=True)
+        for b in by_remainder[:n - sum(counts)]:
+            counts[b] += 1
+        if n < 3 and counts[0] == 0:
+            counts[2 if counts[2] >= counts[1] else 1] -= 1
+            counts[0] += 1
+        out[rows[:counts[0]]] = TRAIN
+        out[rows[counts[0]:counts[0] + counts[1]]] = VAL
+        out[rows[counts[0] + counts[1]:]] = TEST
+    return out
 
 
 def rejection_non_neighbors(g, user_nodes: np.ndarray, rng: np.random.Generator,

@@ -48,7 +48,7 @@ def random_instance(rng, max_nodes=12, d=4):
         edges.discard((u, nu + (u % ni)))
     edges.update((u, nu + ((u + 1) % ni)) for u in range(nu))
     g = build_graph_from_edges(nu, ni, np.array(sorted(edges)))
-    h = T.parameter(rng.normal(size=(g.num_nodes, d)), name="emb")
+    h = T.parameter(rng.normal(size=(g.num_nodes, d)))
     return g, h
 
 

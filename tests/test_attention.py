@@ -170,7 +170,7 @@ class TestLightSelfAttention:
         rng = np.random.default_rng(10)
         g = random_graph(rng, 3, 3, p=0.7)
         params = A.AttentionParams(latdim=4, heads=2, seed=10)
-        h = T.parameter(rng.normal(size=(g.num_nodes, 4)), name="h")
+        h = T.parameter(rng.normal(size=(g.num_nodes, 4)))
 
         def build():
             return T.tsum(T.square(A.light_self_attention(h, g, params)))
@@ -250,7 +250,7 @@ class TestFusedHeads:
         rng = np.random.default_rng(30 + heads)
         g = graph_with_isolated_user(rng)
         params = A.AttentionParams(latdim=8, heads=heads, seed=heads)
-        h = T.parameter(rng.normal(size=(g.num_nodes, 8)), name="h")
+        h = T.parameter(rng.normal(size=(g.num_nodes, 8)))
         tensors = {"h": h, **params.parameters()}
         results = []
         for layer in (A.light_self_attention, per_head_light_self_attention):
@@ -271,9 +271,21 @@ class TestFusedHeads:
         for heads in (1, 8):
             params = A.AttentionParams(latdim=8, heads=heads, seed=0)
             with T.Tape() as tape:
-                A.light_self_attention(T.parameter(h_values, name="h"), g, params)
+                A.light_self_attention(T.parameter(h_values), g, params)
             records.append(len(tape))
         assert records[0] == records[1]
+
+    def test_layer_records_eight_entries_one_per_product(self):
+        # each projection is one linear record: no transpose copies of the weights
+        g = graph_with_isolated_user(np.random.default_rng(42), 5, 5)
+        params = A.AttentionParams(latdim=8, heads=2, seed=0)
+        with T.Tape() as tape:
+            A.light_self_attention(T.parameter(np.ones((g.num_nodes, 8))), g, params)
+        ops = [r.backward_fn.__qualname__.split(".")[0] for r in tape.records]
+        assert ops == ["linear", "linear", "edge_dot", "mul", "segment_softmax",
+                       "linear", "edge_spmm", "linear"]
+        weights = [r.inputs[1] for r, op in zip(tape.records, ops) if op == "linear"]
+        assert weights == [params.wq, params.wk, params.wv, params.wo]
 
     def test_fused_init_equals_per_head_draws_stacked_by_row(self):
         latdim, heads, seed = 16, 4, 3

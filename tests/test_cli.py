@@ -78,6 +78,14 @@ class TestPrepare:
                      "--ratios", "0.5,0.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("ratios", ["nan,0.5,0.5", "0.5,nan,nan", "inf,0,0", "1,-inf,inf"])
+    def test_non_finite_ratios_exit_two(self, raw_file, tmp_path, capsys, ratios):
+        code = main(["prepare", "--input", str(raw_file), "--out", str(tmp_path / "d"),
+                     "--ratios", ratios])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: ratios must be finite, got {ratios!r}\n"
+        assert not (tmp_path / "d").exists()
+
     def test_idempotent(self, raw_file, tmp_path):
         for name in ("a", "b"):
             main(["prepare", "--input", str(raw_file), "--out", str(tmp_path / name),

@@ -4,7 +4,7 @@ from scipy import stats
 
 from rgtrec import data as D
 from rgtrec.synthetic import make_block_dataset
-from oracles import neighbors, rejection_non_neighbors
+from oracles import neighbors, per_user_lists_split, rejection_non_neighbors
 
 
 def write_lines(tmp_path, lines, name="inter.tsv"):
@@ -96,6 +96,36 @@ class TestSplit:
     def test_bad_sum_rejected(self):
         with pytest.raises(ValueError, match="sum"):
             D.split(self.one_user_dataset(5), (0.5, 0.1, 0.1), seed=0)
+
+    @pytest.mark.parametrize("ratios, shown", [
+        ((float("nan"), 0.5, 0.5), r"\(nan, 0\.5, 0\.5\)"),
+        ((0.5, float("inf"), 0.5), r"\(0\.5, inf, 0\.5\)"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_ratio_rejected_naming_the_ratios(self, ratios, shown):
+        with pytest.raises(ValueError, match=rf"non-finite split ratio in {shown}$"):
+            D.split(self.one_user_dataset(5), ratios, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_user_lists(self, seed):
+        # users in first-appearance order, rows in row order, as a dict of lists
+        ds = make_block_dataset(num_users=40, num_items=48, num_blocks=4,
+                                interactions_per_user=9, seed=seed)
+        rng = np.random.default_rng(seed)
+        rows = ds.interactions[rng.permutation(ds.num_interactions)]
+        sizes = rng.integers(0, 10, size=ds.num_users)  # some users left with 0-2 rows
+        rank = np.array([(rows[:j, 0] == u).sum() for j, u in enumerate(rows[:, 0])])
+        ds.interactions = rows[rank < sizes[rows[:, 0]]]
+        ratios = (0.6, 0.15, 0.25)
+        got = D.split(ds, ratios, seed=seed)
+        np.testing.assert_array_equal(got.split_assignment,
+                                      per_user_lists_split(ds, ratios, seed))
+        for code in (D.TRAIN, D.VAL, D.TEST):
+            positives = got.positives_by_user(code)
+            assert len(positives) == ds.num_users
+            for u, items in enumerate(positives):
+                assert items.dtype == np.int64
+                want = sorted(i for v, i in got.pairs(code) if v == u)
+                np.testing.assert_array_equal(items, want)
 
 
 class TestBuildGraph:

@@ -65,7 +65,10 @@ def test_benchmark_run_passes_its_checks(workload):
 def test_traced_benchmark_run_passes_its_checks():
     # a traced run calls every name in tracing.TARGETS through a wrapper, so
     # a traced function whose signature run.py no longer matches fails here;
-    # the backward and Adam spans show the wrappers still see both calls
+    # the backward and Adam spans show the wrappers still see both calls.
+    # The tape's length per step is fixed by the model, not by timing, so any
+    # record added to a training step shows here.
     metrics = _run_benchmark("lastfm_train", "1")
     for name in ("tensor.backward_s", "tensor.adam_s"):
         assert metrics[name]["value"] > 0, name
+    assert metrics["tensor.tape_records_per_step"]["value"] == 139

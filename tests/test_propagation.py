@@ -81,7 +81,7 @@ class TestLightGCNPropagate:
     def test_gradients(self):
         rng = np.random.default_rng(3)
         g = random_graph(rng, 4, 4)
-        s0 = T.parameter(rng.normal(size=(g.num_nodes, 3)), name="s0")
+        s0 = T.parameter(rng.normal(size=(g.num_nodes, 3)))
 
         def build():
             out = P.lightgcn_propagate(g, s0, 2)
@@ -121,7 +121,7 @@ class TestEncodeMasked:
 
     def test_gradient_through_full_chain(self):
         g, topo, attn = self.setup_pipeline(seed=6)
-        s0 = T.parameter(np.random.default_rng(6).normal(size=(g.num_nodes, 4)), name="s0")
+        s0 = T.parameter(np.random.default_rng(6).normal(size=(g.num_nodes, 4)))
 
         def build():
             local = P.lightgcn_propagate(g, s0, 1)

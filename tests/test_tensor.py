@@ -11,29 +11,45 @@ from oracles import segment_softmax as generic_segment_softmax
 
 
 class TestMatmul:
+    """``T.linear(x, w)``, the one dense product: ``x @ w.T``."""
+
     def test_identity(self):
-        out = T.matmul(T.Tensor([[1, 0], [0, 1]]), T.Tensor([[3], [4]]))
+        out = T.linear(T.Tensor([[1, 0], [0, 1]]), T.Tensor([[3, 4]]))
         np.testing.assert_allclose(out.values, [[3], [4]])
 
     def test_scalar_case(self):
-        out = T.matmul(T.Tensor([[2]]), T.Tensor([[3]]))
+        out = T.linear(T.Tensor([[2]]), T.Tensor([[3]]))
         np.testing.assert_allclose(out.values, [[6]])
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(4, 5))
         b = rng.normal(size=(5, 3))
-        out = T.matmul(T.Tensor(a), T.Tensor(b))
+        out = T.linear(T.Tensor(a), T.Tensor(b.T))
         np.testing.assert_allclose(out.values, matmul_triple_loop(a, b), atol=1e-6)
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(T.ShapeMismatchError, match=r"\(2, 3\).*\(2, 2\)"):
-            T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 2))))
+            T.linear(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 2))))
+        with pytest.raises(T.ShapeMismatchError, match=r"2-D.*\(3,\).*\(2, 3\)"):
+            T.linear(T.Tensor(np.zeros(3)), T.Tensor(np.zeros((2, 3))))
+
+    def test_one_record_and_w_is_not_copied(self):
+        rng = np.random.default_rng(8)
+        x, w = T.parameter(rng.normal(size=(4, 3))), T.parameter(rng.normal(size=(2, 3)))
+        with T.Tape() as tape:
+            out = T.linear(x, w)
+            grads = T.backward(T.tsum(out), tape)
+        assert len(tape) == 2  # linear, then tsum
+        assert tape.records[0].inputs == (x, w)
+        g = np.ones((4, 2))
+        np.testing.assert_array_equal(grads[x], g @ w.values)
+        np.testing.assert_array_equal(grads[w], g.T @ x.values)
 
 
 def grad_of_logsumexp(values):
     """Gradient of sum(logsumexp_rows(a)) at ``values``: the row softmax."""
-    a = T.parameter(values, name="a")
+    a = T.parameter(values)
     with T.Tape() as tape:
         return T.backward(T.tsum(T.logsumexp_rows(a)), tape)[a]
 
@@ -89,8 +105,8 @@ class TestBackward:
             T.backward(T.Tensor(1.0), T.Tape())
 
     def test_intermediate_gradients_are_freed_and_leaves_keep_theirs(self):
-        x = T.parameter([1.0, 2.0], name="x")
-        w = T.parameter([0.5, -1.0], name="w")
+        x = T.parameter([1.0, 2.0])
+        w = T.parameter([0.5, -1.0])
         with T.Tape() as tape:
             y = T.mul(x, w)
             z = T.exp(y)
@@ -114,11 +130,11 @@ class TestBackward:
 
     def test_composite_pipeline_matches_finite_differences(self):
         rng = np.random.default_rng(11)
-        w = T.parameter(rng.normal(size=(3, 4)), name="w")
-        x = T.parameter(rng.normal(size=(5, 3)), name="x")
+        w = T.parameter(rng.normal(size=(4, 3)))
+        x = T.parameter(rng.normal(size=(5, 3)))
 
         def build():
-            h = T.matmul(x, w)
+            h = T.linear(x, w)
             p = T.logsumexp_rows(h)
             return T.tsum(T.mul(p, T.log(T.add(T.exp(p), 1.0))))
 
@@ -207,7 +223,7 @@ class TestPrimitiveGradients:
         "sub": lambda a, b: T.tsum(T.mul(T.sub(a, b), T.sub(a, b))),
         "mul": lambda a, b: T.tsum(T.mul(a, b)),
         "div": lambda a, b: T.tsum(T.div(a, T.add(T.mul(b, b), 1.0))),
-        "matmul": lambda a, b: T.tsum(T.matmul(a, T.transpose(b))),
+        "matmul": lambda a, b: T.tsum(T.linear(a, b)),  # the one dense product
         "exp": lambda a, b: T.tsum(T.exp(a)),
         "log": lambda a, b: T.tsum(T.log(T.add(T.mul(a, a), 0.5))),
         "sqrt": lambda a, b: T.tsum(T.sqrt(T.add(T.mul(a, a), 0.5))),
@@ -222,14 +238,14 @@ class TestPrimitiveGradients:
     def test_primitive(self, name):
         rng = np.random.default_rng(hash(name) % 2**32)
         for trial in range(3):
-            a = T.parameter(rng.normal(size=(4, 3)) + 2.0, name="a")
-            b = T.parameter(rng.normal(size=(4, 3)) + 2.0, name="b")
+            a = T.parameter(rng.normal(size=(4, 3)) + 2.0)
+            b = T.parameter(rng.normal(size=(4, 3)) + 2.0)
             fn = self.CASES[name]
             check_gradients(lambda: fn(a, b), {"a": a, "b": b})
 
     def test_take_gradient(self):
         rng = np.random.default_rng(0)
-        a = T.parameter(rng.normal(size=(5, 3)), name="a")
+        a = T.parameter(rng.normal(size=(5, 3)))
         idx = np.array([0, 2, 2, 4])
 
         def build():
@@ -241,7 +257,7 @@ class TestPrimitiveGradients:
         g = kernel_graph()
         rng = np.random.default_rng(2)
         slots = len(g.csr_neighbors)
-        a = T.parameter(rng.normal(size=(slots, 1)) * 3, name="a")
+        a = T.parameter(rng.normal(size=(slots, 1)) * 3)
 
         out = T.segment_softmax(a, g)
         sums = np.bincount(g.directed_src, weights=out.values[:, 0], minlength=g.num_nodes)
@@ -256,8 +272,8 @@ class TestPrimitiveGradients:
 
     def test_broadcast_gradients(self):
         rng = np.random.default_rng(4)
-        a = T.parameter(rng.normal(size=(4, 3)), name="a")
-        col = T.parameter(rng.normal(size=(4, 1)), name="col")
+        a = T.parameter(rng.normal(size=(4, 3)))
+        col = T.parameter(rng.normal(size=(4, 1)))
 
         def build():
             return T.tsum(T.square(T.mul(a, col)))
@@ -278,7 +294,7 @@ class TestDeterminism:
             x = T.parameter(rng.normal(size=(8, 4)))
             w = T.parameter(rng.normal(size=(4, 4)))
             with T.Tape() as tape:
-                loss = T.tsum(T.logsumexp_rows(T.matmul(x, w)))
+                loss = T.tsum(T.logsumexp_rows(T.linear(x, w)))
                 grads = T.backward(loss, tape)
             return loss.values.copy(), grads[x]
 
@@ -289,19 +305,19 @@ class TestDeterminism:
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        p = T.parameter([1.0, -2.0], name="p")
+        p = T.parameter([1.0, -2.0])
         opt = T.Adam({"p": p}, lr=0.01)
         opt.step({p: np.zeros(2)})
         np.testing.assert_allclose(p.values, [1.0, -2.0])
 
     def test_single_step_magnitude(self):
-        p = T.parameter([0.0], name="p")
+        p = T.parameter([0.0])
         opt = T.Adam({"p": p}, lr=0.001)
         opt.step({p: np.ones(1)})
         np.testing.assert_allclose(p.values, [-0.001], atol=1e-6)
 
     def test_constant_gradient_update_approaches_lr(self):
-        p = T.parameter([0.0], name="p")
+        p = T.parameter([0.0])
         opt = T.Adam({"p": p}, lr=0.01)
         prev = p.values.copy()
         for _ in range(500):
@@ -310,7 +326,7 @@ class TestAdam:
         assert abs(abs(float(p.values[0] - prev[0])) - 0.01) < 1e-4
 
     def test_nan_gradient_aborts_with_name(self):
-        p = T.parameter([0.0], name="p")
+        p = T.parameter([0.0])
         opt = T.Adam({"embedding.weird": p})
         with pytest.raises(FloatingPointError,
                            match="non-finite gradient for parameter embedding.weird"):
@@ -345,8 +361,10 @@ class TestDtypeControl:
         assert y.dtype == np.float64  # suite fixture keeps tests in 64-bit
 
     def test_rejects_non_float(self):
-        with pytest.raises(ValueError):
-            T.set_default_dtype(np.int32)
+        with pytest.raises(ValueError, match="int32"):
+            with T.using_dtype(np.int32):
+                pass
+        assert T.Tensor([1.0]).dtype == np.float64  # the refused switch left no trace
 
 
 def kernel_graph():
@@ -364,8 +382,8 @@ class TestGraphKernels:
     def test_edge_dot_values_and_gradients(self, heads):
         g = kernel_graph()
         rng = np.random.default_rng(heads)
-        q = T.parameter(rng.normal(size=(g.num_nodes, 2 * heads)), name="q")
-        k = T.parameter(rng.normal(size=(g.num_nodes, 2 * heads)), name="k")
+        q = T.parameter(rng.normal(size=(g.num_nodes, 2 * heads)))
+        k = T.parameter(rng.normal(size=(g.num_nodes, 2 * heads)))
         out = T.edge_dot(q, k, g, heads)
         src, dst = slot_pairs(g)
         assert out.shape == (len(dst), heads)
@@ -381,8 +399,8 @@ class TestGraphKernels:
     def test_edge_spmm_values_and_gradients(self, heads):
         g = kernel_graph()
         rng = np.random.default_rng(10 + heads)
-        w = T.parameter(rng.normal(size=(len(g.csr_neighbors), heads)), name="w")
-        x = T.parameter(rng.normal(size=(g.num_nodes, 2 * heads)), name="x")
+        w = T.parameter(rng.normal(size=(len(g.csr_neighbors), heads)))
+        x = T.parameter(rng.normal(size=(g.num_nodes, 2 * heads)))
         out = T.edge_spmm(w, x, g, heads)
         src, dst = slot_pairs(g)
         expect = np.zeros((g.num_nodes, 2 * heads))
@@ -400,7 +418,7 @@ class TestGraphKernels:
         g = kernel_graph()
         rng = np.random.default_rng(20 + heads)
         w = T.Tensor(rng.normal(size=(len(g.csr_neighbors), heads)))
-        x = T.parameter(rng.normal(size=(g.num_nodes, 2 * heads)), name="x")
+        x = T.parameter(rng.normal(size=(g.num_nodes, 2 * heads)))
 
         def build():
             return T.tsum(T.square(T.edge_spmm(w, x, g, heads)))
@@ -420,7 +438,7 @@ class TestGraphKernels:
     def test_logsumexp_rows_values_and_gradient(self):
         from scipy.special import logsumexp
         rng = np.random.default_rng(5)
-        a = T.parameter(rng.normal(size=(4, 6)) * 5, name="a")
+        a = T.parameter(rng.normal(size=(4, 6)) * 5)
         np.testing.assert_allclose(T.logsumexp_rows(a).values,
                                    logsumexp(a.values, axis=1), atol=1e-12)
         weights = T.Tensor(rng.normal(size=4))
@@ -429,7 +447,7 @@ class TestGraphKernels:
     def test_segment_softmax_two_dimensional(self):
         g = kernel_graph()
         rng = np.random.default_rng(6)
-        a = T.parameter(rng.normal(size=(len(g.csr_neighbors), 3)) * 3, name="a")
+        a = T.parameter(rng.normal(size=(len(g.csr_neighbors), 3)) * 3)
         out = T.segment_softmax(a, g)
         for col in range(3):
             np.testing.assert_allclose(out.values[:, [col]],
@@ -477,7 +495,7 @@ class TestSegmentSoftmaxOracle:
             with T.using_dtype(dtype):
                 for op in (lambda x: T.segment_softmax(x, g),
                            lambda x: generic_segment_softmax(x, g.directed_src, g.num_nodes)):
-                    a = T.parameter(start, name="a")
+                    a = T.parameter(start)
                     with T.Tape() as tape:
                         out = op(a)
                         grads = T.backward(T.tsum(T.mul(out, T.Tensor(weights))), tape)
@@ -511,8 +529,8 @@ class TestAllHeadsOperator:
                         (T.edge_spmm, per_head_edge_spmm, slots, tables[0], cotangent)):
                     results = []
                     for op in (fused, reference):
-                        a = T.parameter(a_start, name="a")
-                        b = T.parameter(b_start, name="b")
+                        a = T.parameter(a_start)
+                        b = T.parameter(b_start)
                         with T.Tape() as tape:
                             out = op(a, b, g, heads)
                             grads = T.backward(T.tsum(T.mul(out, T.Tensor(w))), tape)

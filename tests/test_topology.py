@@ -118,10 +118,10 @@ class TestCorrelationWeight:
 class TestPgnnLayer:
     def make_inputs(self, num_nodes=6, d=3, num_anchors=2, seed=0):
         rng = substream(seed, "test-pgnn")
-        h = T.parameter(rng.normal(size=(num_nodes, d)), name="h")
+        h = T.parameter(rng.normal(size=(num_nodes, d)))
         anchors = np.sort(rng.choice(num_nodes, size=num_anchors, replace=False))
         omega = rng.uniform(0, 1, size=(num_nodes, num_anchors))
-        w = T.parameter(rng.normal(size=(d, 2 * d)), name="w")
+        w = T.parameter(rng.normal(size=(d, 2 * d)))
         return h, anchors, omega, w
 
     def test_all_zero_weights_give_zero_output(self):
@@ -192,7 +192,7 @@ class TestTopologyEncoder:
 
     def test_gradient_through_chain(self):
         g, enc = self.make_encoder(num_layers=2, seed=4)
-        h_id = T.parameter(np.random.default_rng(2).normal(size=(g.num_nodes, 3)), name="h")
+        h_id = T.parameter(np.random.default_rng(2).normal(size=(g.num_nodes, 3)))
 
         def build():
             return T.tsum(T.square(enc.encode(h_id)))

@@ -363,6 +363,21 @@ class TestCheckpoint:
                 np.testing.assert_array_equal(members[key], arr)
                 np.testing.assert_array_equal(inspected[key], arr)
 
+    def test_float32_member_names_and_dtypes_are_fixed(self, tmp_path):
+        # parameter keys are literals in ModelState, TopologyEncoder and
+        # AttentionParams; a checkpoint written before must keep loading
+        cfg = tiny_cfg(precision="float32", pnn_layers=2)
+        with T.using_dtype(cfg.precision):
+            pair = TR.init_pair(build_graph(tiny_dataset(seed=12)), cfg)
+        TR.write_checkpoint(tmp_path / "model.ckpt", pair)
+        with np.load(tmp_path / "model.ckpt") as inspected:
+            assert inspected.files == [
+                "version", "epoch", "config", "graph", "param/emb", "param/topo.w0",
+                "param/topo.w1", "param/attn.wq", "param/attn.wk", "param/attn.wv",
+                "param/attn.wo", "anchors"]
+            assert {inspected[k].dtype for k in inspected.files if k.startswith("param/")} \
+                == {np.dtype(np.float32)}
+
     def test_equal_pairs_write_equal_bytes(self, tmp_path, monkeypatch):
         # members carry a fixed date, not the time of the write
         pair = TR.init_pair(build_graph(tiny_dataset(seed=12)), tiny_cfg())

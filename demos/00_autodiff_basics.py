@@ -3,14 +3,12 @@
 Run:  python demos/00_autodiff_basics.py
 """
 
-import numpy as np
-
 from rgtrec import tensor as T
 
 # 1. forward + backward on a tiny expression ----------------------------------
-with T.using_dtype(np.float64):  # new tensors are float32 outside the block
-    x = T.parameter([[1.0, 2.0], [3.0, 4.0]])
-    w = T.parameter([[0.5, 1.0], [-0.5, 0.0]])
+# a tensor's dtype is its data's: Python floats give float64
+x = T.parameter([[1.0, 2.0], [3.0, 4.0]])
+w = T.parameter([[0.5, 1.0], [-0.5, 0.0]])
 
 with T.Tape() as tape:
     y = T.logsumexp_rows(T.linear(x, w))  # x @ w.T, the one dense product
@@ -33,8 +31,7 @@ print("analytic  ", grads[x][0, 0])
 print("numeric   ", (up - down) / (2 * h))
 
 # 3. Adam drives a quadratic toward its minimum -------------------------------
-with T.using_dtype(np.float64):
-    p = T.parameter([4.0])
+p = T.parameter([4.0])
 opt = T.Adam({"p": p}, lr=0.2)
 for step in range(120):
     with T.Tape() as tape:

@@ -9,9 +9,6 @@ Run:  python demos/04_train_synthetic.py
 
 from pathlib import Path
 
-import numpy as np
-
-import rgtrec.tensor as T
 from rgtrec.data import TEST, build_graph, split
 from rgtrec.evaluation import evaluate
 from rgtrec.mf_baseline import BPRMatrixFactorization
@@ -32,8 +29,7 @@ for rec in history[::5]:
           f"{rec['mae']:.3f}  {rec['ranking']:.3f}  {rec.get('val_recall@20', 0):.3f}")
 
 graph = build_graph(ds)
-with T.using_dtype(cfg.precision):
-    s = predict_embeddings(pair.teacher, graph, cfg)
+s = predict_embeddings(pair.teacher, graph, cfg)
 result = evaluate(s, ds, TEST)
 print("\ntest metrics:", {k: round(v, 4) for k, v in result.summary().items()})
 

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 
-import rgtrec.tensor as T
 from rgtrec.data import TEST, InteractionDataset, build_graph, split
 from rgtrec.evaluation import evaluate, ndcg_at_k, recall_at_k
 from rgtrec.synthetic import make_block_dataset
@@ -53,14 +52,13 @@ with tempfile.TemporaryDirectory() as tmp:
     graph = build_graph(ds)
     saved_cfg = checkpoint_config(ckpt)
     assert saved_cfg == cfg
-    with T.using_dtype(saved_cfg.precision):
-        original = predict_embeddings(pair.teacher, graph, cfg)
-        restored_pair = init_pair(graph, saved_cfg)
-        for p in restored_pair.teacher.parameters().values():
-            p.values += 1.0  # so that only the load can make the outputs agree
-        assert not np.array_equal(original, predict_embeddings(restored_pair.teacher, graph, cfg))
-        load_checkpoint_into(ckpt, restored_pair)
-        restored = predict_embeddings(restored_pair.teacher, graph, cfg)
+    original = predict_embeddings(pair.teacher, graph, cfg)
+    restored_pair = init_pair(graph, saved_cfg)
+    for p in restored_pair.teacher.parameters().values():
+        p.values += 1.0  # so that only the load can make the outputs agree
+    assert not np.array_equal(original, predict_embeddings(restored_pair.teacher, graph, cfg))
+    load_checkpoint_into(ckpt, restored_pair)
+    restored = predict_embeddings(restored_pair.teacher, graph, cfg)
     assert np.array_equal(original, restored)
     print("round trip bit-exact: True")
     try:

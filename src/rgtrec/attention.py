@@ -41,7 +41,7 @@ class AttentionParams:
     then ``wo``, so each equals the per-head draws stacked by row.
     """
 
-    def __init__(self, latdim: int, heads: int, seed: int):
+    def __init__(self, latdim: int, heads: int, seed: int, dtype=np.float64):
         if latdim % heads != 0:
             raise ValueError(f"latdim {latdim} not divisible by {heads} heads")
         self.latdim = latdim
@@ -51,7 +51,7 @@ class AttentionParams:
         scale = 1.0 / np.sqrt(latdim)
 
         def mk():
-            return T.parameter(rng.uniform(-scale, scale, size=(latdim, latdim)))
+            return T.parameter(rng.uniform(-scale, scale, size=(latdim, latdim)), dtype)
 
         self.wq = mk()
         self.wk = mk()

@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
 from .data import (DataFormatError, TEST, VAL, build_graph, load_interactions,
                    load_prepared, save_prepared, split)
 from .evaluation import evaluate, write_metrics_csv, write_metric_series_csv
@@ -53,18 +52,15 @@ LOSS_VARIANTS = {
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per config key; a value flag's text is parsed as a config file's."""
     group = parser.add_argument_group("config overrides")
     for f in dataclasses.fields(TrainConfig):
         flag = "--" + f.name.replace("_", "-")
         if f.type == "bool":
             group.add_argument(flag, dest=f.name, default=None,
                                action=argparse.BooleanOptionalAction)
-        elif f.type == "int":
-            group.add_argument(flag, dest=f.name, type=int, default=None)
-        elif f.type == "float":
-            group.add_argument(flag, dest=f.name, type=float, default=None)
         else:
-            group.add_argument(flag, dest=f.name, type=str, default=None)
+            group.add_argument(flag, dest=f.name, default=None)
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
@@ -183,16 +179,14 @@ def cmd_train(args) -> int:
 
 def _evaluate_splits(pair, ds, cfg: TrainConfig, *splits: int) -> list:
     """The teacher's ranking results on each split, on the graph it trained on."""
-    with T.using_dtype(cfg.precision):
-        s = predict_embeddings(pair.teacher, pair.teacher.graph, cfg)
+    s = predict_embeddings(pair.teacher, pair.teacher.graph, cfg)
     return [evaluate(s, ds, code) for code in splits]
 
 
 def _dump_first_epoch_subgraphs(ds, cfg, out_dir) -> None:
     graph = build_graph(ds)
-    with T.using_dtype(cfg.precision):
-        pair = init_pair(graph, cfg)
-        probs = rationale_score_table(pair.teacher, graph)
+    pair = init_pair(graph, cfg)
+    probs = rationale_score_table(pair.teacher, graph)
     for sub in draw_subgraphs(probs, cfg, epoch=0):
         dump_subgraph_tsv(sub, graph, Path(out_dir) / f"{sub.kind}.tsv")
 
@@ -201,9 +195,8 @@ def cmd_evaluate(args) -> int:
     cfg = checkpoint_config(args.checkpoint)
     ds = load_prepared(args.data)
     graph = build_graph(ds)
-    with T.using_dtype(cfg.precision):
-        pair = init_pair(graph, cfg)
-        load_checkpoint_into(args.checkpoint, pair)
+    pair = init_pair(graph, cfg)
+    load_checkpoint_into(args.checkpoint, pair)
     (result,) = _evaluate_splits(pair, ds, cfg, VAL if args.split == "val" else TEST)
     write_metrics_csv(args.out or sys.stdout, {args.split: result})
     if args.out:

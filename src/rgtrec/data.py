@@ -98,6 +98,8 @@ def load_interactions(path, format: str = "tsv_pairs") -> InteractionDataset:
         parts = [p.strip() for p in line.split(sep)]
         if len(parts) < 2 or not parts[0] or not parts[1]:
             raise DataFormatError(f"{path}:{lineno}: expected <user>{sep!r}<item>, got {raw!r}")
+        if "\t" in parts[0] or "\t" in parts[1]:  # ids.tsv could not hold it
+            raise DataFormatError(f"{path}:{lineno}: a token contains a tab, got {raw!r}")
         u = users.setdefault(parts[0], len(users))
         i = items.setdefault(parts[1], len(items))
         if (u, i) not in seen:

@@ -63,7 +63,7 @@ def loss_mae(s: T.Tensor, masked_out_edges: np.ndarray, g: BipartiteGraph,
         masked_out_edges = masked_out_edges[~saturated]
     if len(masked_out_edges) == 0:
         log.warning("masked-out edge set is empty; reconstruction loss is 0")
-        return T.Tensor(0.0)
+        return T.Tensor(0.0, dtype=s.dtype)
     users = masked_out_edges[:, 0]
     items = masked_out_edges[:, 1]
     loss = T.softplus(T.neg(_pair_scores(s, users, items)))

@@ -23,35 +23,34 @@ class ShapeMismatchError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-_DEFAULT_DTYPE = np.float32
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 @contextlib.contextmanager
 def using_dtype(dtype):
-    """Create new tensors in ``dtype`` (float32 or float64) within the block."""
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dt}; use float32 or float64")
-    previous, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dt.type
-    try:
-        yield
-    finally:
-        _DEFAULT_DTYPE = previous
+    """Refuse a dtype other than float32 or float64; do nothing else, as a
+    tensor's dtype is its data's.  It stays only because perfbench/run.py
+    calls it, as ``train_epoch``'s unused ``positives`` keyword does."""
+    if np.dtype(dtype) not in _FLOATS:
+        raise ValueError(f"unsupported dtype {np.dtype(dtype)}; use float32 or float64")
+    yield
 
 
 class Tensor:
     """A numpy array, hashed by identity so it can key a gradient map.
 
-    ``requires_grad`` marks leaves (parameters) whose gradients ``backward``
-    returns.  Tensors produced by operations inherit ``requires_grad`` from
-    their inputs and are recorded on the active tape when one exists.
+    The dtype is the data's when that is float32 or float64; any other data
+    becomes float64.  ``requires_grad`` marks leaves (parameters) whose
+    gradients ``backward`` returns.  Tensors produced by operations inherit
+    ``requires_grad`` from their inputs and are recorded on the active tape
+    when one exists.
     """
 
     __slots__ = ("values", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False, dtype=None):
-        self.values = np.asarray(values, dtype=dtype or _DEFAULT_DTYPE)
+        values = np.asarray(values, dtype=dtype)
+        self.values = values if values.dtype in _FLOATS else values.astype(np.float64)
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -64,18 +63,28 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Constant copy of this tensor; no gradient flows through it."""
-        return Tensor(self.values.copy(), requires_grad=False, dtype=self.dtype)
+        return Tensor(self.values.copy())
 
 
-def parameter(values) -> Tensor:
-    """A learnable leaf tensor owning a private copy of ``values``."""
-    return Tensor(np.array(values, dtype=_DEFAULT_DTYPE), requires_grad=True)
+def parameter(values, dtype=None) -> Tensor:
+    """A learnable leaf tensor owning a private copy of ``values`` in ``dtype``
+    (by default the dtype of ``values``)."""
+    return Tensor(np.array(values, dtype=dtype), requires_grad=True)
 
 
 def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(x)
+
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors; one that is not a tensor, such as a number,
+    takes the other's dtype, so ``mul(x32, 0.1)`` is float32."""
+    if isinstance(b, Tensor) and not isinstance(a, Tensor):
+        return Tensor(a, dtype=b.dtype), b
+    a = as_tensor(a)
+    return a, b if isinstance(b, Tensor) else Tensor(b, dtype=a.dtype)
 
 
 class _Record:
@@ -119,7 +128,7 @@ def _emit(out_values, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor
     may return None for an input that does not require a gradient.
     """
     requires = any(t.requires_grad for t in inputs)
-    out = Tensor(out_values, requires_grad=requires, dtype=out_values.dtype)
+    out = Tensor(out_values, requires_grad=requires)
     tape = active_tape()
     if requires and tape is not None:
         tape.records.append(_Record(out, tuple(inputs), backward_fn))
@@ -145,7 +154,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = a.values + b.values
 
     def bw(g):
@@ -156,7 +165,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = a.values - b.values
 
     def bw(g):
@@ -167,7 +176,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = a.values * b.values
     av, bv = a.values, b.values
 
@@ -179,7 +188,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = a.values / b.values
     av, bv = a.values, b.values
 

@@ -68,7 +68,7 @@ def pgnn_layer(h_prev: T.Tensor, anchors: np.ndarray, omega: np.ndarray,
     omega = np.asarray(omega, dtype=h_prev.dtype)
     m = len(anchors)
     h_anchor = T.take(h_prev, anchors)
-    own = T.mul(h_prev, T.Tensor(omega.sum(axis=1, keepdims=True), dtype=h_prev.dtype))
+    own = T.mul(h_prev, omega.sum(axis=1, keepdims=True))
     mixed = T.spmm(omega, h_anchor)
     stacked = T.concat([own, mixed], axis=1)
     return T.div(T.linear(stacked, layer_weight), float(m))
@@ -83,7 +83,7 @@ class TopologyEncoder:
     """
 
     def __init__(self, g: BipartiteGraph, anchors: np.ndarray, q: int, latdim: int,
-                 num_layers: int, seed: int, omega: np.ndarray | None = None):
+                 num_layers: int, seed: int, omega: np.ndarray | None = None, dtype=np.float64):
         if num_layers < 1:
             raise ValueError("topology encoder needs at least one layer")
         self.anchors = anchors
@@ -93,7 +93,7 @@ class TopologyEncoder:
         rng = substream(seed, "topo-init")
         scale = 1.0 / np.sqrt(latdim)
         self.layer_weights = [
-            T.parameter(rng.uniform(-scale, scale, size=(latdim, 2 * latdim)))
+            T.parameter(rng.uniform(-scale, scale, size=(latdim, 2 * latdim)), dtype)
             for _ in range(num_layers)
         ]
 

@@ -194,7 +194,7 @@ def _role_seed(seed: int, role: str) -> int:
 
 
 class ModelState:
-    """All learnable parameters of one model."""
+    """All learnable parameters of one model, in ``cfg.precision``."""
 
     def __init__(self, graph: BipartiteGraph, cfg: TrainConfig, role: str, anchors, omega=None):
         self.role = role
@@ -203,12 +203,12 @@ class ModelState:
         rng = substream(seed, "emb-init")
         bound = 0.5 / np.sqrt(cfg.latdim)
         self.emb = T.parameter(
-            rng.uniform(-bound, bound, size=(graph.num_nodes, cfg.latdim)))
+            rng.uniform(-bound, bound, size=(graph.num_nodes, cfg.latdim)), cfg.precision)
         self.topo: TopologyEncoder | None = None
         if cfg.use_topology:
-            self.topo = TopologyEncoder(graph, anchors, cfg.q, cfg.latdim,
-                                        cfg.pnn_layers, seed=seed, omega=omega)
-        self.attn = AttentionParams(cfg.latdim, cfg.heads, seed=seed)
+            self.topo = TopologyEncoder(graph, anchors, cfg.q, cfg.latdim, cfg.pnn_layers,
+                                        seed=seed, omega=omega, dtype=cfg.precision)
+        self.attn = AttentionParams(cfg.latdim, cfg.heads, seed=seed, dtype=cfg.precision)
 
     def parameters(self) -> dict[str, T.Tensor]:
         params = {"emb": self.emb}
@@ -459,7 +459,7 @@ def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph
             mae = loss_mae(out.encoded, masked_out, graph, step_rng)
             ranking = loss_bpr(out.rationale_pathway, triples)
             contrast = loss_cir(out.emb_rationale, out.emb_complement, cfg.temperature)
-            distill_t = T.Tensor(0.0)
+            distill_t = T.Tensor(0.0, dtype=teacher.emb.dtype)
             if ema_bundle is not None:
                 distill_t = loss_distill(make_bundle(out, ds.num_users), ema_bundle)
             teacher_total, report = total_loss(rec, mae, distill_t, ranking, contrast,
@@ -505,11 +505,6 @@ def fit(ds: InteractionDataset, cfg: TrainConfig, out_dir=None) -> tuple[Distill
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    with T.using_dtype(cfg.precision):
-        return _fit_inner(ds, cfg, out_path)
-
-
-def _fit_inner(ds, cfg, out_path):
     graph = build_graph(ds)
     pair = init_pair(graph, cfg)
 

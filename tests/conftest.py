@@ -5,15 +5,6 @@ import zipfile
 import numpy as np
 import pytest
 
-from rgtrec import tensor as T
-
-
-@pytest.fixture(autouse=True)
-def float64_mode():
-    """Run the whole suite in 64-bit mode so finite differences have headroom."""
-    with T.using_dtype(np.float64):
-        yield
-
 
 def npy_bytes(arr) -> bytes:
     """One array in the ``.npy`` format, as a checkpoint member holds it."""

@@ -65,21 +65,19 @@ def train_synthetic(cfg: TrainConfig, seed: int, stop_at: float | None = None):
     cfg = dataclasses.replace(cfg, seed=seed)
     if stop_at is None:
         pair, _ = fit(ds, cfg)
-        with T.using_dtype(cfg.precision):
-            s = predict_embeddings(pair.teacher, pair.teacher.graph, cfg)
+        s = predict_embeddings(pair.teacher, pair.teacher.graph, cfg)
         return ds, evaluate(s, ds, TEST)
 
     from rgtrec.training import train_epoch
     graph = build_graph(ds)
-    with T.using_dtype(cfg.precision):
-        pair = init_pair(graph, cfg)
-        result = None
-        for epoch in range(cfg.epochs):
-            train_epoch(pair, ds, graph, cfg, epoch)
-            s = predict_embeddings(pair.teacher, graph, cfg)
-            result = evaluate(s, ds, TEST)
-            if result.macro("recall", 10) >= stop_at:
-                break
+    pair = init_pair(graph, cfg)
+    result = None
+    for epoch in range(cfg.epochs):
+        train_epoch(pair, ds, graph, cfg, epoch)
+        s = predict_embeddings(pair.teacher, graph, cfg)
+        result = evaluate(s, ds, TEST)
+        if result.macro("recall", 10) >= stop_at:
+            break
     return ds, result
 
 
@@ -333,8 +331,7 @@ def test_c6_lastfm_reproduction():
                       lambda_contrast=0.005, lambda_reg=0.0001,
                       epochs=120, patience=20, seed=0, precision="float32")
     pair, history = fit(ds, cfg)
-    with T.using_dtype(cfg.precision):
-        s = predict_embeddings(pair.teacher, pair.teacher.graph, cfg)
+    s = predict_embeddings(pair.teacher, pair.teacher.graph, cfg)
     test_result = evaluate(s, ds, TEST)
     recall40 = test_result.macro("recall", 40)
     ndcg40 = test_result.macro("ndcg", 40)
@@ -420,14 +417,13 @@ def test_c8_engineering_contracts(tmp_path):
     # built from the checkpoint's own config whose parameters all differ first
     graph = build_graph(ds)
     ckpt = tmp_path / "model.ckpt"
-    with T.using_dtype(cfg.precision):
-        before = predict_embeddings(pair.teacher, graph, cfg)
-        fresh = init_pair(graph, checkpoint_config(ckpt))
-        for name, p in fresh.teacher.parameters().items():
-            p.values += 1.0
-            assert not np.array_equal(p.values, pair.teacher.parameters()[name].values)
-        load_checkpoint_into(ckpt, fresh)
-        after = predict_embeddings(fresh.teacher, graph, cfg)
+    before = predict_embeddings(pair.teacher, graph, cfg)
+    fresh = init_pair(graph, checkpoint_config(ckpt))
+    for name, p in fresh.teacher.parameters().items():
+        p.values += 1.0
+        assert not np.array_equal(p.values, pair.teacher.parameters()[name].values)
+    load_checkpoint_into(ckpt, fresh)
+    after = predict_embeddings(fresh.teacher, graph, cfg)
     assert np.array_equal(before, after)
 
     # no val/test leakage into the graph, on several datasets

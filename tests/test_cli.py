@@ -86,6 +86,16 @@ class TestPrepare:
         assert capsys.readouterr().err == f"config error: ratios must be finite, got {ratios!r}\n"
         assert not (tmp_path / "d").exists()
 
+    def test_tab_inside_a_csv_token_exits_one(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("a,i0\na\tb,i1\n", encoding="utf-8")
+        out = tmp_path / "prep"
+        assert main(["prepare", "--input", str(raw), "--format", "csv_pairs",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {raw}:2: a token contains a tab, got 'a\\tb,i1\\n'\n"
+        assert not out.exists()
+
     def test_idempotent(self, raw_file, tmp_path):
         for name in ("a", "b"):
             main(["prepare", "--input", str(raw_file), "--out", str(tmp_path / name),
@@ -178,10 +188,15 @@ class TestTrain:
             assert main(command) == 2, command
             err = capsys.readouterr().err
             assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
-        with pytest.raises(SystemExit) as exc:
-            main(["train", "--data", str(prepared), "--out", str(tmp_path / "r"),
-                  "--" + key.replace("_", "-"), value])
-        assert exc.value.code == 2
+        flag = ["train", "--data", str(prepared), "--out", str(tmp_path / "r"),
+                "--" + key.replace("_", "-"), value]
+        if message.startswith("unknown"):
+            with pytest.raises(SystemExit) as exc:  # argparse has no such flag
+                main(flag)
+            assert exc.value.code == 2
+        else:  # the flag's text is parsed as the config file's is
+            assert main(flag) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("file, edit, message", [

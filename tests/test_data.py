@@ -40,6 +40,13 @@ class TestLoadInteractions:
         with pytest.raises(D.DataFormatError, match=":2:"):
             D.load_interactions(p)
 
+    @pytest.mark.parametrize("line", ["a\tb,i1", "a,i\t1"], ids=["user", "item"])
+    def test_tab_inside_a_csv_token_rejected(self, tmp_path, line):
+        # ids.tsv is tab-separated, so such a token could not be read back
+        p = write_lines(tmp_path, ["a,x", line], name="inter.csv")
+        with pytest.raises(D.DataFormatError, match=r"inter\.csv:2: a token contains a tab"):
+            D.load_interactions(p, format="csv_pairs")
+
     def test_empty_file_errors(self, tmp_path):
         p = tmp_path / "empty.tsv"
         p.write_text("", encoding="utf-8")

@@ -57,11 +57,12 @@ class TestLossMae:
 
     def test_empty_masked_set_returns_zero_with_warning(self, caplog):
         g = complete_minus_one()
-        s = T.Tensor(np.zeros((g.num_nodes, 2)))
-        with caplog.at_level("WARNING"):
-            out = L.loss_mae(s, np.empty((0, 2), dtype=np.int64), g, substream(0, "mae"))
-        assert float(out.values) == 0.0
-        assert "empty" in caplog.text
+        for dtype in (np.float32, np.float64):  # the zero is in the embeddings' dtype
+            s = T.Tensor(np.zeros((g.num_nodes, 2), dtype))
+            with caplog.at_level("WARNING"):
+                out = L.loss_mae(s, np.empty((0, 2), dtype=np.int64), g, substream(0, "mae"))
+            assert float(out.values) == 0.0 and out.dtype == dtype
+            assert "empty" in caplog.text
 
     def test_user_with_every_item_but_one(self):
         num_items, free = 5000, 4321

@@ -147,16 +147,15 @@ class TestLightGCNOperator:
                              p=0.2, min_degree_one=False)
             assert (g.degree == 0).any()
             start = rng.normal(size=(g.num_nodes, 3))
-            weights = T.Tensor(rng.normal(size=(g.num_nodes, 3)).astype(dtype), dtype=dtype)
+            weights = T.Tensor(rng.normal(size=(g.num_nodes, 3)).astype(dtype))
             results = []
-            with T.using_dtype(dtype):
-                for propagate in (P.lightgcn_propagate, keep_mask_lightgcn):
-                    s0 = T.parameter(start)
-                    with T.Tape() as tape:
-                        out = propagate(g, s0, layers)
-                        grads = T.backward(T.tsum(T.mul(out, weights)), tape)
-                    assert out.dtype == dtype
-                    results.append((out.values, grads[s0]))
+            for propagate in (P.lightgcn_propagate, keep_mask_lightgcn):
+                s0 = T.parameter(start, dtype)
+                with T.Tape() as tape:
+                    out = propagate(g, s0, layers)
+                    grads = T.backward(T.tsum(T.mul(out, weights)), tape)
+                assert weights.dtype == s0.dtype == out.dtype == grads[s0].dtype == dtype
+                results.append((out.values, grads[s0]))
             for got, want in zip(*results):
                 np.testing.assert_array_equal(got, want)
 
@@ -176,10 +175,9 @@ class TestLightGCNOperator:
         for dtype in (np.float32, np.float64, np.float32):
             outs = []
             for g in (shared, build_graph_from_edges(5, 7, edges)):
-                with T.using_dtype(dtype):
-                    params = AttentionParams(latdim=4, heads=2, seed=0)
-                    local = P.lightgcn_propagate(g, T.Tensor(start), 2)
-                    out = P.encode_masked(g, local, None, params, gt_layers=2)
-                assert out.dtype == dtype
+                params = AttentionParams(latdim=4, heads=2, seed=0, dtype=dtype)
+                local = P.lightgcn_propagate(g, T.Tensor(start, dtype=dtype), 2)
+                out = P.encode_masked(g, local, None, params, gt_layers=2)
+                assert params.wq.dtype == local.dtype == out.dtype == dtype
                 outs.append(out.values)
             np.testing.assert_array_equal(*outs)

@@ -197,13 +197,12 @@ class TestGradientAccumulation:
         # the later record's gradient arrives first: ((c4 + c3) + c2) + ...
         rng = np.random.default_rng(3)
         consts = [rng.normal(size=(4, 3)).astype(dtype) for _ in range(5)]
-        with T.using_dtype(dtype):
-            x = T.parameter(rng.normal(size=(4, 3)))
-            grad = self.run(lambda x: T.tsum(T.concat([T.mul(x, c) for c in consts], 1)), x)
+        x = T.parameter(rng.normal(size=(4, 3)), dtype)
+        grad = self.run(lambda x: T.tsum(T.concat([T.mul(x, c) for c in consts], 1)), x)
         expect = consts[-1]
         for c in consts[-2::-1]:
             expect = expect + c
-        assert grad.dtype == dtype
+        assert x.dtype == grad.dtype == dtype
         np.testing.assert_array_equal(grad, expect)
 
     def test_square_is_one_record_with_the_product_rule_gradient(self):
@@ -353,18 +352,63 @@ class TestAdam:
 
 
 class TestDtypeControl:
-    def test_default_dtype_switch(self):
+    """A tensor's dtype is its data's; there is no process-wide default."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_data_keeps_its_dtype(self, dtype):
+        data = np.array([1.5, -2.0], dtype=dtype)
+        assert T.Tensor(data).dtype == dtype
+        assert T.parameter(data).dtype == dtype
+        assert T.Tensor([1.5], dtype=dtype).dtype == dtype
+
+    @pytest.mark.parametrize("data", [[1.0, 2.0], 0.5, np.array([1, 2], dtype=np.int32),
+                                      np.array([True, False]), np.array([0.5], np.float16)],
+                             ids=["list", "float", "int32", "bool", "float16"])
+    def test_other_data_becomes_float64(self, data):
+        t = T.Tensor(data)
+        assert t.dtype == np.float64
+        np.testing.assert_array_equal(t.values, np.asarray(data, dtype=np.float64))
+        assert T.parameter(data).dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_parameter_copies_values_in_dtype(self, dtype):
+        source = np.array([0.1, 0.2])
+        p = T.parameter(source, dtype)
+        source[0] = 9.0
+        assert p.dtype == dtype
+        np.testing.assert_array_equal(p.values, np.array([0.1, 0.2], dtype=dtype))
+
+    def test_using_dtype_changes_nothing(self):
         with T.using_dtype(np.float32):
-            x = T.Tensor([1.0])
-            assert x.dtype == np.float32
-        y = T.Tensor([1.0])
-        assert y.dtype == np.float64  # suite fixture keeps tests in 64-bit
+            assert T.Tensor([1.0]).dtype == np.float64
+            assert T.parameter([1.0]).dtype == np.float64
+            assert T.mul(T.Tensor([1.0]), 0.1).dtype == np.float64
+        with T.using_dtype("float64"):
+            assert T.Tensor(np.ones(2, np.float32)).dtype == np.float32
 
     def test_rejects_non_float(self):
         with pytest.raises(ValueError, match="int32"):
             with T.using_dtype(np.int32):
                 pass
         assert T.Tensor([1.0]).dtype == np.float64  # the refused switch left no trace
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op, np_op", [(T.add, np.add), (T.sub, np.subtract),
+                                           (T.mul, np.multiply), (T.div, np.divide)],
+                             ids=["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("number", [0.1, 1 / 3, np.float64(1 / 7), np.float32(0.3), 3],
+                             ids=["0.1", "1/3", "np.float64", "np.float32", "int"])
+    def test_a_number_takes_the_tensors_dtype(self, dtype, op, np_op, number):
+        # the values are those of the number first rounded to the tensor's dtype
+        x = T.parameter(np.array([[0.7, -1.3], [2.9, 0.4]]), dtype)
+        rounded = np.asarray(number, dtype=dtype)
+        for out, want in ((op(x, number), np_op(x.values, rounded)),
+                          (op(number, x), np_op(rounded, x.values))):
+            assert out.dtype == dtype
+            np.testing.assert_array_equal(out.values, want)
+        with T.Tape() as tape:
+            grads = T.backward(T.tsum(op(number, x)), tape)
+        assert grads[x].dtype == dtype
 
 
 def kernel_graph():
@@ -492,15 +536,14 @@ class TestSegmentSoftmaxOracle:
             start = np.round(rng.normal(size=shape) * 8, 1 if trial % 2 else 6)
             weights = rng.normal(size=shape).astype(dtype)
             results = []
-            with T.using_dtype(dtype):
-                for op in (lambda x: T.segment_softmax(x, g),
-                           lambda x: generic_segment_softmax(x, g.directed_src, g.num_nodes)):
-                    a = T.parameter(start)
-                    with T.Tape() as tape:
-                        out = op(a)
-                        grads = T.backward(T.tsum(T.mul(out, T.Tensor(weights))), tape)
-                    assert out.dtype == a.dtype == dtype
-                    results.append((out.values, grads[a]))
+            for op in (lambda x: T.segment_softmax(x, g),
+                       lambda x: generic_segment_softmax(x, g.directed_src, g.num_nodes)):
+                a = T.parameter(start, dtype)
+                with T.Tape() as tape:
+                    out = op(a)
+                    grads = T.backward(T.tsum(T.mul(out, T.Tensor(weights))), tape)
+                assert out.dtype == a.dtype == grads[a].dtype == dtype
+                results.append((out.values, grads[a]))
             (csr_out, csr_grad), (ref_out, ref_grad) = results
             np.testing.assert_array_equal(csr_out, ref_out)
             np.testing.assert_array_equal(csr_grad, ref_grad)
@@ -523,21 +566,21 @@ class TestAllHeadsOperator:
             slots = rng.normal(size=(len(g.csr_neighbors), heads))
             weights = rng.normal(size=(len(g.csr_neighbors), heads)).astype(dtype)
             cotangent = rng.normal(size=(g.num_nodes, width)).astype(dtype)
-            with T.using_dtype(dtype):
-                for fused, reference, a_start, b_start, w in (
-                        (T.edge_dot, per_head_edge_dot, tables[0], tables[1], weights),
-                        (T.edge_spmm, per_head_edge_spmm, slots, tables[0], cotangent)):
-                    results = []
-                    for op in (fused, reference):
-                        a = T.parameter(a_start)
-                        b = T.parameter(b_start)
-                        with T.Tape() as tape:
-                            out = op(a, b, g, heads)
-                            grads = T.backward(T.tsum(T.mul(out, T.Tensor(w))), tape)
-                        assert out.dtype == dtype
-                        results.append((out.values, grads[a], grads[b]))
-                    for got, want in zip(*results):
-                        np.testing.assert_array_equal(got, want)
+            for fused, reference, a_start, b_start, w in (
+                    (T.edge_dot, per_head_edge_dot, tables[0], tables[1], weights),
+                    (T.edge_spmm, per_head_edge_spmm, slots, tables[0], cotangent)):
+                results = []
+                for op in (fused, reference):
+                    a = T.parameter(a_start, dtype)
+                    b = T.parameter(b_start, dtype)
+                    with T.Tape() as tape:
+                        out = op(a, b, g, heads)
+                        grads = T.backward(T.tsum(T.mul(out, T.Tensor(w))), tape)
+                    assert out.dtype == a.dtype == b.dtype == dtype
+                    assert grads[a].dtype == grads[b].dtype == dtype
+                    results.append((out.values, grads[a], grads[b]))
+                for got, want in zip(*results):
+                    np.testing.assert_array_equal(got, want)
 
     def test_operator_structure_is_built_once_per_graph_and_head_count(self, monkeypatch):
         g = graph_with_isolated_nodes(np.random.default_rng(0))

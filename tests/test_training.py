@@ -138,9 +138,8 @@ class TestTrainEpoch:
         ds = tiny_dataset()
         cfg = tiny_cfg(epochs=1)
         graph = build_graph(ds)
-        with T.using_dtype("float64"):
-            pair = TR.init_pair(graph, cfg)
-            report = TR.train_epoch(pair, ds, graph, cfg, epoch=0)
+        pair = TR.init_pair(graph, cfg)
+        report = TR.train_epoch(pair, ds, graph, cfg, epoch=0)
         for name in ("rec", "mae", "distill", "ranking", "contrast", "reg", "total"):
             assert math.isfinite(getattr(report, name))
         assert report.total == pytest.approx(
@@ -336,12 +335,11 @@ class TestCheckpoint:
         graph = build_graph(ds)
         loaded_cfg = TR.checkpoint_config(tmp_path / "model.ckpt")
         assert loaded_cfg == cfg
-        with T.using_dtype(cfg.precision):
-            before = TR.predict_embeddings(pair.teacher, graph, cfg)
-            fresh = perturbed_pair(graph, loaded_cfg)
-            assert not np.array_equal(TR.predict_embeddings(fresh.teacher, graph, cfg), before)
-            TR.load_checkpoint_into(tmp_path / "model.ckpt", fresh)
-            after = TR.predict_embeddings(fresh.teacher, graph, cfg)
+        before = TR.predict_embeddings(pair.teacher, graph, cfg)
+        fresh = perturbed_pair(graph, loaded_cfg)
+        assert not np.array_equal(TR.predict_embeddings(fresh.teacher, graph, cfg), before)
+        TR.load_checkpoint_into(tmp_path / "model.ckpt", fresh)
+        after = TR.predict_embeddings(fresh.teacher, graph, cfg)
         np.testing.assert_array_equal(before, after)
         assert fresh.epoch == pair.epoch
 
@@ -367,8 +365,7 @@ class TestCheckpoint:
         # parameter keys are literals in ModelState, TopologyEncoder and
         # AttentionParams; a checkpoint written before must keep loading
         cfg = tiny_cfg(precision="float32", pnn_layers=2)
-        with T.using_dtype(cfg.precision):
-            pair = TR.init_pair(build_graph(tiny_dataset(seed=12)), cfg)
+        pair = TR.init_pair(build_graph(tiny_dataset(seed=12)), cfg)
         TR.write_checkpoint(tmp_path / "model.ckpt", pair)
         with np.load(tmp_path / "model.ckpt") as inspected:
             assert inspected.files == [
@@ -603,14 +600,13 @@ class TestCheckpointProperties:
 
     @pytest.fixture(scope="class")
     def case(self, tmp_path_factory):
-        with T.using_dtype(np.float64):
-            ds = split(make_block_dataset(num_users=3, num_items=4, num_blocks=1,
-                                          interactions_per_user=3, seed=0), seed=0)
-            graph = build_graph(ds)
-            cfg = tiny_cfg(latdim=2, heads=1, anchor_set=2, self_distill_ema=0.9)
-            source = TR.init_pair(graph, cfg)
-            source.epoch = 3
-            target = perturbed_pair(graph, cfg)
+        ds = split(make_block_dataset(num_users=3, num_items=4, num_blocks=1,
+                                      interactions_per_user=3, seed=0), seed=0)
+        graph = build_graph(ds)
+        cfg = tiny_cfg(latdim=2, heads=1, anchor_set=2, self_distill_ema=0.9)
+        source = TR.init_pair(graph, cfg)
+        source.epoch = 3
+        target = perturbed_pair(graph, cfg)
         path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
         TR.write_checkpoint(path, source)
         return path, path.read_bytes(), self.state(source), target, self.state(target)
@@ -685,11 +681,59 @@ class TestPrecision:
                               anchor_set=16, batch_size=4096, lr=0.01, epochs=5,
                               patience=0, precision=precision, seed=0)
             pair, _ = TR.fit(ds, cfg)
-            with T.using_dtype(precision):
-                s[precision] = TR.predict_embeddings(pair.teacher, pair.teacher.graph, cfg)
+            s[precision] = TR.predict_embeddings(pair.teacher, pair.teacher.graph, cfg)
         assert s["float32"].dtype == np.float32
         diff = np.abs(s["float32"].astype(np.float64) - s["float64"]).max()
         assert diff / np.abs(s["float64"]).max() <= 1e-4
+
+
+class TestModelDtype:
+    """The model is built and trained in ``cfg.precision``, whatever dtype
+    block the caller is in."""
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_init_pair_builds_every_parameter_in_cfg_precision(self, precision):
+        cfg = tiny_cfg(precision=precision, pnn_layers=2, self_distill_ema=0.9)
+        pair = TR.init_pair(build_graph(tiny_dataset(seed=12)), cfg)
+        dtypes = {f"{role}/{name}": p.dtype for role, state in pair.states().items()
+                  for name, p in state.parameters().items()}
+        assert len(dtypes) == 2 * 7
+        assert set(dtypes.values()) == {np.dtype(precision)}, dtypes
+
+    @pytest.mark.parametrize("ema", [0.0, 0.9])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_one_step_records_every_tape_entry_in_the_model_dtype(self, monkeypatch,
+                                                                   precision, ema):
+        ds = tiny_dataset(seed=12)
+        cfg = tiny_cfg(precision=precision, self_distill_ema=ema, batch_size=10_000)
+        graph = build_graph(ds)
+        pair = TR.init_pair(graph, cfg)
+        tapes, grads = [], []
+        backward = T.backward
+
+        def recording_backward(loss, tape):
+            tapes.append(tape)
+            grads.append(backward(loss, tape))
+            return grads[-1]
+
+        monkeypatch.setattr(T, "backward", recording_backward)
+        TR.train_epoch(pair, ds, graph, cfg, 0)
+        assert len(tapes) == 1  # one step
+        wrong = [(i, r.backward_fn.__qualname__, [t.dtype.name for t in (r.out, *r.inputs)])
+                 for i, r in enumerate(tapes[0].records)
+                 if any(t.dtype != precision for t in (r.out, *r.inputs))]
+        assert wrong == []
+        assert {g.dtype for g in grads[0].values()} == {np.dtype(precision)}
+
+    def test_float64_predictions_ignore_a_float32_block(self):
+        ds = tiny_dataset(seed=12)
+        cfg = tiny_cfg(heads=1, epochs=1)  # the score scale 1/sqrt(8) is inexact in float32
+        pair, _ = TR.fit(ds, cfg)
+        outside = TR.predict_embeddings(pair.teacher, pair.teacher.graph, cfg)
+        with T.using_dtype("float32"):
+            inside = TR.predict_embeddings(pair.teacher, pair.teacher.graph, cfg)
+        assert outside.dtype == inside.dtype == np.float64
+        assert outside.tobytes() == inside.tobytes()
 
 
 class TestPredictEmbeddings:
@@ -698,6 +742,5 @@ class TestPredictEmbeddings:
         cfg = tiny_cfg(epochs=1)
         pair, _ = TR.fit(ds, cfg)
         graph = build_graph(ds)
-        with T.using_dtype(cfg.precision):
-            s = TR.predict_embeddings(pair.teacher, graph, cfg)
+        s = TR.predict_embeddings(pair.teacher, graph, cfg)
         assert s.shape == (ds.num_users + ds.num_items, cfg.latdim)

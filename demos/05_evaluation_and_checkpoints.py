@@ -10,18 +10,22 @@ from pathlib import Path
 import numpy as np
 
 from rgtrec.data import TEST, InteractionDataset, build_graph, split
-from rgtrec.evaluation import evaluate, ndcg_at_k, recall_at_k
+from rgtrec.evaluation import evaluate
 from rgtrec.synthetic import make_block_dataset
 from rgtrec.training import (TrainConfig, checkpoint_config, fit, init_pair,
                              load_checkpoint_into, predict_embeddings, read_checkpoint)
 
 # --- metrics on a tiny hand-ranked list --------------------------------------
-ranking = np.array([12, 7, 3, 40, 9])
-relevant = {7, 40}
-print("ranking:", ranking.tolist(), "relevant:", relevant)
+# one user and 41 items; 1-d embeddings score items 12, 7, 3, 40, 9 as 5..1 and
+# every other item 0, so the user's ranking starts 12, 7, 3, 40, 9
+item_scores = np.zeros(41)
+item_scores[[12, 7, 3, 40, 9]] = [5, 4, 3, 2, 1]
+rank_ds = InteractionDataset(1, 41, np.array([[0, 7], [0, 40]]),
+                             split_assignment=np.array([TEST, TEST], dtype=np.int8))
+ranked = evaluate(np.concatenate([[1.0], item_scores])[:, None], rank_ds, TEST, ks=(1, 2, 4, 5))
+print("ranking:", ranked.topk[0].tolist(), "relevant:", {7, 40})
 for k in (1, 2, 4):
-    print(f"  recall@{k} = {recall_at_k(ranking, relevant, k):.3f}   "
-          f"ndcg@{k} = {ndcg_at_k(ranking, relevant, k):.4f}")
+    print(f"  recall@{k} = {ranked.recall[k][0]:.3f}   ndcg@{k} = {ranked.ndcg[k][0]:.4f}")
 # DCG@4 = 1/log2(3) + 1/log2(5); ideal = 1 + 1/log2(3)
 expect = (1 / math.log2(3) + 1 / math.log2(5)) / (1 + 1 / math.log2(3))
 print(f"  ndcg@4 by hand = {expect:.4f}")

@@ -19,7 +19,7 @@ See the demos/ directory for narrative walkthroughs of each capability.
 
 from .data import (BipartiteGraph, InteractionDataset, build_graph,
                    load_interactions, load_prepared, save_prepared, split)
-from .evaluation import RankingResult, evaluate, ndcg_at_k, recall_at_k
+from .evaluation import RankingResult, evaluate
 from .losses import EmbeddingBundle, LossReport
 from .sampling import SampledSubgraph, build_masked_graph, sample_complement, sample_rationale
 from .synthetic import make_block_dataset
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BipartiteGraph", "InteractionDataset", "build_graph", "load_interactions",
     "load_prepared", "save_prepared", "split",
-    "RankingResult", "evaluate", "ndcg_at_k", "recall_at_k",
+    "RankingResult", "evaluate",
     "EmbeddingBundle", "LossReport",
     "SampledSubgraph", "build_masked_graph", "sample_complement", "sample_rationale",
     "make_block_dataset",

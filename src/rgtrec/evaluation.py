@@ -17,22 +17,7 @@ from .data import InteractionDataset, TRAIN, VAL, TEST
 
 DEFAULT_KS = (10, 20, 40)
 _CHUNK = 256
-
-
-def recall_at_k(topk: np.ndarray, relevant: set, k: int) -> float:
-    if not relevant:
-        raise ValueError("recall needs at least one relevant item")
-    hits = sum(1 for item in topk[:k] if int(item) in relevant)
-    return hits / len(relevant)
-
-
-def ndcg_at_k(topk: np.ndarray, relevant: set, k: int) -> float:
-    if not relevant:
-        raise ValueError("ndcg needs at least one relevant item")
-    dcg = sum(1.0 / np.log2(r + 2) for r, item in enumerate(topk[:k])
-              if int(item) in relevant)
-    ideal = sum(1.0 / np.log2(r + 2) for r in range(min(k, len(relevant))))
-    return dcg / ideal
+_GROUP = 16     # _top_k bounds the k-th score by maxima of max(k, ceil(n / 16)) groups
 
 
 @dataclass
@@ -47,6 +32,8 @@ class RankingResult:
 
     def macro(self, metric: str, k: int) -> float:
         """Mean over the evaluated users; NaN when the split has none."""
+        if metric not in ("recall", "ndcg"):
+            raise ValueError(f"metric must be 'recall' or 'ndcg', got {metric!r}")
         values = (self.recall if metric == "recall" else self.ndcg)[k]
         return float(values.mean()) if len(values) else float("nan")
 
@@ -58,30 +45,46 @@ class RankingResult:
         return out
 
 
-def _top_k(neg: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of each row's ``k`` smallest values in ascending order,
-    ties broken by ascending column: the first ``k`` of a stable argsort
-    (``1 <= k <= neg.shape[1]``).
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's ``k`` largest scores in descending order,
+    ties broken by ascending column: the first ``k`` of a stable argsort of
+    ``-scores`` (``1 <= k <= scores.shape[1]``).
 
-    A partition finds each row's k-th smallest value v.  The top ``k`` are
-    every entry below v plus, in ascending column order, as many entries
-    equal to v as places are left; a stable sort of those ``k`` columns by
-    value orders them.  Nothing else is sorted.
+    The ``n`` columns form ``w = max(k, ceil(n / _GROUP))`` strided groups,
+    group ``j`` holding columns ``j, j + w, j + 2w, ...``: their maxima are
+    one reduction over the ``w``-wide column blocks, plus one ``maximum``
+    with a last, shorter block.  Each row's k-th largest group maximum ``t``
+    bounds its k-th largest score from below, since ``k`` groups each hold
+    an entry ``>= t``; so the top ``k``, ties included, are among the
+    entries ``>= t``, and only those candidates are sorted, by descending
+    score with ascending column among equals.  A NaN reaches its group's
+    maximum, where it is refused.  A row with ``-inf`` in its top ``k`` has
+    ``t = -inf``, and every entry is a candidate.
+
+    Worst case: in a row whose scores are all equal every column is a
+    candidate, so its chunk's sort block is ``rows x n``; the result is
+    still exact.
     """
-    rows, n = neg.shape
-    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
-    if np.isnan(kth).any():
+    rows, n = scores.shape
+    w = max(k, -(-n // _GROUP))
+    full = n - n % w
+    group_max = scores[:, :full].reshape(rows, -1, w).max(axis=1)
+    tail = scores[:, full:]
+    head = group_max[:, :tail.shape[1]]
+    np.maximum(head, tail, out=head)
+    if np.isnan(group_max).any():
         raise ValueError("scores are NaN: the embeddings are not finite")
-    below = neg < kth
-    places = k - np.count_nonzero(below, axis=1)
-    tied = np.flatnonzero(neg == kth)      # row-major: columns ascend per row
-    tied_row = tied // n
-    rank_in_row = np.arange(len(tied)) - np.searchsorted(tied_row, tied_row)
-    flat = np.sort(np.concatenate([np.flatnonzero(below),
-                                   tied[rank_in_row < places[tied_row]]]))
-    cand = (flat % n).reshape(rows, k)
-    order = np.argsort(neg.reshape(-1)[flat].reshape(rows, k), axis=1, kind="stable")
-    return np.take_along_axis(cand, order, axis=1)
+    t = np.partition(group_max, w - k, axis=1)[:, w - k:w - k + 1]
+    flat = np.flatnonzero(scores >= t)     # row-major: columns ascend per row
+    row, col = np.divmod(flat, n)
+    counts = np.bincount(row, minlength=rows)
+    first = np.cumsum(counts) - counts    # each row's first candidate in flat
+    # pad with +inf keys after each row's candidates; a stable sort keeps a
+    # candidate scored -inf ahead of the padding
+    keys = np.full((rows, counts.max()), np.inf, dtype=scores.dtype)
+    keys[row, np.arange(len(flat)) - np.repeat(first, counts)] = -scores.reshape(-1)[flat]
+    order = np.argsort(keys, axis=1, kind="stable")[:, :k]
+    return col[first[:, None] + order]
 
 
 def evaluate(s: np.ndarray, ds: InteractionDataset, split: int,
@@ -89,13 +92,21 @@ def evaluate(s: np.ndarray, ds: InteractionDataset, split: int,
     """Macro-averaged Recall@K / NDCG@K over users with relevant items in ``split``.
 
     Users are scored in chunks of rows against every item, train items are
-    set to -inf, and each row's top ``max(ks)`` is taken by a partition plus a
-    sort of those items only (``_top_k``); the ranking equals a full stable
-    sort by descending score, ties going to the smaller item id.  Both
-    metrics come from one users × max(ks) hit matrix.
+    set to -inf, and each row's top ``max(ks)`` is taken by ``_top_k``: the
+    maxima of strided column groups bound each row's K-th score, and only
+    the items at or above that bound are sorted.  The ranking equals a full
+    stable sort by descending score, ties going to the smaller item id.
+    Both metrics come from one users × max(ks) hit matrix.  ``s`` must hold
+    the users' rows, then the items'; every K must be an integer >= 1.
     """
     if split not in (VAL, TEST):
         raise ValueError("evaluate on the val or test split")
+    if s.ndim != 2 or len(s) != ds.num_users + ds.num_items:
+        raise ValueError(f"s must have num_users + num_items = "
+                         f"{ds.num_users + ds.num_items} rows, got shape {s.shape}")
+    if not ks or not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+                         and k >= 1 for k in ks):
+        raise ValueError(f"every k must be an integer >= 1, got ks={tuple(ks)}")
     max_k = min(max(ks), ds.num_items)
     pairs = ds.pairs(split)
     relevant = np.unique(pairs[:, 0] * ds.num_items + pairs[:, 1])
@@ -113,7 +124,6 @@ def evaluate(s: np.ndarray, ds: InteractionDataset, split: int,
         scores = s[batch] @ item_table.T
         in_chunk = (train_rows >= start) & (train_rows < start + len(batch))
         scores[train_rows[in_chunk] - start, train_items[in_chunk]] = -np.inf
-        np.negative(scores, out=scores)
         topk[start:start + len(batch)] = _top_k(scores, max_k)
         # free this chunk's score matrix before the next chunk allocates its
         # own, so the peak holds one chunk, not two

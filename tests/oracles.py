@@ -264,6 +264,24 @@ def rank_items(scores: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
+def recall_at_k(topk: np.ndarray, relevant: set, k: int) -> float:
+    """Share of ``relevant`` found in the first ``k`` items of a ranking."""
+    if not relevant:
+        raise ValueError("recall needs at least one relevant item")
+    hits = sum(1 for item in topk[:k] if int(item) in relevant)
+    return hits / len(relevant)
+
+
+def ndcg_at_k(topk: np.ndarray, relevant: set, k: int) -> float:
+    """DCG of the first ``k`` items over the DCG of a perfect ranking."""
+    if not relevant:
+        raise ValueError("ndcg needs at least one relevant item")
+    dcg = sum(1.0 / np.log2(r + 2) for r, item in enumerate(topk[:k])
+              if int(item) in relevant)
+    ideal = sum(1.0 / np.log2(r + 2) for r in range(min(k, len(relevant))))
+    return dcg / ideal
+
+
 def per_user_evaluate(s: np.ndarray, ds, split: int, ks: tuple[int, ...]):
     """All-rank evaluation one user at a time: a full stable argsort of each
     user's scores and the set-based Recall@K / NDCG@K formulas.

@@ -22,14 +22,14 @@ from rgtrec import sampling as S
 from rgtrec import topology as topo
 from rgtrec.data import (TEST, VAL, build_graph, build_graph_from_edges,
                          load_interactions, split)
-from rgtrec.evaluation import evaluate, ndcg_at_k, recall_at_k
+from rgtrec.evaluation import evaluate
 from rgtrec.mf_baseline import BPRMatrixFactorization
 from rgtrec.seeding import substream
 from rgtrec.synthetic import make_block_dataset
 from rgtrec.training import (TrainConfig, checkpoint_config, fit, init_pair,
                              load_checkpoint_into, negative_sample, predict_embeddings)
-from oracles import (bfs_distances, check_gradients, dense_sym_norm_adjacency, neighbors,
-                     plackett_luce_topk_inclusion)
+from oracles import (bfs_distances, check_gradients, dense_sym_norm_adjacency, ndcg_at_k,
+                     neighbors, plackett_luce_topk_inclusion, recall_at_k)
 
 
 def _report(criterion: int, message: str) -> None:

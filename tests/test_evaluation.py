@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rgtrec import evaluation as E
 from rgtrec.data import InteractionDataset, TRAIN, VAL, TEST, split
 from rgtrec.synthetic import make_block_dataset
-from oracles import per_user_evaluate, rank_items, score_all_items
+from oracles import (ndcg_at_k, per_user_evaluate, rank_items, recall_at_k,
+                     score_all_items)
 
 
 class TestScoreAllItems:
@@ -42,10 +44,10 @@ class TestScoreAllItems:
 
 class TestRecall:
     def test_single_hit(self):
-        assert E.recall_at_k(np.array([3, 1, 2]), {3}, 2) == 1.0
+        assert recall_at_k(np.array([3, 1, 2]), {3}, 2) == 1.0
 
     def test_partial_hit(self):
-        assert E.recall_at_k(np.array([3, 1, 2]), {3, 9}, 3) == 0.5
+        assert recall_at_k(np.array([3, 1, 2]), {3, 9}, 3) == 0.5
 
     def test_matches_set_oracle(self):
         rng = np.random.default_rng(1)
@@ -54,26 +56,26 @@ class TestRecall:
             relevant = set(int(x) for x in rng.choice(30, size=5, replace=False))
             k = int(rng.integers(1, 11))
             expect = len(set(int(x) for x in topk[:k]) & relevant) / len(relevant)
-            assert E.recall_at_k(topk, relevant, k) == pytest.approx(expect)
+            assert recall_at_k(topk, relevant, k) == pytest.approx(expect)
 
     def test_empty_relevant_rejected(self):
         with pytest.raises(ValueError):
-            E.recall_at_k(np.array([1]), set(), 1)
+            recall_at_k(np.array([1]), set(), 1)
 
 
 class TestNdcg:
     def test_relevant_at_rank_one(self):
-        assert E.ndcg_at_k(np.array([7, 1, 2]), {7}, 3) == pytest.approx(1.0)
+        assert ndcg_at_k(np.array([7, 1, 2]), {7}, 3) == pytest.approx(1.0)
 
     def test_relevant_at_rank_two(self):
-        value = E.ndcg_at_k(np.array([1, 7, 2]), {7}, 3)
+        value = ndcg_at_k(np.array([1, 7, 2]), {7}, 3)
         assert value == pytest.approx(1 / math.log2(3), abs=1e-4)
 
     def test_no_relevant_in_topk(self):
-        assert E.ndcg_at_k(np.array([1, 2, 3]), {9}, 3) == 0.0
+        assert ndcg_at_k(np.array([1, 2, 3]), {9}, 3) == 0.0
 
     def test_perfect_prefix_is_one(self):
-        assert E.ndcg_at_k(np.array([4, 5, 6, 1]), {4, 5, 6}, 4) == pytest.approx(1.0)
+        assert ndcg_at_k(np.array([4, 5, 6, 1]), {4, 5, 6}, 4) == pytest.approx(1.0)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(2)
@@ -84,7 +86,7 @@ class TestNdcg:
             dcg = sum(1 / math.log2(r + 2) for r, it in enumerate(topk[:k])
                       if int(it) in relevant)
             idcg = sum(1 / math.log2(r + 2) for r in range(min(k, len(relevant))))
-            assert E.ndcg_at_k(topk, relevant, k) == pytest.approx(dcg / idcg)
+            assert ndcg_at_k(topk, relevant, k) == pytest.approx(dcg / idcg)
 
 
 def two_user_toy():
@@ -159,7 +161,7 @@ def random_dataset(num_users, num_items, per_user, seed):
 
 
 class TestEvaluateMatchesOracle:
-    """``evaluate`` (partition top-k, hit-matrix metrics) against the
+    """``evaluate`` (threshold top-k, hit-matrix metrics) against the
     per-user full argsort and set-based metrics of ``oracles.per_user_evaluate``."""
 
     KS = (5, 20, 40)
@@ -218,6 +220,95 @@ class TestEvaluateMatchesOracle:
         ds = random_dataset(50, 30, np.full(50, 12), seed=7)
         s = np.random.default_rng(8).normal(size=(80, 4))
         self.assert_matches(s, ds)
+
+
+class TestEvaluateRejectsMalformedInput:
+    """Each malformed call raises a one-line ``ValueError``; on a 20-user ×
+    30-item set they used to report ids past the item table, a recall above
+    1, a bare ``IndexError``, a metric at K = 0 or NDCG under another name."""
+
+    @pytest.fixture
+    def case(self):
+        ds = random_dataset(20, 30, np.full(20, 10), seed=11)
+        return ds, np.random.default_rng(12).normal(size=(50, 4))
+
+    @staticmethod
+    def assert_refused(call, match):
+        with pytest.raises(ValueError, match=match) as info:
+            call()
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("extra_rows", [7, -5])
+    def test_s_without_one_row_per_user_and_item(self, case, extra_rows):
+        ds, s = case
+        s = np.random.default_rng(13).normal(size=(len(s) + extra_rows, 4))
+        self.assert_refused(lambda: E.evaluate(s, ds, TEST, ks=(20, 40)),
+                            r"num_users \+ num_items = 50 rows")
+
+    @pytest.mark.parametrize("ks", [(0, 20), (-1,), (2.5,), (True,), ()])
+    def test_k_below_one_or_not_an_integer(self, case, ks):
+        ds, s = case
+        self.assert_refused(lambda: E.evaluate(s, ds, TEST, ks=ks), "integer >= 1")
+
+    def test_unknown_metric(self, case):
+        ds, s = case
+        result = E.evaluate(s, ds, TEST, ks=(20,))
+        self.assert_refused(lambda: result.macro("precision", 20), "'recall' or 'ndcg'")
+
+
+class TestTopK:
+    """``_top_k`` is the first ``k`` of a stable argsort by descending score,
+    found by sorting only the entries at or above a grouped-maximum bound."""
+
+    @staticmethod
+    def draw_scores(draw):
+        """Integer-valued scores, so ties are exact, with some ``-inf``
+        entries and some all-equal rows; ``n`` below, at and above the group
+        count ``_GROUP`` and not always a multiple of it."""
+        dtype = draw.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+        rows = draw.draw(st.integers(1, 6), label="rows")
+        n = draw.draw(st.integers(1, 12 * E._GROUP), label="n")
+        spread = draw.draw(st.sampled_from([1, 3, 10 ** 6]), label="spread")
+        rng = np.random.default_rng(draw.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        scores = rng.integers(-spread, spread + 1, size=(rows, n)).astype(dtype)
+        scores[rng.random((rows, n)) < draw.draw(st.sampled_from([0, 0.3, 0.95]),
+                                                 label="inf share")] = -np.inf
+        flat = rng.random(rows) < draw.draw(st.sampled_from([0, 0.5]), label="flat share")
+        scores[flat] = scores[flat, :1]
+        return scores
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(draw=st.data())
+    def test_matches_stable_argsort(self, draw):
+        scores = self.draw_scores(draw)
+        k = draw.draw(st.integers(1, scores.shape[1]), label="k")
+        want = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(E._top_k(scores, k), want)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(draw=st.data())
+    def test_nan_anywhere_is_refused(self, draw):
+        scores = self.draw_scores(draw)
+        rows, n = scores.shape
+        scores[draw.draw(st.integers(0, rows - 1), label="row"),
+               draw.draw(st.integers(0, n - 1), label="col")] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            E._top_k(scores, draw.draw(st.integers(1, n), label="k"))
+
+    def test_no_partition_in_evaluate_sees_a_full_width_chunk(self, monkeypatch):
+        ds = random_dataset(300, 500, np.full(300, 30), seed=1)
+        s = np.random.default_rng(2).normal(size=(800, 8))
+        widths, partition = [], np.partition
+
+        def recording(a, *args, **kwargs):
+            widths.append(np.shape(a)[-1])
+            return partition(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "partition", recording)
+        E.evaluate(s, ds, TEST, ks=(5, 20, 40))
+        # one partition per chunk of the (users, max_k or items / _GROUP)
+        # group maxima; never the (users, items) scores
+        assert widths == [max(40, -(-500 // E._GROUP))] * 2
 
 
 class TestWriters:

@@ -248,23 +248,24 @@ def cmd_ablate(args) -> int:
 
 def cmd_grid(args) -> int:
     cfg = _resolve_config(args)
-    axes = []
+    axes: dict[str, list[str]] = {}
     for spec_text in args.param:
         if "=" not in spec_text:
             raise ConfigError(f"--param expects KEY=V1,V2,..., got {spec_text!r}")
         key, values = spec_text.split("=", 1)
         key = key.strip()
-        values = [v.strip() for v in values.split(",") if v.strip()]
-        if not values:
+        if key in axes:
+            raise ConfigError(f"--param {key} given more than once; list its values in one")
+        axes[key] = [v.strip() for v in values.split(",") if v.strip()]
+        if not axes[key]:
             raise ConfigError(f"--param {key}: no values given")
-        axes.append((key, values))
     if not axes:
         raise ConfigError("grid search needs at least one --param axis")
     ds = load_prepared(args.data)
 
     rows = []
-    for combo in itertools.product(*(values for _, values in axes)):
-        overrides = {key: value for (key, _), value in zip(axes, combo)}
+    for combo in itertools.product(*axes.values()):
+        overrides = dict(zip(axes, combo))
         run_cfg = load_config(None, overrides={**dataclasses.asdict(cfg), **overrides})
         pair, _ = fit(ds, run_cfg)
         (val,) = _evaluate_splits(pair, ds, run_cfg, VAL)

@@ -34,6 +34,8 @@ class RankingResult:
         """Mean over the evaluated users; NaN when the split has none."""
         if metric not in ("recall", "ndcg"):
             raise ValueError(f"metric must be 'recall' or 'ndcg', got {metric!r}")
+        if k not in self.ks:
+            raise ValueError(f"k={k} was not evaluated; this result holds ks={self.ks}")
         values = (self.recall if metric == "recall" else self.ndcg)[k]
         return float(values.mean()) if len(values) else float("nan")
 

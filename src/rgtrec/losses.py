@@ -173,21 +173,15 @@ def total_loss(rec: T.Tensor, mae: T.Tensor, distill: T.Tensor, ranking: T.Tenso
                contrast: T.Tensor, cfg: TrainConfig,
                params: dict[str, T.Tensor]) -> tuple[T.Tensor, LossReport]:
     """Sum of all terms plus the Frobenius penalty, each weighted by
-    ``cfg.lambda_<term>``."""
-    reg = frobenius_penalty(params)
-    terms = {"rec": rec, "mae": mae, "distill": distill,
-             "ranking": ranking, "contrast": contrast, "reg": reg}
+    ``cfg.lambda_<term>``; a non-finite term raises FloatingPointError."""
+    terms = {"rec": rec, "mae": mae, "distill": distill, "ranking": ranking,
+             "contrast": contrast, "reg": frobenius_penalty(params)}
+    total, report = None, LossReport()
     for name, term in terms.items():
         if not np.isfinite(term.values).all():
             raise FloatingPointError(f"loss term {name!r} is non-finite")
-
-    total = T.mul(rec, cfg.lambda_rec)
-    for name in ("mae", "distill", "ranking", "contrast", "reg"):
-        total = T.add(total, T.mul(terms[name], getattr(cfg, f"lambda_{name}")))
-
-    report = LossReport(
-        rec=float(rec.values), mae=float(mae.values), distill=float(distill.values),
-        ranking=float(ranking.values), contrast=float(contrast.values),
-        reg=float(reg.values), total=float(total.values),
-    )
+        setattr(report, name, float(term.values))
+        weighted = T.mul(term, getattr(cfg, f"lambda_{name}"))
+        total = weighted if total is None else T.add(total, weighted)
+    report.total = float(total.values)
     return total, report

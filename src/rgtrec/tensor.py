@@ -13,10 +13,19 @@ and a tape is confined to a single thread.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import platform
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+
+# glibc raises its mmap threshold to each mmapped block it frees, so whether a
+# large array came from mmap or the heap, and with it peak RSS, varied between
+# runs.  Fix M_MMAP_THRESHOLD (-3) at 32 MiB and M_TRIM_THRESHOLD (-1) at 64 MiB.
+if platform.libc_ver()[0] == "glibc":
+    for _param, _bytes in ((-3, 32 << 20), (-1, 64 << 20)):
+        ctypes.CDLL(None).mallopt(_param, _bytes)
 
 
 class ShapeMismatchError(ValueError):

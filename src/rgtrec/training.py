@@ -2,11 +2,11 @@
 
 One epoch: score every edge with the current attention parameters, draw
 fresh rationale/masked/complement subgraphs, then iterate mini-batches.
-Each batch runs the forward pipeline under a tape, assembles the weighted
-objective, and applies one Adam step to the model.  With ``self_distill_ema``
-on, the distillation term matches the model to an exponential moving average
-of its own parameters (a mean teacher).  Evaluation and checkpointing use the
-trained model.
+``step_loss`` builds each batch's weighted objective on the caller's tape,
+and one Adam step applies its gradients to the model.  With
+``self_distill_ema`` on, the distillation term matches the model to an
+exponential moving average of its own parameters (a mean teacher, held as
+constants).  Evaluation and checkpointing use the trained model.
 """
 
 from __future__ import annotations
@@ -106,14 +106,11 @@ class TrainConfig:
             (c.rec_candidates >= 0, "rec_candidates must be >= 0"),
             (c.precision in ("float32", "float64"), "precision must be float32 or float64"),
             (0.0 <= c.self_distill_ema < 1.0, "self_distill_ema must be in [0, 1)"),
-        ]
+        ] + [(getattr(c, name) >= 0, f"{name} must be >= 0")
+             for name in _CONFIG_FIELDS if name.startswith("lambda_")]
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
-        for name in ("lambda_rec", "lambda_mae", "lambda_distill", "lambda_ranking",
-                     "lambda_contrast", "lambda_reg"):
-            if getattr(c, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
 
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
@@ -263,7 +260,7 @@ class ModelState:
 @dataclass
 class DistillPair:
     """The trained model, ``teacher``, with its optimizer and config, plus its
-    EMA copy ``ema`` in self-distillation mode."""
+    EMA copy ``ema`` in EMA mode: constants that only the EMA rule updates."""
 
     teacher: ModelState
     optimizer: T.Adam
@@ -279,6 +276,7 @@ class DistillPair:
 
 
 def init_pair(graph: BipartiteGraph, cfg: TrainConfig) -> DistillPair:
+    """A fresh teacher and its Adam, plus in EMA mode a constant copy of it."""
     anchors = sample_anchors(graph, cfg.anchor_set, cfg.seed) if cfg.use_topology else None
     teacher = ModelState(graph, cfg, "teacher", anchors)
     omega = teacher.topo.omega if teacher.topo is not None else None
@@ -287,6 +285,7 @@ def init_pair(graph: BipartiteGraph, cfg: TrainConfig) -> DistillPair:
         ema = ModelState(graph, cfg, "ema", anchors, omega=omega)
         for name, p in ema.parameters().items():
             p.values[...] = teacher.parameters()[name].values
+            p.requires_grad = False
     return DistillPair(teacher=teacher, optimizer=T.Adam(teacher.parameters(), lr=cfg.lr),
                        cfg=cfg, ema=ema)
 
@@ -404,9 +403,8 @@ def _candidate_items(ds: InteractionDataset, batch_pairs: np.ndarray,
 def _check_report(report: LossReport, num_nodes: int, temperature: float) -> None:
     """Raise FloatingPointError when a loss term leaves its range.  Every
     term but ``contrast`` must be non-negative."""
-    for name in ("rec", "mae", "ranking", "distill", "reg"):
-        value = getattr(report, name)
-        if value < -1e-9:
+    for name, value in report.as_dict().items():
+        if name not in ("contrast", "total") and value < -1e-9:
             raise FloatingPointError(f"loss term {name} went negative: {value}")
     bound = 1.0 / temperature
     center = np.log(num_nodes)
@@ -416,25 +414,50 @@ def _check_report(report: LossReport, num_nodes: int, temperature: float) -> Non
             f"{center + bound:.4f}]")
 
 
+def epoch_views(state: ModelState, graph: BipartiteGraph, cfg: TrainConfig, epoch: int):
+    """The epoch's rationale, masked and complement subgraphs, drawn from its
+    starting rationale scores, and the (user, item node) edges masked out."""
+    sub_r, sub_m, sub_c = draw_subgraphs(rationale_score_table(state, graph), cfg, epoch)
+    return (sub_r.materialize(graph), sub_m.materialize(graph), sub_c.materialize(graph),
+            graph.edge_list[sub_m.complement_indices(graph.num_edges)])
+
+
+def step_loss(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph, views: tuple,
+              batch: np.ndarray, cfg: TrainConfig, epoch: int,
+              step: int) -> tuple[T.Tensor, LossReport]:
+    """The weighted objective of a batch of (user, item) train pairs over the
+    ``epoch_views`` of ``epoch``, recorded on the active tape.  Its random
+    draws depend only on ``(cfg.seed, epoch, step)``; the EMA forward records nothing."""
+    g_rationale, g_masked, g_complement, masked_out = views
+    batch_nodes = np.stack([batch[:, 0], ds.num_users + batch[:, 1]], axis=1)
+    rng = substream(cfg.seed, "step", epoch, step)
+    candidates = _candidate_items(ds, batch_nodes, cfg, rng)
+    triples = negative_sample(graph, batch[:, 0], rng)
+
+    out = run_pipeline(pair.teacher, graph, g_masked, g_rationale, g_complement, cfg)
+    rec = loss_rec(out.encoded, batch_nodes, candidates)
+    mae = loss_mae(out.encoded, masked_out, graph, rng)
+    ranking = loss_bpr(out.rationale_pathway, triples)
+    contrast = loss_cir(out.emb_rationale, out.emb_complement, cfg.temperature)
+    distill = T.Tensor(0.0, dtype=pair.teacher.emb.dtype)
+    if pair.ema is not None:
+        ema_out = run_pipeline(pair.ema, graph, g_masked, g_rationale, g_complement, cfg)
+        distill = loss_distill(make_bundle(out, ds.num_users), make_bundle(ema_out, ds.num_users))
+    return total_loss(rec, mae, distill, ranking, contrast, cfg, pair.teacher.parameters())
+
+
 def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph,
                 cfg: TrainConfig, epoch: int, positives=None,
                 step_writer=None) -> LossReport:
     """One pass over the train interactions; returns the mean loss report.
 
-    ``step_writer``, when given, receives every per-step loss report as a
-    dict (for the JSON-lines step log).
+    Each step is one Adam step on the teacher; the EMA rule then moves the
+    constant EMA parameters toward it.  ``step_writer``, when given, receives
+    every per-step loss report as a dict (for the JSON-lines step log).
     """
     # ``positives`` is unused: negatives come from ``graph``; the keyword stays
     # only because the benchmark in perfbench/run.py still passes it
-    teacher = pair.teacher
-
-    probs = rationale_score_table(teacher, graph)
-    sub_r, sub_m, sub_c = draw_subgraphs(probs, cfg, epoch)
-    g_rationale = sub_r.materialize(graph)
-    g_masked = sub_m.materialize(graph)
-    g_complement = sub_c.materialize(graph)
-    masked_out = graph.edge_list[sub_m.complement_indices(graph.num_edges)]
-
+    views = epoch_views(pair.teacher, graph, cfg, epoch)
     train_pairs = ds.pairs(TRAIN)
     order = np.arange(len(train_pairs))
     substream(cfg.seed, "batches", epoch).shuffle(order)
@@ -442,47 +465,24 @@ def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph
     reports: list[LossReport] = []
     for step, start in enumerate(range(0, len(order), cfg.batch_size)):
         batch = train_pairs[order[start:start + cfg.batch_size]]
-        batch_nodes = np.stack([batch[:, 0], ds.num_users + batch[:, 1]], axis=1)
-        step_rng = substream(cfg.seed, "step", epoch, step)
-        candidates = _candidate_items(ds, batch_nodes, cfg, step_rng)
-        triples = negative_sample(graph, batch[:, 0], step_rng)
-
-        # the EMA forward runs off the tape: nothing flows back into it
-        ema_bundle = None
-        if pair.ema is not None:
-            ema_out = run_pipeline(pair.ema, graph, g_masked, g_rationale, g_complement, cfg)
-            ema_bundle = make_bundle(ema_out, ds.num_users)
-
         with T.Tape() as tape:
-            out = run_pipeline(teacher, graph, g_masked, g_rationale, g_complement, cfg)
-            rec = loss_rec(out.encoded, batch_nodes, candidates)
-            mae = loss_mae(out.encoded, masked_out, graph, step_rng)
-            ranking = loss_bpr(out.rationale_pathway, triples)
-            contrast = loss_cir(out.emb_rationale, out.emb_complement, cfg.temperature)
-            distill_t = T.Tensor(0.0, dtype=teacher.emb.dtype)
-            if ema_bundle is not None:
-                distill_t = loss_distill(make_bundle(out, ds.num_users), ema_bundle)
-            teacher_total, report = total_loss(rec, mae, distill_t, ranking, contrast,
-                                               cfg, teacher.parameters())
+            total, report = step_loss(pair, ds, graph, views, batch, cfg, epoch, step)
             # the gradients go straight to Adam, so none outlives the step
-            pair.optimizer.step(T.backward(teacher_total, tape))
-        teacher.assert_finite()
-
+            pair.optimizer.step(T.backward(total, tape))
+        pair.teacher.assert_finite()
         if pair.ema is not None:
             mu = cfg.self_distill_ema
             for name, p in pair.ema.parameters().items():
                 p.values *= mu
-                p.values += (1.0 - mu) * teacher.parameters()[name].values
+                p.values += (1.0 - mu) * pair.teacher.parameters()[name].values
 
         _check_report(report, graph.num_nodes, cfg.temperature)
         if step_writer is not None:
             step_writer({"epoch": epoch, "step": step, **report.as_dict()})
         reports.append(report)
 
-    mean = LossReport()
-    for field in ("rec", "mae", "distill", "ranking", "contrast", "reg", "total"):
-        setattr(mean, field, float(np.mean([getattr(r, field) for r in reports])))
-    return mean
+    return LossReport(**{f.name: float(np.mean([getattr(r, f.name) for r in reports]))
+                         for f in dataclasses.fields(LossReport)})
 
 
 # ---------------------------------------------------------------------------

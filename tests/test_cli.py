@@ -504,6 +504,15 @@ class TestGrid:
         err = capsys.readouterr().err
         assert err.startswith("config error: --param lr") and err.count("\n") == 1, err
 
+    def test_repeated_axis_is_a_config_error(self, prepared, tmp_path, capsys):
+        out = tmp_path / "g"
+        code = main(["grid", "--data", str(prepared), "--out", str(out),
+                     "--param", "lr=0.1", "--param", "lr=0.2,0.3"] + TINY_FLAGS)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "config error: --param lr given more than once; list its values in one\n"
+        assert not out.exists()
+
 
 class TestDumpConfig:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -255,6 +255,13 @@ class TestEvaluateRejectsMalformedInput:
         result = E.evaluate(s, ds, TEST, ks=(20,))
         self.assert_refused(lambda: result.macro("precision", 20), "'recall' or 'ndcg'")
 
+    @pytest.mark.parametrize("metric", ["recall", "ndcg"])
+    def test_macro_at_a_k_not_evaluated(self, case, metric):
+        ds, s = case
+        result = E.evaluate(s, ds, TEST, ks=(20,))
+        self.assert_refused(lambda: result.macro(metric, 10),
+                            r"^k=10 was not evaluated; this result holds ks=\(20,\)$")
+
 
 class TestTopK:
     """``_top_k`` is the first ``k`` of a stable argsort by descending score,

@@ -413,8 +413,9 @@ class TestTotalLoss:
             L.total_loss(params={}, cfg=TrainConfig(), **terms)
 
     def test_weights_validation(self):
-        with pytest.raises(ValueError, match="lambda_rec must be >= 0"):
-            TrainConfig(lambda_rec=-0.1).validate()
+        for term in ("rec", "mae", "distill", "ranking", "contrast", "reg"):
+            with pytest.raises(ValueError, match=f"lambda_{term} must be >= 0"):
+                TrainConfig(**{f"lambda_{term}": -0.1}).validate()
         with pytest.raises(ValueError, match="temperature must be positive"):
             TrainConfig(temperature=0.0).validate()
 

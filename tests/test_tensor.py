@@ -1,4 +1,11 @@
+import ctypes
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -591,3 +598,35 @@ class TestAllHeadsOperator:
             x = T.Tensor(np.ones((g.num_nodes, 4)))
             T.edge_spmm(T.Tensor(np.ones((len(g.csr_neighbors), heads))), x, g, heads)
         assert built == [2, 4]
+
+
+GLIBC_MALLINFO2 = (platform.libc_ver()[0] == "glibc"
+                   and hasattr(ctypes.CDLL(None), "mallinfo2"))
+
+
+@pytest.mark.skipif(not GLIBC_MALLINFO2, reason="glibc 2.33+ malloc statistics only")
+def test_import_fixes_malloc_thresholds():
+    """After ``import rgtrec.tensor`` a 20 MiB array comes from the heap in a
+    fresh interpreter; under glibc's default dynamic threshold it is mmapped."""
+    code = textwrap.dedent("""
+        import ctypes
+        import numpy as np
+        import rgtrec.tensor
+
+        class Info(ctypes.Structure):
+            _fields_ = [(name, ctypes.c_size_t) for name in (
+                "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+                "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+        libc = ctypes.CDLL(None)
+        libc.mallinfo2.restype = Info
+        before = libc.mallinfo2().hblkhd
+        block = np.ones(20 << 20, dtype=np.uint8)
+        print(libc.mallinfo2().hblkhd - before)
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert int(proc.stdout) == 0, "a 20 MiB array was mmapped"

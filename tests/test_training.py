@@ -12,12 +12,12 @@ from scipy import stats
 
 from rgtrec import tensor as T
 from rgtrec import training as TR
-from rgtrec.data import InteractionDataset, TRAIN, VAL, build_graph, split
+from rgtrec.data import InteractionDataset, TEST, TRAIN, VAL, build_graph, split
 from rgtrec.seeding import substream
 from rgtrec.synthetic import make_block_dataset
 from rgtrec.training import TrainConfig
 from conftest import npy_bytes, write_members, write_zip
-from oracles import rejection_negative_sample
+from oracles import check_gradients, rejection_negative_sample
 
 
 def tiny_cfg(**kw):
@@ -149,6 +149,49 @@ class TestTrainEpoch:
             abs=1e-6)
 
 
+class TestStepLossGradients:
+    """Central differences of ``step_loss``, the objective each training step
+    differentiates, against its taped gradient with respect to every teacher
+    parameter, in float64 and at c1's tolerance."""
+
+    @staticmethod
+    def dataset():
+        # user 0 is a hub with every item but item 8, which occurs only in a
+        # validation pair, so it is isolated in the train graph and is the
+        # hub's only negative
+        train = [(0, i) for i in range(8)] + [(1, 0), (1, 3), (2, 1), (2, 4), (2, 5),
+                                              (3, 2), (3, 6), (4, 0), (4, 7), (5, 5), (5, 6)]
+        pairs = np.asarray(train + [(1, 8), (3, 4)], dtype=np.int64)
+        assignment = np.asarray([TRAIN] * len(train) + [VAL, TEST], dtype=np.int8)
+        return InteractionDataset(num_users=6, num_items=9, interactions=pairs,
+                                  split_assignment=assignment)
+
+    @pytest.mark.parametrize("rec_candidates", [0, 4])
+    @pytest.mark.parametrize("ema", [0.0, 0.9])
+    def test_every_parameter_matches_finite_differences(self, ema, rec_candidates):
+        ds = self.dataset()
+        graph = build_graph(ds)
+        assert graph.degree[ds.num_users + 8] == 0
+        cfg = tiny_cfg(pnn_layers=2, anchor_set=4, lr=0.05, self_distill_ema=ema,
+                       rec_candidates=rec_candidates)
+        pair = TR.init_pair(graph, cfg)
+        TR.train_epoch(pair, ds, graph, cfg, 0)  # the EMA model now lags the teacher
+        # trained attention logits are tiny, so every softmax is near uniform
+        # and a wrong q or k gradient hides below the tolerance; larger query
+        # and key weights make attention's share of the gradient count
+        for name in ("attn.wq", "attn.wk"):
+            pair.teacher.parameters()[name].values *= 10.0
+        views = TR.epoch_views(pair.teacher, graph, cfg, 1)
+        batch = ds.pairs(TRAIN)
+        params = pair.teacher.parameters()
+        assert sorted(params) == ["attn.wk", "attn.wo", "attn.wq", "attn.wv", "emb",
+                                  "topo.w0", "topo.w1"]
+        _, report = TR.step_loss(pair, ds, graph, views, batch, cfg, 1, 0)
+        assert (report.distill > 0) == (ema > 0)
+        check_gradients(lambda: TR.step_loss(pair, ds, graph, views, batch, cfg, 1, 0)[0],
+                        params, max_components=32, rng=np.random.default_rng(7))
+
+
 class TestCheckReport:
     NODES, TEMP = 36, 0.5
 
@@ -267,6 +310,14 @@ class TestFit:
         TR.train_epoch(pair, ds, graph, cfg, 0)
         assert teacher_params & set(inputs)
         assert not ema_params & set(inputs)
+
+    def test_ema_parameters_are_constants(self):
+        cfg = tiny_cfg(self_distill_ema=0.9)
+        pair = TR.init_pair(build_graph(tiny_dataset(seed=8)), cfg)
+        assert not any(p.requires_grad for p in pair.ema.parameters().values())
+        assert all(p.requires_grad for p in pair.teacher.parameters().values())
+        assert set(map(id, pair.optimizer.params.values())) == set(
+            map(id, pair.teacher.parameters().values()))
 
     def test_ema_restored_with_the_best_epoch(self):
         # on this data every epoch reaches val Recall@20 = 1, so both runs keep

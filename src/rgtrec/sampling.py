@@ -53,14 +53,18 @@ def gumbel_topk(weights: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     """Indices of a weighted sample without replacement of size k."""
     if k > len(weights):
         raise ValueError(f"cannot draw {k} items from {len(weights)} weights")
-    if np.any(weights <= 0):
-        raise ValueError("weights must be strictly positive")
+    if not np.all((weights > 0) & (weights < np.inf)):
+        raise ValueError("weights must be finite and strictly positive")
     keys = np.log(weights) + rng.gumbel(size=len(weights))
     top = np.argpartition(-keys, k - 1)[:k] if k < len(weights) else np.arange(len(weights))
     return np.sort(top).astype(np.int64)
 
 
-def _draw(kind: str, weights: np.ndarray, rate: float, seed: int) -> SampledSubgraph:
+def _draw(kind: str, probs: np.ndarray, rate: float, seed: int) -> SampledSubgraph:
+    """``rate`` of the edges, weighted by ``probs`` (inverted but for the rationale)."""
+    if not np.isfinite(probs).all():
+        raise ValueError(f"{kind} sample: edge probabilities must be finite")
+    weights = probs + INVERSION_EPS if kind == RATIONALE else inverted_weights(probs)
     k = _sample_size(rate, len(weights))
     if k < 1:
         raise ValueError(f"{kind} sample would be empty: rate {rate} on {len(weights)} edges")
@@ -73,7 +77,7 @@ def sample_rationale(probs: np.ndarray, rho_r: float, seed: int) -> SampledSubgr
     """Edges drawn proportionally to their rationale probability."""
     if not 0.0 < rho_r <= 1.0:
         raise ValueError(f"rationale rate must be in (0, 1], got {rho_r}")
-    return _draw(RATIONALE, probs + INVERSION_EPS, rho_r, seed)
+    return _draw(RATIONALE, probs, rho_r, seed)
 
 
 def inverted_weights(probs: np.ndarray) -> np.ndarray:
@@ -89,14 +93,14 @@ def build_masked_graph(probs: np.ndarray, rho_m: float, seed: int) -> SampledSub
     """
     if not 0.0 < rho_m < 1.0:
         raise ValueError(f"mask retention rate must be in (0, 1), got {rho_m}")
-    return _draw(MASKED, inverted_weights(probs), rho_m, seed)
+    return _draw(MASKED, probs, rho_m, seed)
 
 
 def sample_complement(probs: np.ndarray, rho_c: float, seed: int) -> SampledSubgraph:
     """Small noise-biased edge sample from the same inverted distribution."""
     if not 0.0 < rho_c < 1.0:
         raise ValueError(f"complement rate must be in (0, 1), got {rho_c}")
-    return _draw(COMPLEMENT, inverted_weights(probs), rho_c, seed)
+    return _draw(COMPLEMENT, probs, rho_c, seed)
 
 
 def dump_subgraph_tsv(sub: SampledSubgraph, g: BipartiteGraph, path) -> None:

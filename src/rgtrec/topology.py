@@ -76,20 +76,14 @@ def pgnn_layer(h_prev: T.Tensor, anchors: np.ndarray, omega: np.ndarray,
 
 class TopologyEncoder:
     """Anchor correlation weights plus learnable per-layer transforms, applied
-    as a chain.
-
-    ``omega`` is a property of the graph and the anchors and can be shared
-    across instances; the layer weights are private to each instance.
-    """
+    as a chain."""
 
     def __init__(self, g: BipartiteGraph, anchors: np.ndarray, q: int, latdim: int,
-                 num_layers: int, seed: int, omega: np.ndarray | None = None, dtype=np.float64):
+                 num_layers: int, seed: int, dtype=np.float64):
         if num_layers < 1:
             raise ValueError("topology encoder needs at least one layer")
         self.anchors = anchors
-        if omega is None:
-            omega = correlation_weights(shortest_paths(g, anchors, q), q)
-        self.omega = omega
+        self.omega = correlation_weights(shortest_paths(g, anchors, q), q)
         rng = substream(seed, "topo-init")
         scale = 1.0 / np.sqrt(latdim)
         self.layer_weights = [

@@ -11,6 +11,7 @@ constants).  Evaluation and checkpointing use the trained model.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import io
 import json
@@ -186,25 +187,23 @@ def dump_config(cfg: TrainConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _role_seed(seed: int, role: str) -> int:
-    return int(substream(seed, "init", role).integers(0, 2**31 - 1))
-
-
 class ModelState:
-    """All learnable parameters of one model, in ``cfg.precision``."""
+    """All learnable parameters of one model, in ``cfg.precision``, with its
+    graph and anchors.  ``role`` names the model in traces and errors."""
 
-    def __init__(self, graph: BipartiteGraph, cfg: TrainConfig, role: str, anchors, omega=None):
-        self.role = role
+    def __init__(self, graph: BipartiteGraph, cfg: TrainConfig):
+        self.role = "teacher"
         self.graph = graph
-        seed = _role_seed(cfg.seed, role)
+        seed = int(substream(cfg.seed, "init", "teacher").integers(0, 2**31 - 1))
         rng = substream(seed, "emb-init")
         bound = 0.5 / np.sqrt(cfg.latdim)
         self.emb = T.parameter(
             rng.uniform(-bound, bound, size=(graph.num_nodes, cfg.latdim)), cfg.precision)
         self.topo: TopologyEncoder | None = None
         if cfg.use_topology:
-            self.topo = TopologyEncoder(graph, anchors, cfg.q, cfg.latdim, cfg.pnn_layers,
-                                        seed=seed, omega=omega, dtype=cfg.precision)
+            self.topo = TopologyEncoder(graph, sample_anchors(graph, cfg.anchor_set, cfg.seed),
+                                        cfg.q, cfg.latdim, cfg.pnn_layers, seed=seed,
+                                        dtype=cfg.precision)
         self.attn = AttentionParams(cfg.latdim, cfg.heads, seed=seed, dtype=cfg.precision)
 
     def parameters(self) -> dict[str, T.Tensor]:
@@ -276,15 +275,16 @@ class DistillPair:
 
 
 def init_pair(graph: BipartiteGraph, cfg: TrainConfig) -> DistillPair:
-    """A fresh teacher and its Adam, plus in EMA mode a constant copy of it."""
-    anchors = sample_anchors(graph, cfg.anchor_set, cfg.seed) if cfg.use_topology else None
-    teacher = ModelState(graph, cfg, "teacher", anchors)
-    omega = teacher.topo.omega if teacher.topo is not None else None
+    """A fresh teacher and its Adam, plus in EMA mode a constant copy of it
+    that shares its graph, anchors and ``omega``."""
+    teacher = ModelState(graph, cfg)
     ema = None
     if cfg.self_distill_ema > 0.0:
-        ema = ModelState(graph, cfg, "ema", anchors, omega=omega)
-        for name, p in ema.parameters().items():
-            p.values[...] = teacher.parameters()[name].values
+        topo = teacher.topo
+        shared = (graph,) if topo is None else (graph, topo.anchors, topo.omega)
+        ema = copy.deepcopy(teacher, {id(x): x for x in shared})
+        ema.role = "ema"
+        for p in ema.parameters().values():
             p.requires_grad = False
     return DistillPair(teacher=teacher, optimizer=T.Adam(teacher.parameters(), lr=cfg.lr),
                        cfg=cfg, ema=ema)
@@ -297,26 +297,22 @@ def init_pair(graph: BipartiteGraph, cfg: TrainConfig) -> DistillPair:
 
 @dataclass
 class PipelineOutputs:
-    rationale_pathway: T.Tensor  # topology + transformer on the full graph
     encoded: T.Tensor            # final embeddings from the masked pathway
     emb_rationale: T.Tensor
     emb_complement: T.Tensor
 
 
-def run_pipeline(state: ModelState, graph: BipartiteGraph, g_masked: BipartiteGraph,
-                 g_rationale: BipartiteGraph, g_complement: BipartiteGraph,
-                 cfg: TrainConfig) -> PipelineOutputs:
-    h_bar = state.topo.encode(state.emb) if state.topo is not None else state.emb
-    h_rgt = residual_gt(h_bar, graph, state.attn, cfg.gt_layers, residual=cfg.use_residual)
-
+def run_pipeline(state: ModelState, g_masked: BipartiteGraph, g_rationale: BipartiteGraph,
+                 g_complement: BipartiteGraph, cfg: TrainConfig) -> PipelineOutputs:
+    """The masked-graph encoding and the rationale and complement propagations
+    that the step's losses and distillation read."""
     s_local = lightgcn_propagate(g_masked, state.emb, cfg.gcn_layers)
     encoded = encode_masked(g_masked, s_local, state.topo, state.attn, cfg.gt_layers,
                             residual=cfg.use_residual)
 
     emb_r = lightgcn_propagate(g_rationale, state.emb, cfg.gcn_layers)
     emb_c = lightgcn_propagate(g_complement, state.emb, cfg.gcn_layers)
-    return PipelineOutputs(rationale_pathway=h_rgt, encoded=encoded,
-                           emb_rationale=emb_r, emb_complement=emb_c)
+    return PipelineOutputs(encoded=encoded, emb_rationale=emb_r, emb_complement=emb_c)
 
 
 def make_bundle(out: PipelineOutputs, num_users: int) -> EmbeddingBundle:
@@ -427,23 +423,28 @@ def step_loss(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph, 
               step: int) -> tuple[T.Tensor, LossReport]:
     """The weighted objective of a batch of (user, item) train pairs over the
     ``epoch_views`` of ``epoch``, recorded on the active tape.  Its random
-    draws depend only on ``(cfg.seed, epoch, step)``; the EMA forward records nothing."""
+    draws depend only on ``(cfg.seed, epoch, step)``.  Only the teacher runs
+    the rationale pathway (topology plus transformer on the full graph), which
+    the ranking loss reads; the EMA forward records nothing."""
     g_rationale, g_masked, g_complement, masked_out = views
     batch_nodes = np.stack([batch[:, 0], ds.num_users + batch[:, 1]], axis=1)
     rng = substream(cfg.seed, "step", epoch, step)
     candidates = _candidate_items(ds, batch_nodes, cfg, rng)
     triples = negative_sample(graph, batch[:, 0], rng)
 
-    out = run_pipeline(pair.teacher, graph, g_masked, g_rationale, g_complement, cfg)
+    teacher = pair.teacher
+    h_bar = teacher.topo.encode(teacher.emb) if teacher.topo is not None else teacher.emb
+    h_rgt = residual_gt(h_bar, graph, teacher.attn, cfg.gt_layers, residual=cfg.use_residual)
+    out = run_pipeline(teacher, g_masked, g_rationale, g_complement, cfg)
     rec = loss_rec(out.encoded, batch_nodes, candidates)
     mae = loss_mae(out.encoded, masked_out, graph, rng)
-    ranking = loss_bpr(out.rationale_pathway, triples)
+    ranking = loss_bpr(h_rgt, triples)
     contrast = loss_cir(out.emb_rationale, out.emb_complement, cfg.temperature)
-    distill = T.Tensor(0.0, dtype=pair.teacher.emb.dtype)
+    distill = T.Tensor(0.0, dtype=teacher.emb.dtype)
     if pair.ema is not None:
-        ema_out = run_pipeline(pair.ema, graph, g_masked, g_rationale, g_complement, cfg)
+        ema_out = run_pipeline(pair.ema, g_masked, g_rationale, g_complement, cfg)
         distill = loss_distill(make_bundle(out, ds.num_users), make_bundle(ema_out, ds.num_users))
-    return total_loss(rec, mae, distill, ranking, contrast, cfg, pair.teacher.parameters())
+    return total_loss(rec, mae, distill, ranking, contrast, cfg, teacher.parameters())
 
 
 def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph,
@@ -472,9 +473,9 @@ def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph
         pair.teacher.assert_finite()
         if pair.ema is not None:
             mu = cfg.self_distill_ema
-            for name, p in pair.ema.parameters().items():
+            for p, t in zip(pair.ema.parameters().values(), pair.teacher.parameters().values()):
                 p.values *= mu
-                p.values += (1.0 - mu) * pair.teacher.parameters()[name].values
+                p.values += (1.0 - mu) * t.values
 
         _check_report(report, graph.num_nodes, cfg.temperature)
         if step_writer is not None:

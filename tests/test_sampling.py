@@ -146,6 +146,20 @@ class TestInvariants:
         rho, _ = stats.spearmanr(probs, counts)
         assert rho < 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("sampler, rate", [(S.sample_rationale, 0.6),
+                                               (S.build_masked_graph, 0.6),
+                                               (S.sample_complement, 0.2)])
+    def test_non_finite_probability_refused(self, sampler, rate, bad):
+        probs = np.array([bad, 0.25, 0.25, 0.25, 0.25])
+        with pytest.raises(ValueError, match="finite"):
+            sampler(probs, rate, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+    def test_gumbel_topk_refuses_non_finite_or_non_positive_weights(self, bad):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            S.gumbel_topk(np.array([bad, 1.0, 1.0]), 2, np.random.default_rng(0))
+
     def test_dump_tsv(self, tmp_path):
         g = build_graph_from_edges(3, 3, np.array([[0, 3], [1, 4], [2, 5], [0, 4], [1, 5]]))
         sub = S.sample_rationale(FIVE, 0.4, seed=5)

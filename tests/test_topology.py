@@ -218,13 +218,3 @@ class TestTopologyEncoder:
         for enc in (first, fewer, moved):
             np.testing.assert_array_equal(
                 enc.omega, topo.correlation_weights(topo.shortest_paths(g, enc.anchors, 2), 2))
-
-    def test_shared_omega(self):
-        g = random_bipartite(np.random.default_rng(8), 20, 20, p=0.15)
-        first = topo.TopologyEncoder(g, topo.sample_anchors(g, 4, 2), q=2, latdim=3,
-                                     num_layers=1, seed=2)
-        shared = topo.TopologyEncoder(g, first.anchors, q=2, latdim=3, num_layers=1, seed=3,
-                                      omega=first.omega)
-        assert shared.omega is first.omega
-        np.testing.assert_array_equal(
-            first.omega, topo.correlation_weights(topo.shortest_paths(g, first.anchors, 2), 2))

@@ -149,6 +149,53 @@ class TestTrainEpoch:
             abs=1e-6)
 
 
+class TestEmaModel:
+    """In EMA mode the EMA model is a constant copy of the teacher, and a step
+    runs the transformer on the full graph for the teacher alone."""
+
+    def test_ema_is_a_constant_copy_of_the_teacher(self):
+        graph = build_graph(tiny_dataset(seed=12))
+        cfg = tiny_cfg(pnn_layers=2, self_distill_ema=0.9)
+        pair = TR.init_pair(graph, cfg)
+        teacher, ema = pair.teacher, pair.ema
+        assert (teacher.role, ema.role) == ("teacher", "ema")
+        assert ema.graph is teacher.graph is graph
+        assert ema.topo.anchors is teacher.topo.anchors
+        assert ema.topo.omega is teacher.topo.omega
+        np.testing.assert_array_equal(teacher.topo.anchors,
+                                      TR.sample_anchors(graph, cfg.anchor_set, cfg.seed))
+        params = teacher.parameters()
+        assert list(ema.parameters()) == list(params)
+        for name, p in ema.parameters().items():
+            assert p is not params[name]
+            assert not np.shares_memory(p.values, params[name].values)
+            np.testing.assert_array_equal(p.values, params[name].values)
+            assert p.values.dtype == params[name].values.dtype
+            assert not p.requires_grad and params[name].requires_grad
+
+    def test_one_step_runs_the_full_graph_transformer_once(self, monkeypatch):
+        from rgtrec import propagation
+
+        ds = tiny_dataset(seed=12)
+        graph = build_graph(ds)
+        cfg = tiny_cfg(self_distill_ema=0.9)
+        pair = TR.init_pair(graph, cfg)
+        views = TR.epoch_views(pair.teacher, graph, cfg, 0)
+        calls = []
+        original = TR.residual_gt
+
+        def counting(h, g, *args, **kwargs):
+            calls.append(g is graph)
+            return original(h, g, *args, **kwargs)
+
+        monkeypatch.setattr(TR, "residual_gt", counting)
+        monkeypatch.setattr(propagation, "residual_gt", counting)
+        with T.Tape():
+            TR.step_loss(pair, ds, graph, views, ds.pairs(TRAIN), cfg, 0, 0)
+        # the teacher's rationale pathway, then each model's masked encoding
+        assert calls == [True, False, False]
+
+
 class TestStepLossGradients:
     """Central differences of ``step_loss``, the objective each training step
     differentiates, against its taped gradient with respect to every teacher

@@ -167,7 +167,9 @@ def cmd_train(args) -> int:
     results = dict(zip(("val", "test"), _evaluate_splits(pair, ds, cfg, VAL, TEST)))
     write_metrics_csv(out / "metrics.csv", results)
 
-    print(f"finished after {len(history)} epochs (best epoch {pair.epoch})")
+    kept = (f"best epoch {pair.epoch - 1}" if (ds.split_assignment == VAL).any()
+            else "no validation split: the last epoch is kept")
+    print(f"finished after {len(history)} epochs ({kept})")
     if len(results["test"].user_ids):
         for key, value in results["test"].summary().items():
             print(f"test {key} = {value:.4f}")
@@ -256,6 +258,8 @@ def cmd_grid(args) -> int:
         key = key.strip()
         if key in axes:
             raise ConfigError(f"--param {key} given more than once; list its values in one")
+        if key in _collect_overrides(args):
+            raise ConfigError(f"--param {key} is also set by --{key.replace('_', '-')}")
         axes[key] = [v.strip() for v in values.split(",") if v.strip()]
         if not axes[key]:
             raise ConfigError(f"--param {key}: no values given")

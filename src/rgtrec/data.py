@@ -248,11 +248,12 @@ class BipartiteGraph:
 
 
 def build_graph_from_edges(num_users: int, num_items: int, edges: np.ndarray) -> BipartiteGraph:
+    """The graph of distinct (user node, item node) ``edges``; a repeated one raises."""
     num_nodes = num_users + num_items
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if len(edges):
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges = edges[order]
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    if (edges[1:] == edges[:-1]).all(axis=1).any():
+        raise ValueError("a graph's edges must be distinct; an edge is given twice")
 
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])

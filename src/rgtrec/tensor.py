@@ -364,41 +364,26 @@ def _slot_dots(a: np.ndarray, b: np.ndarray, g, heads: int) -> np.ndarray:
                      np.take(b, g.csr_neighbors, axis=0).reshape(shape))
 
 
-def _index_dtype(g, heads: int = 1):
-    """int32 when every index of a ``heads``-wide operator of ``g`` fits:
-    scipy keeps int32 index arrays without a copy or a range scan."""
-    return np.int32 if heads * max(g.num_nodes, len(g.csr_neighbors)) < 2**31 else np.int64
-
-
 def _heads_layout(g, heads: int):
-    """``(indptr, indices, order)`` of the all-heads operator of ``g``.
-
-    Row ``n * heads + h`` holds node n's slots in slot order, at columns
-    ``dst * heads + h``.  ``order`` gathers a (num_slots, heads) weight table
-    into that row order.
-    """
-    idx = _index_dtype(g, heads)
-    counts = np.diff(g.csr_offsets)
-    starts = heads * g.csr_offsets[:-1, None] + np.arange(heads) * counts[:, None]
-    indptr = np.append(starts.ravel(), heads * len(g.csr_neighbors)).astype(idx)
-    src = g.directed_src
-    # stored position of (slot s, head h): the row's start plus s's rank in its node
-    pos = (starts[src] + (np.arange(len(src)) - g.csr_offsets[src])[:, None]).ravel()
-    order = np.empty(len(pos), dtype=np.intp)
-    order[pos] = np.arange(len(pos))
-    indices = np.empty(len(pos), dtype=idx)
-    indices[pos] = (heads * g.csr_neighbors[:, None] + np.arange(heads)).ravel()
-    return indptr, indices, order
+    """``(indptr, indices, order)`` of ``g``'s all-heads operator ``kron(A, I_heads)``:
+    row ``n * heads + h`` holds node n's slots in slot order, at columns ``dst * heads + h``.
+    ``A`` stores slot id + 1 on each slot (a graph's edges are distinct, so no
+    slots merge); ``order``, from that data cast to intp (an edgeless graph gives
+    an empty float matrix), gathers a (num_slots, heads) weight table into it."""
+    a = sp.csr_matrix((np.arange(1, len(g.csr_neighbors) + 1), g.csr_neighbors, g.csr_offsets),
+                      shape=(g.num_nodes, g.num_nodes))
+    op = sp.kron(a, sp.identity(heads, dtype=np.int64), format="csr")
+    return op.indptr, op.indices, (op.data.astype(np.intp) - 1) * heads + op.indices % heads
 
 
 def _heads_op(w: np.ndarray, g) -> sp.csr_matrix:
     """The (num_nodes * heads, num_nodes * heads) CSR operator of the slot
     weights ``w`` (num_slots, heads): row ``n * heads + h`` is node n's slots
-    with head h's weights.  Its structure is built once per graph."""
+    with head h's weights.  Its structure is built once per graph; scipy
+    gave it int32 indices where they fit, so no call copies them."""
     heads = w.shape[1]
     indptr, indices, order = g.operator(("heads", heads), lambda g: _heads_layout(g, heads))
-    n = g.num_nodes * heads
-    return sp.csr_matrix((np.take(w, order), indices, indptr), shape=(n, n))
+    return sp.csr_matrix((np.take(w, order), indices, indptr), shape=(g.num_nodes * heads,) * 2)
 
 
 def _apply_heads(op, x: np.ndarray) -> np.ndarray:
@@ -409,9 +394,9 @@ def _apply_heads(op, x: np.ndarray) -> np.ndarray:
 
 
 def _slot_sum_op(g, dtype) -> sp.csr_matrix:
-    rows, idx = len(g.csr_neighbors), _index_dtype(g)
-    return sp.csr_matrix((np.ones(rows, dtype=dtype), np.arange(rows, dtype=idx),
-                          g.csr_offsets.astype(idx)), shape=(g.num_nodes, rows))
+    rows = len(g.csr_neighbors)
+    return sp.csr_matrix((np.ones(rows, dtype=dtype), np.arange(rows), g.csr_offsets),
+                         shape=(g.num_nodes, rows))
 
 
 def _node_sums(v: np.ndarray, g) -> np.ndarray:

@@ -331,7 +331,7 @@ def rationale_score_table(state: ModelState, graph: BipartiteGraph) -> np.ndarra
     h_bar = state.topo.encode(state.emb) if state.topo is not None else state.emb
     probs = edge_rationale_probs(attention_scores(h_bar, graph, state.attn).values, graph)
     drift = abs(float(probs.sum()) - 1.0)
-    if drift > 1e-6:
+    if not drift <= 1e-6:  # NaN fails this comparison too
         raise FloatingPointError(f"edge probabilities sum drifted by {drift:.2e}")
     return probs
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 import subprocess
 import sys
@@ -124,6 +125,23 @@ class TestTrain:
             assert (out / name).exists(), name
         assert "test recall@20" in capsys.readouterr().out
 
+    def test_best_epoch_is_numbered_as_the_log_numbers_it(self, tmp_path, capsys):
+        ds = make_block_dataset(num_users=40, num_items=40, num_blocks=4,
+                                interactions_per_user=12, seed=0)
+        raw, data_dir, out = tmp_path / "raw.tsv", tmp_path / "data", tmp_path / "run"
+        raw.write_text("".join(f"u{u}\ti{i}\n" for u, i in ds.interactions))
+        assert main(["prepare", "--input", str(raw), "--out", str(data_dir)]) == 0
+        # a later --epochs flag wins over TINY_FLAGS' one
+        assert main(["train", "--data", str(data_dir), "--out", str(out), "--lr", "0.05"]
+                    + TINY_FLAGS + ["--epochs", "4"]) == 0
+        log = [json.loads(line) for line in (out / "train_log.jsonl").read_text().splitlines()]
+        assert [r["epoch"] for r in log] == [0, 1, 2, 3]
+        recalls = [r["val_recall@20"] for r in log]
+        assert len(set(recalls)) > 1  # the run keeps one epoch among unequal ones
+        best = recalls.index(max(recalls))
+        printed = capsys.readouterr().out.splitlines()
+        assert f"finished after 4 epochs (best epoch {best})" in printed
+
     def test_empty_test_split_is_reported_not_scored(self, raw_file, tmp_path, capsys):
         data_dir = tmp_path / "data"
         assert main(["prepare", "--input", str(raw_file), "--out", str(data_dir),
@@ -133,6 +151,8 @@ class TestTrain:
         assert main(["train", "--data", str(data_dir), "--out", str(out)] + TINY_FLAGS) == 0
         printed = capsys.readouterr().out
         assert "test split is empty: no test metrics" in printed.splitlines()
+        assert ("finished after 1 epochs (no validation split: the last epoch is kept)"
+                in printed.splitlines())
         assert "recall@" not in printed
         rows = (out / "metrics.csv").read_text().splitlines()[1:]
         assert rows and all(row.endswith(",nan,nan") for row in rows)
@@ -512,6 +532,26 @@ class TestGrid:
         err = capsys.readouterr().err
         assert err == "config error: --param lr given more than once; list its values in one\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, key", [("--lr", "lr"), ("--lambda-rec", "lambda_rec")])
+    def test_axis_also_given_as_a_flag_exits_two_before_loading(self, tmp_path, capsys,
+                                                                flag, key):
+        out = tmp_path / "g"
+        code = main(["grid", "--data", str(tmp_path / "missing"), "--out", str(out),
+                     flag, "0.5", "--param", f"{key}=0.01,0.02"])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: --param {key} is also set by {flag}\n"
+        assert not out.exists()
+
+    def test_axis_may_override_the_config_file(self, prepared, tmp_path):
+        cfg = tmp_path / "base.cfg"
+        cfg.write_text("lr = 0.5\n")
+        out = tmp_path / "grid"
+        code = main(["grid", "--data", str(prepared), "--out", str(out), "--config", str(cfg),
+                     "--param", "lr=0.01,0.02"] + TINY_FLAGS)
+        assert code == 0
+        rows = (out / "grid.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.01", "0.02"]
 
 
 class TestDumpConfig:

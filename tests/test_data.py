@@ -206,6 +206,16 @@ class TestBuildGraph:
         assert sub.num_edges == 0
         assert (sub.degree == 0).all()
 
+    @pytest.mark.parametrize("edges", [
+        [(0, 2), (0, 3), (0, 3), (0, 4)],  # items {0, 1, 1, 2} of 4: counted twice, it
+                                           # would read as a user with every item
+        [(1, 4), (0, 2), (1, 4)],          # a repeat that is not adjacent in the input
+    ])
+    def test_repeated_edge_refused(self, edges):
+        # the all-heads operator kron(A, I_H) would merge the two slots of a repeat
+        with pytest.raises(ValueError, match="edges must be distinct"):
+            D.build_graph_from_edges(2, 4, np.array(edges))
+
 
 def long_tail_graph(num_users=300, num_items=400, seed=0):
     """Power-law user degrees (rank^-0.9, from 1 up to every item but one)

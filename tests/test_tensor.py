@@ -599,6 +599,40 @@ class TestAllHeadsOperator:
             T.edge_spmm(T.Tensor(np.ones((len(g.csr_neighbors), heads))), x, g, heads)
         assert built == [2, 4]
 
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_edgeless_graph_matches_per_head_products(self, heads):
+        # scipy's kron of an empty matrix is an empty float matrix
+        g = build_graph_from_edges(3, 4, np.zeros((0, 2), dtype=np.int64))
+        rng = np.random.default_rng(heads)
+        tables = [rng.normal(size=(g.num_nodes, 2 * heads)) for _ in range(2)]
+        for fused, reference, a_start, b_start in (
+                (T.edge_dot, per_head_edge_dot, tables[0], tables[1]),
+                (T.edge_spmm, per_head_edge_spmm, np.zeros((0, heads)), tables[0])):
+            results = []
+            for op in (fused, reference):
+                a, b = T.parameter(a_start), T.parameter(b_start)
+                with T.Tape() as tape:
+                    out = op(a, b, g, heads)
+                    grads = T.backward(T.tsum(out), tape)
+                results.append((out.values, grads[a], grads[b]))
+            for got, want in zip(*results):
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_indices_are_int32_and_shared_by_every_operator(self, heads):
+        g = graph_with_isolated_nodes(np.random.default_rng(heads))
+        indptr, indices, order = T._heads_layout(g, heads)
+        assert indptr.dtype == indices.dtype == np.int32
+        assert len(order) == len(indices) == heads * len(g.csr_neighbors)
+        for _ in range(2):
+            op = T._heads_op(np.ones((len(g.csr_neighbors), heads)), g)
+            cached = g.operator(("heads", heads), None)
+            assert np.shares_memory(op.indices, cached[1])
+            assert np.shares_memory(op.indptr, cached[0])
+        slot_sums = T._slot_sum_op(g, np.float64)
+        assert slot_sums.indptr.dtype == slot_sums.indices.dtype == np.int32
+
 
 GLIBC_MALLINFO2 = (platform.libc_ver()[0] == "glibc"
                    and hasattr(ctypes.CDLL(None), "mallinfo2"))

@@ -268,6 +268,37 @@ class TestCheckReport:
             TR._check_report(self.report(contrast=contrast), self.NODES, self.TEMP)
 
 
+def overflowing_pair(graph, cfg, init_pair=TR.init_pair):
+    """A float32 pair whose attention logits overflow, so every rationale
+    probability is NaN."""
+    pair = init_pair(graph, cfg)
+    pair.teacher.attn.wq.values *= 1e30
+    pair.teacher.attn.wk.values *= 1e30
+    return pair
+
+
+class TestScoreTableCheck:
+    """An all-NaN score table sums to NaN, which ``abs(sum - 1) > tol`` lets
+    through; the check must raise ``FloatingPointError`` for it."""
+
+    def test_all_nan_table_raises(self):
+        ds = tiny_dataset()
+        graph = build_graph(ds)
+        pair = overflowing_pair(graph, tiny_cfg(precision="float32"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="drifted by nan"):
+                TR.rationale_score_table(pair.teacher, graph)
+
+    def test_fit_writes_a_crash_checkpoint(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(TR, "init_pair", overflowing_pair)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError):
+                TR.fit(tiny_dataset(), tiny_cfg(precision="float32", epochs=1),
+                       out_dir=tmp_path)
+        assert (tmp_path / "crash.ckpt").exists()
+        assert not (tmp_path / "model.ckpt").exists()
+
+
 class TestFit:
     def test_patience_zero_runs_all_epochs(self, tmp_path):
         ds = tiny_dataset()

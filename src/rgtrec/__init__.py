@@ -20,7 +20,7 @@ See the demos/ directory for narrative walkthroughs of each capability.
 from .data import (BipartiteGraph, InteractionDataset, build_graph,
                    load_interactions, load_prepared, save_prepared, split)
 from .evaluation import RankingResult, evaluate
-from .losses import EmbeddingBundle, LossReport
+from .losses import LossReport
 from .sampling import SampledSubgraph, build_masked_graph, sample_complement, sample_rationale
 from .synthetic import make_block_dataset
 from .training import (DistillPair, ModelState, TrainConfig, checkpoint_config, fit,
@@ -33,7 +33,7 @@ __all__ = [
     "BipartiteGraph", "InteractionDataset", "build_graph", "load_interactions",
     "load_prepared", "save_prepared", "split",
     "RankingResult", "evaluate",
-    "EmbeddingBundle", "LossReport",
+    "LossReport",
     "SampledSubgraph", "build_masked_graph", "sample_complement", "sample_rationale",
     "make_block_dataset",
     "DistillPair", "ModelState", "TrainConfig", "checkpoint_config", "fit", "init_pair",

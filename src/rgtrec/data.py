@@ -248,9 +248,13 @@ class BipartiteGraph:
 
 
 def build_graph_from_edges(num_users: int, num_items: int, edges: np.ndarray) -> BipartiteGraph:
-    """The graph of distinct (user node, item node) ``edges``; a repeated one raises."""
+    """The graph of distinct (user node, item node) ``edges``; any other edge raises."""
     num_nodes = num_users + num_items
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    bad_rows = np.flatnonzero((edges < [0, num_users]) | (edges >= [num_users, num_nodes])) // 2
+    if bad_rows.size:
+        raise ValueError(f"edge {tuple(edges[bad_rows[0]].tolist())} is not a (user node, item "
+                         f"node) pair of a graph with {num_users} users and {num_items} items")
     edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
     if (edges[1:] == edges[:-1]).all(axis=1).any():
         raise ValueError("a graph's edges must be distinct; an edge is given twice")

@@ -1,4 +1,4 @@
-"""All training objectives and their weighted sum.
+"""All training objectives and their weighted sum; the terms score, never sample.
 
 Every term is a mean over its index set so the weights keep their meaning
 regardless of batch size.  Log-sigmoid terms are computed through softplus
@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tensor as T
-from .data import BipartiteGraph
 
 if TYPE_CHECKING:
     from .training import TrainConfig
@@ -45,30 +44,20 @@ def _pair_scores(s: T.Tensor, left: np.ndarray, right: np.ndarray) -> T.Tensor:
     return T.tsum(T.mul(T.take(s, left), T.take(s, right)), axis=1)
 
 
-def loss_mae(s: T.Tensor, masked_out_edges: np.ndarray, g: BipartiteGraph,
-             rng: np.random.Generator) -> T.Tensor:
+def loss_mae(s: T.Tensor, triples: np.ndarray) -> T.Tensor:
     """Reconstruction of masked-out edges against sampled non-edges.
 
-    Mean over masked-out edges of -log sigmoid(score) for the edge plus
-    -log sigmoid(-score) for one non-edge of the same user.  The positive
-    terms are recorded before the negatives are drawn and scored; the tape
-    order fixes the order in which ``backward`` sums gradients.  Edges of
-    users that interact with every item have no non-edge and are dropped,
-    with a warning.
+    Mean over (user, item node, negative item node) rows of -log
+    sigmoid(score) for the edge plus -log sigmoid(-score) for the non-edge.
+    The positive terms are recorded before the negatives are scored; the tape
+    order fixes the order in which ``backward`` sums gradients.  No rows give
+    0, with a warning.
     """
-    saturated = g.degree[masked_out_edges[:, 0]] >= g.num_items
-    if saturated.any():
-        log.warning("reconstruction skips the edges of %d users that interact with every item",
-                    len(np.unique(masked_out_edges[saturated, 0])))
-        masked_out_edges = masked_out_edges[~saturated]
-    if len(masked_out_edges) == 0:
+    if len(triples) == 0:
         log.warning("masked-out edge set is empty; reconstruction loss is 0")
         return T.Tensor(0.0, dtype=s.dtype)
-    users = masked_out_edges[:, 0]
-    items = masked_out_edges[:, 1]
-    loss = T.softplus(T.neg(_pair_scores(s, users, items)))
-    negs = g.sample_non_neighbors(users, rng)
-    loss = T.add(loss, T.softplus(_pair_scores(s, users, negs)))
+    loss = T.softplus(T.neg(_pair_scores(s, triples[:, 0], triples[:, 1])))
+    loss = T.add(loss, T.softplus(_pair_scores(s, triples[:, 0], triples[:, 2])))
     return T.tmean(loss)
 
 
@@ -136,26 +125,15 @@ def loss_bpr(s_pathway: T.Tensor, triples: np.ndarray) -> T.Tensor:
     return T.tmean(T.softplus(T.sub(neg, pos)))
 
 
-@dataclass
-class EmbeddingBundle:
-    """The four embedding groups matched between the online model and its
-    EMA teacher."""
-
-    user: T.Tensor
-    item: T.Tensor
-    contrast: T.Tensor
-    subgraph: T.Tensor
-
-
-def loss_distill(student: EmbeddingBundle, teacher: EmbeddingBundle) -> T.Tensor:
-    """Sum of slot-wise mean squared errors; the teacher side is frozen."""
+def loss_distill(student: list[T.Tensor], teacher: list[T.Tensor]) -> T.Tensor:
+    """Sum of the mean squared errors of two equal-length lists of tables,
+    paired by position; the teacher side is frozen."""
     total = None
-    for slot in ("user", "item", "contrast", "subgraph"):
-        s_emb = getattr(student, slot)
-        t_emb = getattr(teacher, slot).detach()
+    for k, (s_emb, t_emb) in enumerate(zip(student, teacher, strict=True)):
+        t_emb = t_emb.detach()
         if s_emb.shape != t_emb.shape:
             raise T.ShapeMismatchError(
-                f"distillation slot {slot!r}: student {s_emb.shape} vs teacher {t_emb.shape}")
+                f"distillation table {k}: student {s_emb.shape} vs teacher {t_emb.shape}")
         mse = T.tmean(T.square(T.sub(s_emb, t_emb)))
         total = mse if total is None else T.add(total, mse)
     return total

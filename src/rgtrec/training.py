@@ -29,8 +29,7 @@ from . import tensor as T
 from .attention import AttentionParams, attention_scores, edge_rationale_probs, residual_gt
 from .data import InteractionDataset, BipartiteGraph, TRAIN, VAL, build_graph
 from .evaluation import evaluate
-from .losses import (EmbeddingBundle, LossReport, loss_bpr, loss_cir, loss_distill,
-                     loss_mae, loss_rec, total_loss)
+from .losses import LossReport, loss_bpr, loss_cir, loss_distill, loss_mae, loss_rec, total_loss
 from .propagation import encode_masked, lightgcn_propagate
 from .sampling import (SampledSubgraph, build_masked_graph, sample_complement,
                        sample_rationale)
@@ -89,7 +88,8 @@ class TrainConfig:
         checks = [
             (c.latdim >= 1, "latdim must be >= 1"),
             (c.heads >= 1, "heads must be >= 1"),
-            (c.latdim % c.heads == 0, f"latdim {c.latdim} not divisible by heads {c.heads}"),
+            (c.heads < 1 or c.latdim % c.heads == 0,
+             f"latdim {c.latdim} not divisible by heads {c.heads}"),
             (c.gcn_layers >= 1, "gcn_layers must be >= 1"),
             (c.gt_layers >= 1, "gt_layers must be >= 1"),
             (c.pnn_layers >= 1, "pnn_layers must be >= 1"),
@@ -295,34 +295,29 @@ def init_pair(graph: BipartiteGraph, cfg: TrainConfig) -> DistillPair:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PipelineOutputs:
-    encoded: T.Tensor            # final embeddings from the masked pathway
-    emb_rationale: T.Tensor
-    emb_complement: T.Tensor
-
-
 def run_pipeline(state: ModelState, g_masked: BipartiteGraph, g_rationale: BipartiteGraph,
-                 g_complement: BipartiteGraph, cfg: TrainConfig) -> PipelineOutputs:
-    """The masked-graph encoding and the rationale and complement propagations
-    that the step's losses and distillation read."""
+                 g_complement: BipartiteGraph,
+                 cfg: TrainConfig) -> tuple[T.Tensor, T.Tensor, T.Tensor]:
+    """``(encoded, emb_rationale, emb_complement)``: the masked-graph encoding and
+    the rationale and complement propagations that the losses and distillation read."""
     s_local = lightgcn_propagate(g_masked, state.emb, cfg.gcn_layers)
     encoded = encode_masked(g_masked, s_local, state.topo, state.attn, cfg.gt_layers,
                             residual=cfg.use_residual)
 
     emb_r = lightgcn_propagate(g_rationale, state.emb, cfg.gcn_layers)
     emb_c = lightgcn_propagate(g_complement, state.emb, cfg.gcn_layers)
-    return PipelineOutputs(encoded=encoded, emb_rationale=emb_r, emb_complement=emb_c)
+    return encoded, emb_r, emb_c
 
 
-def make_bundle(out: PipelineOutputs, num_users: int) -> EmbeddingBundle:
-    users = T.take(out.encoded, np.arange(num_users))
-    items = T.take(out.encoded, np.arange(num_users, out.encoded.shape[0]))
-    contrast = T.concat([out.emb_rationale, out.emb_complement], axis=0)
-    means = [T.reshape(T.tmean(emb, axis=0), (1, -1))
-             for emb in (out.emb_rationale, out.encoded, out.emb_complement)]
-    return EmbeddingBundle(user=users, item=items, contrast=contrast,
-                           subgraph=T.concat(means, axis=0))
+def make_bundle(encoded: T.Tensor, emb_r: T.Tensor, emb_c: T.Tensor,
+                num_users: int) -> list[T.Tensor]:
+    """The tables distillation matches in a ``run_pipeline`` output: the encoding's
+    user and item rows, both views stacked, and the three tables' column means."""
+    users = T.take(encoded, np.arange(num_users))
+    items = T.take(encoded, np.arange(num_users, encoded.shape[0]))
+    contrast = T.concat([emb_r, emb_c], axis=0)
+    means = [T.reshape(T.tmean(emb, axis=0), (1, -1)) for emb in (emb_r, encoded, emb_c)]
+    return [users, items, contrast, T.concat(means, axis=0)]
 
 
 def rationale_score_table(state: ModelState, graph: BipartiteGraph) -> np.ndarray:
@@ -360,6 +355,14 @@ def draw_subgraphs(probs: np.ndarray, cfg: TrainConfig,
             sample_complement(probs, cfg.rho_c, seed))
 
 
+def _has_negative(graph: BipartiteGraph, users: np.ndarray, skipped: str) -> np.ndarray:
+    """Which user nodes can have a negative: not those with every item, counted in ``skipped``."""
+    full = graph.degree[users] >= graph.num_items
+    if full.any():
+        log.warning(skipped, len(np.unique(users[full])))
+    return ~full
+
+
 def negative_sample(graph: BipartiteGraph, batch_users: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
     """(user, positive item node, negative item node) triples.
@@ -369,16 +372,20 @@ def negative_sample(graph: BipartiteGraph, batch_users: np.ndarray,
     without train items are skipped, users with every item with a warning.
     """
     users = np.asarray(batch_users, dtype=np.int64)
-    degree = graph.degree[users]
-    saturated = degree >= graph.num_items
-    if saturated.any():
-        log.warning("skipped %d users that interact with every item",
-                    len(np.unique(users[saturated])))
-    keep = (degree > 0) & ~saturated
-    users, degree = users[keep], degree[keep]
-    pos = graph.csr_neighbors[graph.csr_offsets[users] + rng.integers(degree)]
+    users = users[(graph.degree[users] > 0) & _has_negative(
+        graph, users, "skipped %d users that interact with every item")]
+    pos = graph.csr_neighbors[graph.csr_offsets[users] + rng.integers(graph.degree[users])]
     neg = graph.sample_non_neighbors(users, rng)
     return np.stack([users, pos, neg], axis=1)
+
+
+def reconstruction_triples(graph: BipartiteGraph, edges: np.ndarray,
+                           rng: np.random.Generator) -> np.ndarray:
+    """Masked-out (user, item node) ``edges`` with a negative item node, uniform over
+    the user's non-neighbours; edges of users with every item are dropped, with a warning."""
+    edges = edges[_has_negative(graph, edges[:, 0], "reconstruction skips the edges of %d "
+                                "users that interact with every item")]
+    return np.column_stack([edges, graph.sample_non_neighbors(edges[:, 0], rng)])
 
 
 def _candidate_items(ds: InteractionDataset, batch_pairs: np.ndarray,
@@ -422,28 +429,31 @@ def step_loss(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph, 
               batch: np.ndarray, cfg: TrainConfig, epoch: int,
               step: int) -> tuple[T.Tensor, LossReport]:
     """The weighted objective of a batch of (user, item) train pairs over the
-    ``epoch_views`` of ``epoch``, recorded on the active tape.  Its random
-    draws depend only on ``(cfg.seed, epoch, step)``.  Only the teacher runs
-    the rationale pathway (topology plus transformer on the full graph), which
-    the ranking loss reads; the EMA forward records nothing."""
+    ``epoch_views`` of ``epoch``, recorded on the active tape.  The step draws
+    its softmax candidates, ranking triples and reconstruction negatives, in that
+    order, before the forward pass; they depend only on ``(cfg.seed, epoch, step)``.
+    Only the teacher runs the rationale pathway (topology plus transformer on the
+    full graph), which the ranking loss reads; the EMA forward records nothing."""
     g_rationale, g_masked, g_complement, masked_out = views
     batch_nodes = np.stack([batch[:, 0], ds.num_users + batch[:, 1]], axis=1)
     rng = substream(cfg.seed, "step", epoch, step)
     candidates = _candidate_items(ds, batch_nodes, cfg, rng)
     triples = negative_sample(graph, batch[:, 0], rng)
+    recon = reconstruction_triples(graph, masked_out, rng)
 
     teacher = pair.teacher
     h_bar = teacher.topo.encode(teacher.emb) if teacher.topo is not None else teacher.emb
     h_rgt = residual_gt(h_bar, graph, teacher.attn, cfg.gt_layers, residual=cfg.use_residual)
-    out = run_pipeline(teacher, g_masked, g_rationale, g_complement, cfg)
-    rec = loss_rec(out.encoded, batch_nodes, candidates)
-    mae = loss_mae(out.encoded, masked_out, graph, rng)
+    encoded, emb_r, emb_c = run_pipeline(teacher, g_masked, g_rationale, g_complement, cfg)
+    rec = loss_rec(encoded, batch_nodes, candidates)
+    mae = loss_mae(encoded, recon)
     ranking = loss_bpr(h_rgt, triples)
-    contrast = loss_cir(out.emb_rationale, out.emb_complement, cfg.temperature)
+    contrast = loss_cir(emb_r, emb_c, cfg.temperature)
     distill = T.Tensor(0.0, dtype=teacher.emb.dtype)
     if pair.ema is not None:
         ema_out = run_pipeline(pair.ema, g_masked, g_rationale, g_complement, cfg)
-        distill = loss_distill(make_bundle(out, ds.num_users), make_bundle(ema_out, ds.num_users))
+        distill = loss_distill(make_bundle(encoded, emb_r, emb_c, ds.num_users),
+                               make_bundle(*ema_out, ds.num_users))
     return total_loss(rec, mae, distill, ranking, contrast, cfg, teacher.parameters())
 
 
@@ -523,7 +533,6 @@ def fit(ds: InteractionDataset, cfg: TrainConfig, out_dir=None) -> tuple[Distill
     best_metric = -np.inf
     best_snapshot = None
     best_epoch = -1
-    epochs_since_best = 0
 
     try:
         for epoch in range(cfg.epochs):
@@ -540,9 +549,6 @@ def fit(ds: InteractionDataset, cfg: TrainConfig, out_dir=None) -> tuple[Distill
                     best_snapshot = {role: state.snapshot()
                                      for role, state in pair.states().items()}
                     best_epoch = epoch
-                    epochs_since_best = 0
-                else:
-                    epochs_since_best += 1
 
             pair.epoch = epoch + 1
             history.append(record)
@@ -553,7 +559,7 @@ def fit(ds: InteractionDataset, cfg: TrainConfig, out_dir=None) -> tuple[Distill
                      f" val_recall@20={record.get('val_recall@20', float('nan')):.4f}"
                      if has_val else "")
 
-            if has_val and cfg.patience > 0 and epochs_since_best >= cfg.patience:
+            if has_val and cfg.patience > 0 and epoch - best_epoch >= cfg.patience:
                 log.info("early stop at epoch %d (best epoch %d)", epoch, best_epoch)
                 break
     except FloatingPointError as exc:

@@ -27,7 +27,8 @@ from rgtrec.mf_baseline import BPRMatrixFactorization
 from rgtrec.seeding import substream
 from rgtrec.synthetic import make_block_dataset
 from rgtrec.training import (TrainConfig, checkpoint_config, fit, init_pair,
-                             load_checkpoint_into, negative_sample, predict_embeddings)
+                             load_checkpoint_into, negative_sample, predict_embeddings,
+                             reconstruction_triples)
 from oracles import (bfs_distances, check_gradients, dense_sym_norm_adjacency, ndcg_at_k,
                      neighbors, plackett_luce_topk_inclusion, recall_at_k)
 
@@ -91,8 +92,8 @@ def test_c1_gradient_integrity():
     rng = np.random.default_rng(101)
 
     def mae_loss(g, h):
-        return L.loss_mae(h, g.edge_list[: max(1, g.num_edges // 3)], g,
-                          substream(7, "acc-mae"))
+        return L.loss_mae(h, reconstruction_triples(g, g.edge_list[: max(1, g.num_edges // 3)],
+                                                    substream(7, "acc-mae")))
 
     def cir_loss(g, h):
         other = T.take(h, np.arange(g.num_nodes)[::-1].copy())
@@ -109,15 +110,11 @@ def test_c1_gradient_integrity():
 
     def distill_loss(g, h):
         fixed = np.random.default_rng(55)  # teacher constant across fd evaluations
-        teacher = L.EmbeddingBundle(
-            T.Tensor(fixed.normal(size=(g.num_users, h.shape[1]))),
-            T.Tensor(fixed.normal(size=(g.num_items, h.shape[1]))),
-            T.Tensor(fixed.normal(size=(2, h.shape[1]))),
-            T.Tensor(fixed.normal(size=(1, h.shape[1]))))
-        student = L.EmbeddingBundle(
-            T.take(h, np.arange(g.num_users)),
-            T.take(h, np.arange(g.num_users, g.num_nodes)),
-            T.take(h, np.array([0, 1])), T.take(h, np.array([2])))
+        teacher = [T.Tensor(fixed.normal(size=(n, h.shape[1])))
+                   for n in (g.num_users, g.num_items, 2, 1)]
+        student = [T.take(h, np.arange(g.num_users)),
+                   T.take(h, np.arange(g.num_users, g.num_nodes)),
+                   T.take(h, np.array([0, 1])), T.take(h, np.array([2]))]
         return L.loss_distill(student, teacher)
 
     def combined_loss(g, h):

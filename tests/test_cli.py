@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rgtrec import cli
 from rgtrec import tensor as T
@@ -573,6 +574,13 @@ class TestDumpConfig:
         assert capsys.readouterr().err == f"config error: {cfg}: not UTF-8 text " \
                                           "(invalid start byte)\n"
 
+    def test_zero_heads_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("heads = 0\n")
+        for argv in (["--heads", "0"], ["--config", str(cfg)]):
+            assert main(["dump-config"] + argv) == 2
+            assert capsys.readouterr().err == "config error: heads must be >= 1\n"
+
     def test_prints_resolved_config(self, capsys):
         code = main(["dump-config", "--latdim", "16", "--heads", "4"])
         assert code == 0
@@ -588,6 +596,43 @@ class TestDumpConfig:
         code = main(["dump-config", "--config", str(cfg_file)])
         assert code == 0
         assert "lr = 0.0042" in capsys.readouterr().out
+
+
+# values that are out of range, non-finite, too long to parse, of the wrong
+# kind or missing, among a few that are valid for some keys
+CONFIG_VALUES = ["0", "-1", "-0.5", "-1e9", "nan", "inf", "-inf", "1" * 5000,
+                 "fast", "float64", "true", "false", "", "1", "4", "0.05"]
+
+
+class TestConfigTextProperties:
+    """Whatever a config file of known keys holds, ``dump-config`` either
+    prints a config that reads back the same or exits 2 with one
+    ``config error:`` line; no exception escapes."""
+
+    @staticmethod
+    def check(path, capsys, lines):
+        path.write_text("".join(f"{key} = {value}\n" for key, value in lines))
+        capsys.readouterr()
+        code = main(["dump-config", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert code in (0, 2), lines
+        if code == 2:
+            assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
+        else:
+            assert err == ""
+            assert TR.dump_config(TR.load_config(None, TR.parse_config_text(out))) == out
+
+    def test_every_key_with_every_value(self, tmp_path, capsys):
+        for key in TR._CONFIG_FIELDS:
+            for value in CONFIG_VALUES:
+                self.check(tmp_path / "c.cfg", capsys, [(key, value)])
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(st.tuples(st.sampled_from(sorted(TR._CONFIG_FIELDS)),
+                                    st.sampled_from(CONFIG_VALUES)), min_size=2, max_size=5))
+    def test_several_lines(self, tmp_path, capsys, lines):
+        self.check(tmp_path / "c.cfg", capsys, lines)
 
 
 @pytest.mark.parametrize("message, line", [

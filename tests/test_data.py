@@ -216,6 +216,19 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="edges must be distinct"):
             D.build_graph_from_edges(2, 4, np.array(edges))
 
+    @pytest.mark.parametrize("edges, named", [
+        ([(0, 2), (2, 0)], "(2, 0)"),  # a repeat in reverse: two slots from node 0 to node 2
+        ([(0, 2), (3, 2)], "(3, 2)"),  # item to item
+        ([(1, 0)], "(1, 0)"),          # user to user
+        ([(0, 7)], "(0, 7)"),          # past the last item node
+        ([(-1, 2)], "(-1, 2)"),
+    ])
+    def test_edge_that_is_not_user_to_item_refused(self, edges, named):
+        with pytest.raises(ValueError) as excinfo:
+            D.build_graph_from_edges(2, 2, np.array(edges))
+        assert str(excinfo.value) == (f"edge {named} is not a (user node, item node) pair "
+                                      "of a graph with 2 users and 2 items")
+
 
 def long_tail_graph(num_users=300, num_items=400, seed=0):
     """Power-law user degrees (rank^-0.9, from 1 up to every item but one)

@@ -7,7 +7,7 @@ from rgtrec import losses as L
 from rgtrec import tensor as T
 from rgtrec.data import build_graph_from_edges
 from rgtrec.seeding import substream
-from rgtrec.training import TrainConfig
+from rgtrec.training import TrainConfig, reconstruction_triples
 from oracles import check_gradients, per_pair_loss_rec
 
 
@@ -23,12 +23,17 @@ def complete_minus_one(num_users=3, num_items=4):
     return build_graph_from_edges(num_users, num_items, np.array(edges))
 
 
+def reconstruction(g, edges, seed):
+    """The (user, item node, negative item node) rows a training step scores
+    for the masked-out ``edges``."""
+    return reconstruction_triples(g, np.asarray(edges), substream(seed, "mae"))
+
+
 class TestLossMae:
     def test_uniform_zero_scores(self):
         g = complete_minus_one()
         s = T.Tensor(np.zeros((g.num_nodes, 3)))
-        masked_out = g.edge_list[:4]
-        out = L.loss_mae(s, masked_out, g, substream(0, "mae"))
+        out = L.loss_mae(s, reconstruction(g, g.edge_list[:4], 0))
         assert float(out.values) == pytest.approx(2 * math.log(2), abs=1e-9)
 
     def test_saturated_limit_goes_to_zero(self):
@@ -38,7 +43,7 @@ class TestLossMae:
         s = np.full((g.num_nodes, 2), 10.0)
         s[2 + 0] = [-10.0, 0.0]  # item 0 is the forced negative of user 0
         masked_out = np.array([[0, 3], [0, 4]])  # two of user 0's train edges
-        out = L.loss_mae(T.Tensor(s), masked_out, g, substream(1, "mae"))
+        out = L.loss_mae(T.Tensor(s), reconstruction(g, masked_out, 1))
         assert float(out.values) < 1e-6
 
     def test_matches_direct_evaluation(self):
@@ -46,7 +51,7 @@ class TestLossMae:
         rng = np.random.default_rng(2)
         s = rng.normal(size=(g.num_nodes, 3))
         masked_out = g.edge_list[:4]
-        out = L.loss_mae(T.Tensor(s), masked_out, g, substream(2, "mae"))
+        out = L.loss_mae(T.Tensor(s), reconstruction(g, masked_out, 2))
 
         expect = 0.0
         for u, i in masked_out:
@@ -56,13 +61,14 @@ class TestLossMae:
         assert float(out.values) == pytest.approx(expect, abs=1e-9)
 
     def test_empty_masked_set_returns_zero_with_warning(self, caplog):
-        g = complete_minus_one()
         for dtype in (np.float32, np.float64):  # the zero is in the embeddings' dtype
-            s = T.Tensor(np.zeros((g.num_nodes, 2), dtype))
+            s = T.Tensor(np.zeros((7, 2), dtype))
             with caplog.at_level("WARNING"):
-                out = L.loss_mae(s, np.empty((0, 2), dtype=np.int64), g, substream(0, "mae"))
+                out = L.loss_mae(s, np.empty((0, 3), dtype=np.int64))
             assert float(out.values) == 0.0 and out.dtype == dtype
             assert "empty" in caplog.text
+
+    # a user with every item has no negative: the step's sampler drops its edges
 
     def test_user_with_every_item_but_one(self):
         num_items, free = 5000, 4321
@@ -70,7 +76,9 @@ class TestLossMae:
             [(0, 1 + i) for i in range(num_items) if i != free]))
         s = np.random.default_rng(5).normal(size=(g.num_nodes, 2))
         masked_out = g.edge_list[:200]
-        out = L.loss_mae(T.Tensor(s), masked_out, g, substream(5, "mae"))
+        triples = reconstruction(g, masked_out, 5)
+        assert triples.tolist() == [[0, i, 1 + free] for i in masked_out[:, 1]]
+        out = L.loss_mae(T.Tensor(s), triples)
         expect = np.mean([softplus(-float(s[0] @ s[i])) + softplus(float(s[0] @ s[1 + free]))
                           for i in masked_out[:, 1]])
         assert float(out.values) == pytest.approx(expect, abs=1e-9)
@@ -80,8 +88,9 @@ class TestLossMae:
         g = build_graph_from_edges(2, 2, np.array([[0, 2], [1, 2], [1, 3]]))
         s = np.random.default_rng(6).normal(size=(g.num_nodes, 2))
         with caplog.at_level("WARNING"):
-            out = L.loss_mae(T.Tensor(s), np.array([[0, 2], [1, 3], [1, 2]]), g,
-                             substream(6, "mae"))
+            triples = reconstruction(g, [[0, 2], [1, 3], [1, 2]], 6)
+        assert triples.tolist() == [[0, 2, 3]]
+        out = L.loss_mae(T.Tensor(s), triples)
         expect = softplus(-float(s[0] @ s[2])) + softplus(float(s[0] @ s[3]))
         assert float(out.values) == pytest.approx(expect, abs=1e-12)
         assert caplog.text.count("skips the edges of 1 users") == 1
@@ -90,7 +99,9 @@ class TestLossMae:
         g = build_graph_from_edges(2, 2, np.array([[0, 2], [1, 2], [1, 3]]))
         s = T.Tensor(np.zeros((g.num_nodes, 2)))
         with caplog.at_level("WARNING"):
-            out = L.loss_mae(s, np.array([[1, 3]]), g, substream(6, "mae"))
+            triples = reconstruction(g, [[1, 3]], 6)
+            out = L.loss_mae(s, triples)
+        assert triples.shape == (0, 3)
         assert float(out.values) == 0.0
         assert "skips the edges of 1 users" in caplog.text
         assert "empty" in caplog.text
@@ -99,10 +110,10 @@ class TestLossMae:
         g = complete_minus_one()
         rng = np.random.default_rng(4)
         s = T.parameter(rng.normal(size=(g.num_nodes, 3)))
-        masked_out = g.edge_list[:4]
+        triples = reconstruction(g, g.edge_list[:4], 4)
 
         def build():
-            return L.loss_mae(s, masked_out, g, substream(4, "mae"))
+            return L.loss_mae(s, triples)
 
         check_gradients(build, {"s": s})
 
@@ -303,53 +314,49 @@ class TestLossBpr:
         check_gradients(build, {"s": s})
 
 
-def random_bundle(rng, num=6, d=3):
-    return L.EmbeddingBundle(
-        user=T.Tensor(rng.normal(size=(num, d))),
-        item=T.Tensor(rng.normal(size=(num, d))),
-        contrast=T.Tensor(rng.normal(size=(2 * num, d))),
-        subgraph=T.Tensor(rng.normal(size=(3, d))),
-    )
+def random_tables(rng, num=6, d=3):
+    """Tables shaped like the four that distillation matches."""
+    return [T.Tensor(rng.normal(size=shape)) for shape in ((num, d), (num, d), (2 * num, d),
+                                                            (3, d))]
 
 
 class TestLossDistill:
     def test_identical_bundles_zero(self):
-        b = random_bundle(np.random.default_rng(12))
+        b = random_tables(np.random.default_rng(12))
         assert float(L.loss_distill(b, b).values) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_offset(self):
         rng = np.random.default_rng(13)
-        teacher = random_bundle(rng)
+        teacher = random_tables(rng)
         delta = 0.37
-        student = L.EmbeddingBundle(
-            user=T.add(teacher.user, delta), item=T.add(teacher.item, delta),
-            contrast=T.add(teacher.contrast, delta), subgraph=T.add(teacher.subgraph, delta))
+        student = [T.add(t, delta) for t in teacher]
         out = L.loss_distill(student, teacher)
         assert float(out.values) == pytest.approx(4 * delta ** 2, abs=1e-9)
 
     def test_matches_direct_evaluation(self):
         rng = np.random.default_rng(14)
-        teacher, student = random_bundle(rng), random_bundle(rng)
+        teacher, student = random_tables(rng), random_tables(rng)
         out = L.loss_distill(student, teacher)
-        expect = sum(np.mean((getattr(student, slot).values - getattr(teacher, slot).values) ** 2)
-                     for slot in ("user", "item", "contrast", "subgraph"))
+        expect = sum(np.mean((s.values - t.values) ** 2) for s, t in zip(student, teacher))
         assert float(out.values) == pytest.approx(expect, abs=1e-9)
 
     def test_shape_mismatch_names_slot(self):
         rng = np.random.default_rng(15)
-        teacher = random_bundle(rng)
-        student = random_bundle(rng)
-        student.contrast = T.Tensor(rng.normal(size=(5, 3)))
-        with pytest.raises(T.ShapeMismatchError, match="contrast"):
+        teacher = random_tables(rng)
+        student = random_tables(rng)
+        student[2] = T.Tensor(rng.normal(size=(5, 3)))
+        with pytest.raises(T.ShapeMismatchError, match="table 2"):
             L.loss_distill(student, teacher)
+        with pytest.raises(ValueError):  # the lists must have equal lengths
+            L.loss_distill(teacher[:3], teacher)
 
     def test_stop_gradient_teacher_gets_none(self):
         rng = np.random.default_rng(16)
         t_user = T.parameter(rng.normal(size=(4, 2)))
         s_user = T.parameter(rng.normal(size=(4, 2)))
         zero = T.Tensor(np.zeros((1, 2)))
-        teacher = L.EmbeddingBundle(t_user, zero, zero, zero)
-        student = L.EmbeddingBundle(s_user, zero, zero, zero)
+        teacher = [t_user, zero, zero, zero]
+        student = [s_user, zero, zero, zero]
         with T.Tape() as tape:
             out = L.loss_distill(student, teacher)
             grads = T.backward(out, tape)
@@ -359,14 +366,10 @@ class TestLossDistill:
     def test_gradients(self):
         rng = np.random.default_rng(17)
         s_user = T.parameter(rng.normal(size=(4, 2)))
-        teacher = L.EmbeddingBundle(T.Tensor(rng.normal(size=(4, 2))),
-                                    T.Tensor(np.zeros((1, 2))),
-                                    T.Tensor(np.zeros((1, 2))),
-                                    T.Tensor(np.zeros((1, 2))))
+        teacher = [T.Tensor(rng.normal(size=(4, 2)))] + [T.Tensor(np.zeros((1, 2)))] * 3
 
         def build():
-            student = L.EmbeddingBundle(s_user, T.Tensor(np.zeros((1, 2))),
-                                        T.Tensor(np.zeros((1, 2))), T.Tensor(np.zeros((1, 2))))
+            student = [s_user] + [T.Tensor(np.zeros((1, 2))) for _ in range(3)]
             return L.loss_distill(student, teacher)
 
         check_gradients(build, {"su": s_user})
@@ -424,10 +427,10 @@ class TestTotalLoss:
         g = complete_minus_one(4, 4)
         s = T.Tensor(rng.normal(size=(g.num_nodes, 3)))
         vals = [
-            L.loss_mae(s, g.edge_list[:4], g, substream(0, "x")),
+            L.loss_mae(s, reconstruction(g, g.edge_list[:4], 0)),
             L.loss_rec(s, np.array([[0, 5], [1, 6]]), np.arange(4, 8)),
             L.loss_bpr(s, np.array([[0, 5, 4], [1, 6, 5]])),
-            L.loss_distill(random_bundle(rng), random_bundle(rng)),
+            L.loss_distill(random_tables(rng), random_tables(rng)),
         ]
         for v in vals:
             assert float(v.values) >= 0.0

@@ -57,6 +57,11 @@ class TestConfig:
         cfg = TR.load_config(path, overrides={"epochs": "2", "seed": 9})
         assert (cfg.latdim, cfg.epochs, cfg.seed) == (8, 2, 9)
 
+    def test_zero_heads_is_a_config_error(self):
+        # not a ZeroDivisionError from the divisibility check
+        with pytest.raises(TR.ConfigError, match="^heads must be >= 1$"):
+            tiny_cfg(heads=0).validate()
+
     def test_validation_rejects_bad_combinations(self):
         with pytest.raises(TR.ConfigError, match="divisible"):
             tiny_cfg(latdim=10, heads=4).validate()

@@ -9,6 +9,9 @@ ablate       train component and loss-removal variants across seeds
 grid         exhaustive grid search over config keys
 dump-config  print the fully resolved configuration
 
+``ablate`` and ``grid`` are each a list of labelled config patches run by
+``run_plan``.
+
 Exit codes: 0 success, 1 runtime/data error, 2 usage or config error.
 """
 
@@ -206,29 +209,34 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def run_variants(ds, base_cfg: TrainConfig, variants: dict[str, dict], seeds: list[int],
-                 group: str, runs: dict) -> list[dict]:
-    """One row per variant and seed; ``runs`` maps each ``dump_config`` text
-    trained so far to its (val, test) results, so no config trains twice."""
+def _columns(k: int, **results) -> dict:
+    """Recall and NDCG at ``k`` of each named split, six decimals."""
+    return {f"{split}_{metric}@{k}": f"{result.macro(metric, k):.6f}"
+            for split, result in results.items() for metric in ("recall", "ndcg")}
+
+
+def run_plan(base: TrainConfig, patches: list[tuple[dict, dict]], data_dir, out_dir,
+             csv_name: str, columns) -> list[dict]:
+    """One CSV row per ``(labels, patch)``: the labels, then ``columns(val, test)``
+    of ``base`` with the patch applied.  Every row's config is built (and so
+    checked) and ``out_dir`` made before the data loads; each distinct
+    ``dump_config`` text trains once."""
+    plan = [(labels, load_config(None, {**dataclasses.asdict(base), **patch}))
+            for labels, patch in patches]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    ds = load_prepared(data_dir)
+    runs: dict[str, list] = {}
     rows = []
-    for name, patch in variants.items():
-        for seed in seeds:
-            cfg = dataclasses.replace(base_cfg, seed=seed, **patch)
-            cfg.validate()
-            key = dump_config(cfg)
-            if key not in runs:
-                pair, _ = fit(ds, cfg)
-                runs[key] = _evaluate_splits(pair, ds, cfg, VAL, TEST)
-            val, test = runs[key]
-            rows.append({
-                "group": group, "variant": name, "seed": seed,
-                "test_recall@40": f"{test.macro('recall', 40):.6f}",
-                "test_ndcg@40": f"{test.macro('ndcg', 40):.6f}",
-                "val_recall@40": f"{val.macro('recall', 40):.6f}",
-                "val_ndcg@40": f"{val.macro('ndcg', 40):.6f}",
-            })
-            log.info("variant %s seed %d: test recall@40 %s", name, seed,
-                     rows[-1]["test_recall@40"])
+    for labels, cfg in plan:
+        key = dump_config(cfg)
+        if key not in runs:
+            pair, _ = fit(ds, cfg)
+            runs[key] = _evaluate_splits(pair, ds, cfg, VAL, TEST)
+        rows.append({**labels, **columns(*runs[key])})
+        log.info("%s", rows[-1])
+    write_metric_series_csv(out / csv_name, rows)
+    print(f"{len(rows)} rows written to {out / csv_name}")
     return rows
 
 
@@ -236,15 +244,12 @@ def cmd_ablate(args) -> int:
     cfg = _resolve_config(args)
     if args.num_seeds < 1:
         raise ConfigError(f"--num-seeds must be >= 1, got {args.num_seeds}")
-    ds = load_prepared(args.data)
-    seeds = [cfg.seed + i for i in range(args.num_seeds)]
-    runs: dict = {}
-    rows = run_variants(ds, cfg, COMPONENT_VARIANTS, seeds, "components", runs)
-    rows += run_variants(ds, cfg, LOSS_VARIANTS, seeds, "losses", runs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_metric_series_csv(out / "ablation.csv", rows)
-    print(f"{len(rows)} rows written to {out / 'ablation.csv'}")
+    groups = {"components": COMPONENT_VARIANTS, "losses": LOSS_VARIANTS}
+    patches = [({"group": group, "variant": name, "seed": seed}, {**patch, "seed": seed})
+               for group, variants in groups.items() for name, patch in variants.items()
+               for seed in range(cfg.seed, cfg.seed + args.num_seeds)]
+    run_plan(cfg, patches, args.data, args.out, "ablation.csv",
+             lambda val, test: _columns(40, test=test, val=val))
     return 0
 
 
@@ -265,21 +270,9 @@ def cmd_grid(args) -> int:
             raise ConfigError(f"--param {key}: no values given")
     if not axes:
         raise ConfigError("grid search needs at least one --param axis")
-    ds = load_prepared(args.data)
-
-    rows = []
-    for combo in itertools.product(*axes.values()):
-        overrides = dict(zip(axes, combo))
-        run_cfg = load_config(None, overrides={**dataclasses.asdict(cfg), **overrides})
-        pair, _ = fit(ds, run_cfg)
-        (val,) = _evaluate_splits(pair, ds, run_cfg, VAL)
-        rows.append({**overrides,
-                     "val_recall@20": f"{val.macro('recall', 20):.6f}",
-                     "val_ndcg@20": f"{val.macro('ndcg', 20):.6f}"})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_metric_series_csv(out / "grid.csv", rows)
-    print(f"{len(rows)} combinations written to {out / 'grid.csv'}")
+    combos = [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
+    run_plan(cfg, [(combo, combo) for combo in combos], args.data, args.out, "grid.csv",
+             lambda val, test: _columns(20, val=val))
     return 0
 
 

@@ -13,6 +13,7 @@ from rgtrec import cli
 from rgtrec import tensor as T
 from rgtrec import training as TR
 from rgtrec.cli import main
+from rgtrec.data import load_interactions, load_prepared
 from rgtrec.synthetic import make_block_dataset
 from rgtrec.training import _VERSION
 from conftest import write_members
@@ -39,6 +40,20 @@ def prepared(raw_file, tmp_path):
 TINY_FLAGS = ["--latdim", "8", "--heads", "2", "--anchor-set", "6",
               "--pnn-layers", "1", "--epochs", "1", "--patience", "0",
               "--batch-size", "256"]
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """The configs ``cli.fit`` is called with, in call order."""
+    calls = []
+    real_fit = cli.fit
+
+    def counting_fit(ds, cfg, *args, **kwargs):
+        calls.append(cfg)
+        return real_fit(ds, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit", counting_fit)
+    return calls
 
 
 # a misspelt key and keys that older versions accepted, with a value they
@@ -115,6 +130,38 @@ class TestPrepare:
         assert main(["prepare", "--input", str(raw_file), "--out", str(tmp_path / "d")]) == 1
         assert capsys.readouterr().err == f"error: {raw_file}: not UTF-8 text " \
                                           "(invalid start byte)\n"
+
+
+# pieces of an interaction file: tokens, separators, line ends, a comment
+# mark, a BOM, bytes that are not UTF-8 or are NUL, and 3-column lines
+RAW_PIECES = [b"u1", b"u2", b"i1", b"i2", b"a b", b" ", b"\t", b",", b"\n", b"\r\n", b"\r",
+              b"#", "\ufeff".encode(), b"\xff", b"\x00", b"u1\ti1\t5\n", b"u2,i2,5\n"]
+RATIOS = ["0.7,0.05,0.25", "1,0,0", "0,0,1", "0.5,0.5,0", "0.34,0.33,0.33"]
+
+
+class TestPrepareProperties:
+    """Whatever bytes an interaction file holds, ``prepare`` either writes a
+    prepared dir that reads back with the file's tokens or exits 1 with one
+    ``error:`` line; no exception escapes."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=st.lists(st.sampled_from(RAW_PIECES), max_size=40).map(b"".join),
+           fmt=st.sampled_from(["tsv_pairs", "csv_pairs"]), ratios=st.sampled_from(RATIOS))
+    def test_any_bytes(self, tmp_path, capsys, raw, fmt, ratios):
+        path, out = tmp_path / "raw", tmp_path / "d"
+        path.write_bytes(raw)
+        capsys.readouterr()
+        code = main(["prepare", "--input", str(path), "--out", str(out),
+                     "--format", fmt, "--ratios", ratios])
+        stdout, err = capsys.readouterr()
+        assert code in (0, 1), raw
+        if code == 1:
+            assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            ds, read = load_interactions(path, format=fmt), load_prepared(out)
+            assert (read.user_tokens, read.item_tokens) == (ds.user_tokens, ds.item_tokens)
+            assert f"interactions={read.num_interactions}" in stdout
 
 
 class TestTrain:
@@ -503,8 +550,83 @@ class TestAblate:
         err = capsys.readouterr().err
         assert err.startswith("config error: --num-seeds") and err.count("\n") == 1, err
 
+    def test_csv_layout(self, prepared, tmp_path):
+        out = tmp_path / "ab"
+        assert main(["ablate", "--data", str(prepared), "--out", str(out),
+                     "--num-seeds", "2", "--seed", "3"] + TINY_FLAGS) == 0
+        lines = (out / "ablation.csv").read_text().splitlines()
+        assert lines[0] == "group,variant,seed,test_recall@40,test_ndcg@40," \
+                           "val_recall@40,val_ndcg@40"
+        labels = [(group, variant, seed)
+                  for group, variants in (("components", ["gt", "rgt_la", "ad"]),
+                                          ("losses", ["full", "no_ranking", "no_rec",
+                                                      "no_distill", "no_reg"]))
+                  for variant in variants for seed in ("3", "4")]
+        assert [tuple(line.split(",")[:3]) for line in lines[1:]] == labels
+        assert all(re.fullmatch(r"(\d\.\d{6},){3}\d\.\d{6}", line.split(",", 3)[3])
+                   for line in lines[1:])
+
+
+@pytest.mark.parametrize("command", [["ablate", "--num-seeds", "1"],
+                                     ["grid", "--param", "lr=0.01,0.02"]],
+                         ids=["ablate", "grid"])
+def test_out_file_exits_one_before_any_fit(prepared, raw_file, capsys, fits, command):
+    code = main(command[:1] + ["--data", str(prepared), "--out", str(raw_file)]
+                + command[1:] + TINY_FLAGS)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fits == []
+
 
 class TestGrid:
+    def test_bad_later_combination_exits_two_before_any_fit(self, prepared, tmp_path,
+                                                              capsys, fits):
+        assert TINY_FLAGS[2:4] == ["--heads", "2"]  # left out: the axis sets heads
+        out = tmp_path / "g"
+        code = main(["grid", "--data", str(prepared), "--out", str(out),
+                     "--param", "heads=2,0"] + TINY_FLAGS[:2] + TINY_FLAGS[4:])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: heads must be >= 1\n"
+        assert fits == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param, message", [
+        ("bogus=1", "config error: unknown config key 'bogus'; valid keys: "),
+        ("lr=fast", "config error: lr: expected a number, got 'fast'\n"),
+    ], ids=["unknown_key", "bad_value"])
+    def test_bad_param_exits_two_before_loading(self, tmp_path, capsys, param, message):
+        out = tmp_path / "g"
+        code = main(["grid", "--data", str(tmp_path / "missing"), "--out", str(out),
+                     "--param", param])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_repeated_resolved_config_trains_once(self, prepared, tmp_path, fits):
+        out = tmp_path / "g"
+        assert main(["grid", "--data", str(prepared), "--out", str(out),
+                     "--param", "lr=0.01,0.010"] + TINY_FLAGS) == 0
+        assert len(fits) == 1
+        rows = [line.split(",") for line in
+                (out / "grid.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["0.01", "0.010"]
+        assert rows[0][1:] == rows[1][1:]
+
+    def test_csv_layout(self, prepared, tmp_path):
+        # axes keep the order they are given in, not the config's key order
+        out = tmp_path / "g"
+        assert main(["grid", "--data", str(prepared), "--out", str(out),
+                     "--param", "temperature=0.5,0.2", "--param", "lr=0.01,0.02"]
+                    + TINY_FLAGS) == 0
+        lines = (out / "grid.csv").read_text().splitlines()
+        assert lines[0] == "temperature,lr,val_recall@20,val_ndcg@20"
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["0.5", "0.01"], ["0.5", "0.02"], ["0.2", "0.01"], ["0.2", "0.02"]]
+        assert all(re.fullmatch(r"\d\.\d{6},\d\.\d{6}", line.split(",", 2)[2])
+                   for line in lines[1:])
+
     def test_grid_rows(self, prepared, tmp_path):
         out = tmp_path / "grid"
         code = main(["grid", "--data", str(prepared), "--out", str(out),

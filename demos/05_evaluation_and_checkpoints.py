@@ -3,6 +3,7 @@
 Run:  python demos/05_evaluation_and_checkpoints.py
 """
 
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -66,7 +67,7 @@ with tempfile.TemporaryDirectory() as tmp:
     assert np.array_equal(original, restored)
     print("round trip bit-exact: True")
     try:
-        load_checkpoint_into(ckpt, init_pair(graph, TrainConfig(**{**cfg.__dict__, "heads": 4})))
+        load_checkpoint_into(ckpt, init_pair(graph, dataclasses.replace(cfg, heads=4)))
     except ValueError as exc:
         print("refused for a model with 4 heads:", str(exc).split(": ", 1)[1])
     else:

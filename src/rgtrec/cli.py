@@ -55,15 +55,10 @@ LOSS_VARIANTS = {
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per config key; a value flag's text is parsed as a config file's."""
+    """One flag per config key; its text is parsed as a config file's, bools included."""
     group = parser.add_argument_group("config overrides")
     for f in dataclasses.fields(TrainConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool":
-            group.add_argument(flag, dest=f.name, default=None,
-                               action=argparse.BooleanOptionalAction)
-        else:
-            group.add_argument(flag, dest=f.name, default=None)
+        group.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None)
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
@@ -219,13 +214,13 @@ def run_plan(base: TrainConfig, patches: list[tuple[dict, dict]], data_dir, out_
              csv_name: str, columns) -> list[dict]:
     """One CSV row per ``(labels, patch)``: the labels, then ``columns(val, test)``
     of ``base`` with the patch applied.  Every row's config is built (and so
-    checked) and ``out_dir`` made before the data loads; each distinct
-    ``dump_config`` text trains once."""
+    checked), then the data loads, then ``out_dir`` is made, all before the
+    first fit; each distinct ``dump_config`` text trains once."""
     plan = [(labels, load_config(None, {**dataclasses.asdict(base), **patch}))
             for labels, patch in patches]
+    ds = load_prepared(data_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ds = load_prepared(data_dir)
     runs: dict[str, list] = {}
     rows = []
     for labels, cfg in plan:

@@ -66,10 +66,10 @@ class InteractionDataset:
 
 
 def _text_lines(path: Path):
-    """(1-based line number, line) of a UTF-8 text file; a byte that is not
-    UTF-8 raises ``DataFormatError`` naming the file."""
+    """(1-based line number, line) of a UTF-8 text file, a BOM ignored; a byte
+    that is not UTF-8 raises ``DataFormatError`` naming the file."""
     try:
-        with path.open("r", encoding="utf-8") as fh:
+        with path.open("r", encoding="utf-8-sig") as fh:
             yield from enumerate(fh, start=1)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -43,9 +43,12 @@ class ConfigError(ValueError):
     """Invalid configuration key or value."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Flat training configuration; every field doubles as a config-file key."""
+    """Flat training configuration; every field doubles as a config-file key.
+    Each value, typed or text, is read as its config text (``ConfigError`` if it
+    is not valid), so ``dump_config`` text reads back to an equal config.
+    Frozen: change a copy with ``dataclasses.replace``."""
 
     # architecture
     latdim: int = 64
@@ -80,11 +83,13 @@ class TrainConfig:
     use_residual: bool = True
     self_distill_ema: float = 0.0  # > 0 switches to EMA self-distillation
 
+    def __post_init__(self) -> None:
+        for name in _CONFIG_FIELDS:
+            object.__setattr__(self, name, _coerce(name, str(getattr(self, name))))
+        self.validate()
+
     def validate(self) -> None:
         c = self
-        for name, kind in _CONFIG_FIELDS.items():
-            if kind == "float" and not math.isfinite(getattr(c, name)):
-                raise ConfigError(f"{name} must be finite")
         checks = [
             (c.latdim >= 1, "latdim must be >= 1"),
             (c.heads >= 1, "heads must be >= 1"),
@@ -118,6 +123,7 @@ _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
 
 def _coerce(key: str, raw: str):
+    """The value of config text ``raw`` by ``key``'s kind; a float must be finite."""
     kind = _CONFIG_FIELDS[key]
     raw = raw.strip()
     if kind == "bool":
@@ -128,17 +134,17 @@ def _coerce(key: str, raw: str):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
+        value = int(raw) if kind == "int" else float(raw) if kind == "float" else raw
     except ValueError:
         expected = "an integer" if kind == "int" else "a number"
         raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
-    return raw
+    if kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite")
+    return value
 
 
-def parse_config_text(text: str) -> dict:
+def parse_config_text(text: str) -> dict[str, str]:
+    """The ``key = value`` lines of config text, as raw strings; ``#`` starts a comment."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -147,29 +153,26 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_FIELDS:
-            raise ConfigError(f"unknown config key {key!r}; valid keys: "
-                              + ", ".join(sorted(_CONFIG_FIELDS)))
-        out[key] = _coerce(key, value)
+        out[key] = value
     return out
 
 
 def load_config(path=None, overrides: dict | None = None) -> TrainConfig:
+    """The config file's values (UTF-8, a BOM ignored) under ``overrides``, typed or
+    text; ``ConfigError`` names the first unknown key, the file's keys first."""
     values = {}
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
         values.update(parse_config_text(text))
-    for key, value in (overrides or {}).items():
+    values.update(overrides or {})
+    for key in values:
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"unknown config key {key!r}; valid keys: "
                               + ", ".join(sorted(_CONFIG_FIELDS)))
-        values[key] = _coerce(key, str(value)) if isinstance(value, str) else value
-    cfg = TrainConfig(**values)
-    cfg.validate()
-    return cfg
+    return TrainConfig(**values)
 
 
 def dump_config(cfg: TrainConfig) -> str:
@@ -462,9 +465,10 @@ def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph
                 step_writer=None) -> LossReport:
     """One pass over the train interactions; returns the mean loss report.
 
-    Each step is one Adam step on the teacher; the EMA rule then moves the
-    constant EMA parameters toward it.  ``step_writer``, when given, receives
-    every per-step loss report as a dict (for the JSON-lines step log).
+    Each step checks its loss report, then takes one Adam step on the teacher;
+    the EMA rule then moves the constant EMA parameters toward it, so a failed
+    check changes nothing.  ``step_writer``, when given, receives every
+    per-step loss report as a dict (for the JSON-lines step log).
     """
     # ``positives`` is unused: negatives come from ``graph``; the keyword stays
     # only because the benchmark in perfbench/run.py still passes it
@@ -478,6 +482,7 @@ def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph
         batch = train_pairs[order[start:start + cfg.batch_size]]
         with T.Tape() as tape:
             total, report = step_loss(pair, ds, graph, views, batch, cfg, epoch, step)
+            _check_report(report, graph.num_nodes, cfg.temperature)
             # the gradients go straight to Adam, so none outlives the step
             pair.optimizer.step(T.backward(total, tape))
         pair.teacher.assert_finite()
@@ -487,7 +492,6 @@ def train_epoch(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph
                 p.values *= mu
                 p.values += (1.0 - mu) * t.values
 
-        _check_report(report, graph.num_nodes, cfg.temperature)
         if step_writer is not None:
             step_writer({"epoch": epoch, "step": step, **report.as_dict()})
         reports.append(report)
@@ -511,7 +515,6 @@ def fit(ds: InteractionDataset, cfg: TrainConfig, out_dir=None) -> tuple[Distill
     checkpoint and a crash checkpoint (when a loss or parameter check fails)
     are written.
     """
-    cfg.validate()
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)

@@ -164,6 +164,86 @@ class TestPrepareProperties:
             assert f"interactions={read.num_interactions}" in stdout
 
 
+# edits of a manifest's lines (row 0 is the header; rows and fields wrap
+# around): (operation, row, other row, field, word)
+MANIFEST_EDITS = st.tuples(
+    st.sampled_from(["drop", "duplicate", "swap", "add_field", "drop_field", "set_field",
+                     "empty"]),
+    st.integers(0, 60), st.integers(0, 60), st.integers(0, 3),
+    st.sampled_from(["ghost", "group", "holdout", "user", "item", "train", "val", "test",
+                     "u0", "i0", "0", "1", "7", "-1", "", " 1", "1.0"]))
+# how the edited lines are written: as is, after a BOM, with CRLF line ends,
+# or with a byte that is not UTF-8 in the middle
+MANIFEST_ENCODINGS = ["plain", "bom", "crlf", "xff"]
+
+
+def edit_manifest(rows, edits, encoding) -> bytes:
+    rows = list(rows)
+    for op, i, j, k, word in edits:
+        if op == "empty":
+            rows = []
+        if not rows:
+            continue
+        i, j = i % len(rows), j % len(rows)
+        if op == "drop":
+            del rows[i]
+        elif op == "duplicate":
+            rows.insert(j, rows[i])
+        elif op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            fields = rows[i].split("\t")
+            if op == "add_field":
+                fields.insert(k % (len(fields) + 1), word)
+            elif op == "drop_field":
+                del fields[k % len(fields)]
+            else:
+                fields[k % len(fields)] = word
+            rows[i] = "\t".join(fields)
+    data = "".join(row + ("\r\n" if encoding == "crlf" else "\n") for row in rows).encode()
+    if encoding == "bom":
+        data = "\ufeff".encode() + data
+    elif encoding == "xff":
+        data = data[:len(data) // 2] + b"\xff" + data[len(data) // 2:]
+    return data
+
+
+class TestPreparedDirProperties:
+    """Whatever edits a prepared dir's ``ids.tsv`` and ``splits.tsv`` carry,
+    ``train`` either trains or exits 1 with one ``error:`` line; no exception
+    escapes."""
+
+    @pytest.fixture
+    def manifests(self, tmp_path):
+        ds = make_block_dataset(num_users=6, num_items=12, num_blocks=2,
+                                interactions_per_user=6, seed=0)
+        raw, data_dir = tmp_path / "raw.tsv", tmp_path / "base"
+        raw.write_text("".join(f"u{u}\ti{i}\n" for u, i in ds.interactions))
+        assert main(["prepare", "--input", str(raw), "--out", str(data_dir)]) == 0
+        return {name: (data_dir / name).read_text().splitlines()
+                for name in ("ids.tsv", "splits.tsv")}
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.tuples(st.lists(MANIFEST_EDITS, max_size=3),
+                           st.lists(MANIFEST_EDITS, max_size=3)),
+           encodings=st.tuples(st.sampled_from(MANIFEST_ENCODINGS),
+                               st.sampled_from(MANIFEST_ENCODINGS)))
+    def test_any_edits(self, tmp_path, capsys, manifests, edits, encodings):
+        data_dir, out = tmp_path / "data", tmp_path / "run"
+        data_dir.mkdir(exist_ok=True)
+        for (name, rows), file_edits, encoding in zip(manifests.items(), edits, encodings):
+            (data_dir / name).write_bytes(edit_manifest(rows, file_edits, encoding))
+        capsys.readouterr()
+        code = main(["train", "--data", str(data_dir), "--out", str(out)] + TINY_FLAGS)
+        stdout, err = capsys.readouterr()
+        assert code in (0, 1), (edits, encodings)
+        if code == 1:
+            assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert f"checkpoint: {out / 'model.ckpt'}" in stdout
+
+
 class TestTrain:
     def test_smoke_run_writes_artifacts(self, prepared, tmp_path, capsys):
         out = tmp_path / "run"
@@ -394,6 +474,18 @@ class TestEvaluate:
         assert output[1:] == [row for row in rows if row.startswith("test,")]
         assert "test,20," in output[2]
 
+    def test_library_config_with_typed_values_evaluates(self, prepared, tmp_path, capsys):
+        # the int 0 of the float key lambda_reg is read as its text, so the
+        # checkpoint holds the config text that evaluate rebuilds
+        cfg = TR.load_config(None, {"latdim": 8, "heads": 2, "anchor_set": 6, "pnn_layers": 1,
+                                    "epochs": 1, "patience": 0, "batch_size": 256,
+                                    "lambda_reg": 0})
+        TR.fit(load_prepared(prepared), cfg, out_dir=tmp_path / "run")
+        capsys.readouterr()
+        assert main(["evaluate", "--data", str(prepared),
+                     "--checkpoint", str(tmp_path / "run" / "model.ckpt")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_config_flags_are_refused(self, prepared, run, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", "--data", str(prepared),
@@ -579,6 +671,20 @@ def test_out_file_exits_one_before_any_fit(prepared, raw_file, capsys, fits, com
     assert fits == []
 
 
+@pytest.mark.parametrize("command", [["ablate", "--num-seeds", "1"],
+                                     ["grid", "--param", "lr=0.01,0.02"]],
+                         ids=["ablate", "grid"])
+def test_missing_data_exits_one_without_making_out(tmp_path, capsys, fits, command):
+    out = tmp_path / "out"
+    code = main(command[:1] + ["--data", str(tmp_path / "missing"), "--out", str(out)]
+                + command[1:] + TINY_FLAGS)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fits == []
+    assert not out.exists()
+
+
 class TestGrid:
     def test_bad_later_combination_exits_two_before_any_fit(self, prepared, tmp_path,
                                                               capsys, fits):
@@ -702,6 +808,17 @@ class TestDumpConfig:
         for argv in (["--heads", "0"], ["--config", str(cfg)]):
             assert main(["dump-config"] + argv) == 2
             assert capsys.readouterr().err == "config error: heads must be >= 1\n"
+
+    def test_bool_flag_takes_text(self, capsys):
+        assert main(["dump-config", "--use-topology", "false", "--use-residual", "on"]) == 0
+        out = capsys.readouterr().out
+        assert "use_topology = false\n" in out and "use_residual = true\n" in out
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes("\ufefflatdim = 16\nheads = 4\n".encode())
+        assert main(["dump-config", "--config", str(cfg)]) == 0
+        assert "latdim = 16\n" in capsys.readouterr().out
 
     def test_prints_resolved_config(self, capsys):
         code = main(["dump-config", "--latdim", "16", "--heads", "4"])

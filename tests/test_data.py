@@ -53,6 +53,11 @@ class TestLoadInteractions:
         with pytest.raises(D.DataFormatError, match="no interactions"):
             D.load_interactions(p)
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        p = write_lines(tmp_path, ["\ufeffu1\ti1", "u1\ti2", "u2\ti1"])
+        ds = D.load_interactions(p)
+        assert (ds.user_tokens, ds.item_tokens) == (["u1", "u2"], ["i1", "i2"])
+
     def test_unknown_format_rejected(self, tmp_path):
         p = write_lines(tmp_path, ["a\tx"])
         with pytest.raises(ValueError, match="format"):

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import time
 import zipfile
 
@@ -39,11 +40,13 @@ class TestConfig:
     def test_parse_and_coerce(self):
         text = "latdim = 16\nlr = 0.05  # inline comment\nuse_topology = false\n\n# note\n"
         values = TR.parse_config_text(text)
-        assert values == {"latdim": 16, "lr": 0.05, "use_topology": False}
+        cfg = TR.load_config(None, values)
+        assert {key: getattr(cfg, key) for key in values} == \
+            {"latdim": 16, "lr": 0.05, "use_topology": False}
 
     def test_unknown_key_lists_valid_keys(self):
         with pytest.raises(TR.ConfigError, match="latdim"):
-            TR.parse_config_text("latdimm = 3\n")
+            TR.load_config(None, TR.parse_config_text("latdimm = 3\n"))
 
     def test_dump_round_trip(self):
         cfg = tiny_cfg(lr=0.007, use_residual=False)
@@ -73,7 +76,62 @@ class TestConfig:
             tiny_cfg(rho_c=0.5).validate()
         tiny_cfg(rho_m=0.9, rho_c=0.225).validate()  # rho_c = rho_m / 4 is allowed
         with pytest.raises(TR.ConfigError, match="boolean"):
-            TR.parse_config_text("use_residual = maybe\n")
+            TR.load_config(None, TR.parse_config_text("use_residual = maybe\n"))
+
+    def test_frozen(self):
+        cfg = tiny_cfg()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.lr = 0.5
+        assert dataclasses.replace(cfg, lr="0.5").lr == 0.5
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("epochs", True, "epochs: expected an integer, got 'True'"),
+        ("latdim", 8.0, "latdim: expected an integer, got '8.0'"),
+        ("lr", math.nan, "lr must be finite"),
+    ])
+    def test_typed_value_is_read_as_its_text(self, key, value, message):
+        for build in (lambda: TR.load_config(None, {key: value}),
+                      lambda: TrainConfig(**{key: value}),
+                      lambda: dataclasses.replace(tiny_cfg(), **{key: value})):
+            with pytest.raises(TR.ConfigError, match=f"^{re.escape(message)}$"):
+                build()
+
+
+# typed and text values for any key: ints for float keys, integral floats for
+# int keys, bools, numpy scalars, words, blanks and non-finite numbers
+OVERRIDE_VALUES = [0, 1, 4, -1, 10**30, 0.0, 0.05, 2.0, 8.0, 1e-300, True, False,
+                   np.int64(4), np.float32(0.1), np.float64(0.5), np.bool_(False),
+                   "4", "0.05", " 8 ", "8.0", "true", "off", "float64", "fast", "", None,
+                   math.nan, math.inf, -math.inf, np.float64("nan"), "nan", "-inf"]
+
+
+class TestConfigValueProperties:
+    """Whatever values a library caller passes, ``load_config`` either raises
+    ``ConfigError`` or returns a config of canonical types whose text reads
+    back to it; no other exception escapes."""
+
+    @staticmethod
+    def check(overrides):
+        try:
+            cfg = TR.load_config(None, overrides)
+        except TR.ConfigError:
+            return
+        text = TR.dump_config(cfg)
+        again = TR.load_config(None, TR.parse_config_text(text))
+        assert again == cfg and TR.dump_config(again) == text, overrides
+        for f in dataclasses.fields(TrainConfig):
+            assert type(getattr(cfg, f.name)).__name__ == f.type, (f.name, overrides)
+
+    def test_every_key_with_every_value(self):
+        for key in TR._CONFIG_FIELDS:
+            for value in OVERRIDE_VALUES:
+                self.check({key: value})
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(overrides=st.dictionaries(st.sampled_from(sorted(TR._CONFIG_FIELDS)),
+                                     st.sampled_from(OVERRIDE_VALUES), min_size=2, max_size=6))
+    def test_several_keys(self, overrides):
+        self.check(overrides)
 
 
 class TestNegativeSample:
@@ -273,6 +331,31 @@ class TestCheckReport:
             TR._check_report(self.report(contrast=contrast), self.NODES, self.TEMP)
 
 
+def test_failed_report_check_changes_nothing(monkeypatch, tmp_path):
+    # the report is checked before backward, Adam and the EMA rule, so a crash
+    # checkpoint holds the parameters that produced the failing report
+    def failing(*args):
+        raise FloatingPointError("loss term rec went negative: -1.0")
+
+    monkeypatch.setattr(TR, "_check_report", failing)
+    ds = tiny_dataset()
+    graph = build_graph(ds)
+    cfg = tiny_cfg(self_distill_ema=0.9)
+    pair = TR.init_pair(graph, cfg)
+    before = {role: state.snapshot() for role, state in pair.states().items()}
+    with pytest.raises(FloatingPointError, match="rec went negative"):
+        TR.train_epoch(pair, ds, graph, cfg, epoch=0)
+    assert pair.optimizer.t == 0
+    for role, state in pair.states().items():
+        for key, arr in state.snapshot().items():
+            np.testing.assert_array_equal(arr, before[role][key], err_msg=f"{role} {key}")
+    with pytest.raises(FloatingPointError, match="rec went negative"):
+        TR.fit(ds, cfg, out_dir=tmp_path)
+    members = TR.read_checkpoint(tmp_path / "crash.ckpt")
+    for key, arr in before["teacher"].items():
+        np.testing.assert_array_equal(members[key], arr, err_msg=key)
+
+
 def overflowing_pair(graph, cfg, init_pair=TR.init_pair):
     """A float32 pair whose attention logits overflow, so every rationale
     probability is NaN."""
@@ -344,9 +427,8 @@ class TestFit:
 
     def test_early_stopping_with_patience(self):
         ds = tiny_dataset(seed=4)
-        cfg = tiny_cfg(epochs=50, patience=2, lr=0.0)  # lr 0: no improvement ever
         with pytest.raises(TR.ConfigError):
-            cfg.validate()
+            tiny_cfg(epochs=50, patience=2, lr=0.0)  # lr 0: no improvement ever
         cfg = tiny_cfg(epochs=50, patience=2, lr=1e-12)
         _, history = TR.fit(ds, cfg)
         assert len(history) < 50

@@ -11,7 +11,7 @@ x = T.parameter([[1.0, 2.0], [3.0, 4.0]])
 w = T.parameter([[0.5, 1.0], [-0.5, 0.0]])
 
 with T.Tape() as tape:
-    y = T.logsumexp_rows(T.linear(x, w))  # x @ w.T, the one dense product
+    y = T.softplus(T.linear(x, w))  # x @ w.T, the one dense product
     loss = T.tsum(T.mul(y, y))
     grads = T.backward(loss, tape)  # {tensor: gradient}, one entry per leaf
 
@@ -23,9 +23,9 @@ print("dloss/dw  \n", grads[w])
 h = 1e-6
 orig = x.values[0, 0]
 x.values[0, 0] = orig + h
-up = float(T.tsum(T.square(T.logsumexp_rows(T.linear(x, w)))).values)
+up = float(T.tsum(T.square(T.softplus(T.linear(x, w)))).values)
 x.values[0, 0] = orig - h
-down = float(T.tsum(T.square(T.logsumexp_rows(T.linear(x, w)))).values)
+down = float(T.tsum(T.square(T.softplus(T.linear(x, w)))).values)
 x.values[0, 0] = orig
 print("analytic  ", grads[x][0, 0])
 print("numeric   ", (up - down) / (2 * h))

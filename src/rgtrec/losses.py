@@ -94,26 +94,26 @@ def loss_rec(s: T.Tensor, batch_pairs: np.ndarray,
     candidate item set (the full item set by default upstream), averaged
     over pairs.
 
-    The candidate scores and their log-sum-exp are computed once per
-    distinct batch user (``U × candidates``, not ``pairs × candidates``) and
-    gathered back to one value per pair; the gather's backward adds each
-    pair's gradient into its user's row, so a user's softmax is weighted by
-    its pair count, exactly as if the row were repeated.
+    The candidates must be sorted and unique; each positive's column among
+    them comes from ``np.searchsorted``.  One ``tensor.softmax_cross_entropy``
+    record scores each distinct batch user once against the candidates
+    (``U × candidates``, not ``pairs × candidates``) and reads each positive's
+    score from those rows; a user's softmax is weighted by its pair count,
+    exactly as if the row were repeated.
     """
     if len(batch_pairs) == 0:
         raise ValueError("recommendation loss needs a non-empty batch")
+    if (np.diff(candidate_item_nodes) <= 0).any():
+        raise ValueError("candidate item nodes must be sorted and unique")
     users = batch_pairs[:, 0]
     positives = batch_pairs[:, 1]
     missing = np.setdiff1d(positives, candidate_item_nodes)
     if missing.size:
         raise ValueError(f"positive items missing from candidate set: {missing[:5]}")
 
-    uniq, inverse = np.unique(users, return_inverse=True)
-    cands = T.take(s, candidate_item_nodes)
-    scores = T.linear(T.take(s, uniq), cands)
-    lse = T.take(T.logsumexp_rows(scores), inverse)
-    pos_scores = _pair_scores(s, users, positives)
-    return T.tmean(T.sub(lse, pos_scores))
+    uniq, rows = np.unique(users, return_inverse=True)
+    cols = np.searchsorted(candidate_item_nodes, positives)
+    return T.softmax_cross_entropy(T.take(s, uniq), T.take(s, candidate_item_nodes), rows, cols)
 
 
 def loss_bpr(s_pathway: T.Tensor, triples: np.ndarray) -> T.Tensor:

@@ -3,11 +3,12 @@
 Propagation follows the parameter-free neighborhood averaging of LightGCN:
 each layer replaces a node's embedding with the sum of its neighbors'
 embeddings weighted by 1/sqrt(deg_k * deg_k'), with degrees taken on the
-graph actually being propagated.  A layer is one product (``tensor.spmm``)
-with the graph's normalized adjacency, built once per graph and dtype, in
-which every zero-degree node is a unit self-loop, so it keeps its embedding
-unchanged.  The encoder chains this with the topology encoder and the
-residual transformer on the masked graph.
+graph actually being propagated.  A layer is one product with the graph's
+normalized adjacency, built once per graph and dtype, in which every
+zero-degree node is a unit self-loop, so it keeps its embedding unchanged.
+All layers and their mean are one tape record (``tensor.layer_mean``).  The
+encoder chains this with the topology encoder and the residual transformer on
+the masked graph.
 """
 
 from __future__ import annotations
@@ -56,17 +57,7 @@ def lightgcn_propagate(g: BipartiteGraph, s0: T.Tensor, num_layers: int) -> T.Te
     if isolated:
         log.debug("propagation passes %d zero-degree nodes through unchanged", isolated)
     op = g.operator(("lightgcn", s0.dtype), lambda g: lightgcn_operator(g, s0.dtype))
-
-    layers = [s0]
-    s = s0
-    for _ in range(num_layers):
-        s = T.spmm(op, s)
-        layers.append(s)
-
-    out = layers[0]
-    for layer in layers[1:]:
-        out = T.add(out, layer)
-    return T.div(out, float(len(layers)))
+    return T.layer_mean(op, s0, num_layers)
 
 
 def encode_masked(g_masked: BipartiteGraph, s_local: T.Tensor, topo: TopologyEncoder | None,

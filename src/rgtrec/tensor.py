@@ -310,45 +310,12 @@ def take(a, idx) -> Tensor:
     return _emit(out, (a,), bw)
 
 
-def logsumexp_rows(a) -> Tensor:
-    """log(sum(exp(a), axis=1)) of a 2-D tensor, shifted by each row's maximum.
-
-    The gradient is the row softmax scaled by the incoming gradient; it is
-    recomputed from ``a`` and the output, so the tape keeps no extra matrix.
-    """
-    a = as_tensor(a)
-    if a.values.ndim != 2:
-        raise ShapeMismatchError(f"logsumexp_rows expects a 2-D tensor, got {a.shape}")
-    if a.shape[1] == 0:
-        raise ValueError("logsumexp_rows: empty rows")
-    av = a.values
-    row_max = av.max(axis=1, keepdims=True)
-    e = av - row_max
-    np.exp(e, out=e)
-    out = np.log(e.sum(axis=1)) + row_max[:, 0]
-
-    def bw(g):
-        p = av - out[:, None]
-        np.exp(p, out=p)
-        p *= g[:, None]
-        return (p,)
-
-    return _emit(out, (a,), bw)
-
-
 # Graph kernels.  ``g`` is a CSR graph (``data.BipartiteGraph``): node n's
 # directed slots are ``csr_offsets[n]:csr_offsets[n + 1]``, slot s runs from
 # ``directed_src[s]`` to ``csr_neighbors[s]``.  A dense operand of width
 # ``heads * head_dim`` holds head h in columns ``h * head_dim:(h + 1) * head_dim``.
 # The sparse structures are built once per graph and kept on it
 # (``BipartiteGraph.operator``).
-
-
-def spmm(op, x) -> Tensor:
-    """``op @ x`` for a constant operator ``op``, a scipy sparse matrix or a
-    dense array; the backward is ``op.T @ grad``."""
-    x = as_tensor(x)
-    return _emit(op @ x.values, (x,), lambda g: (op.T @ g,))
 
 
 def _check_node_table(g, x: np.ndarray, heads: int, what: str) -> None:
@@ -482,6 +449,99 @@ def edge_spmm(w, x, g, heads: int) -> Tensor:
                 _apply_heads(op.T, grad) if x.requires_grad else None)
 
     return _emit(out, (w, x), bw)
+
+
+# Fused layers.  Each is one tape record that saves only what its backward
+# reads, in place of a chain of the ops above that would keep every
+# intermediate table until ``backward``.
+
+
+def layer_mean(op, x, num_layers: int) -> Tensor:
+    """``(x + op x + ... + op^L x) / (L + 1)`` for a constant operator ``op``
+    (sparse or dense) and ``L = num_layers``, the layers added in order.  The
+    record saves only ``op``: the backward runs ``d = g / (L + 1)``, then L
+    times ``d = g / (L + 1) + op.T @ d``."""
+    x = as_tensor(x)
+    count = num_layers + 1
+    s = x.values
+    out = s.copy()
+    for _ in range(num_layers):
+        s = op @ s
+        out += s
+    out /= count
+
+    def bw(g):
+        top = g / count
+        d = top
+        for _ in range(num_layers):
+            d = top + op.T @ d
+        return (d,)
+
+    return _emit(out, (x,), bw)
+
+
+def anchor_layer(h, w, anchors: np.ndarray, own: np.ndarray, mix: np.ndarray) -> Tensor:
+    """``[own * h | mix @ h[anchors]] @ w.T`` for a node table ``h`` (nodes, d)
+    and ``w = [w_own | w_mix]`` (out, 2 d), reassociated as ``own * (h @
+    w_own.T) + mix @ (h[anchors] @ w_mix.T)`` so no (nodes, 2 d) table is made.
+    ``own`` (nodes, 1) and ``mix`` (nodes, anchors) are constants in ``h``'s
+    dtype, and the anchors are distinct, so the backward adds the anchor rows'
+    gradient into ``dh[anchors]`` exactly.  The record saves ``h`` and
+    ``h[anchors]``."""
+    h, w = as_tensor(h), as_tensor(w)
+    hv, wv = h.values, w.values
+    d = hv.shape[1]
+    h_anchor = hv[anchors]
+    w_own, w_mix = wv[:, :d], wv[:, d:]
+    out = own * (hv @ w_own.T)
+    out += mix @ (h_anchor @ w_mix.T)
+
+    def bw(g):
+        g_own = own * g
+        g_anchor = mix.T @ g
+        dh = dw = None
+        if h.requires_grad:
+            dh = g_own @ w_own
+            dh[anchors] += g_anchor @ w_mix
+        if w.requires_grad:
+            dw = np.concatenate([g_own.T @ hv, g_anchor.T @ h_anchor], axis=1)
+        return dh, dw
+
+    return _emit(out, (h, w), bw)
+
+
+def softmax_cross_entropy(u, c, rows: np.ndarray, cols: np.ndarray) -> Tensor:
+    """Mean over pairs j of ``logsumexp(u[rows[j]] @ c.T) - u[rows[j]] @
+    c[cols[j]]``: each pair's target column against every candidate row of
+    ``c`` (candidates, d), with one score row per row of ``u`` (users, d).
+    There must be at least one pair and one candidate.
+
+    One record computes ``u @ c.T``, reads the targets' scores from it and
+    keeps the row softmax P in place of the scores.  The backward is ``D =
+    (count * P - onehot) / n``, with ``count`` the pairs of each row of ``u``
+    and n the pairs, then ``D @ c`` and ``D.T @ u``.
+    """
+    u, c = as_tensor(u), as_tensor(c)
+    uv, cv = u.values, c.values
+    p = uv @ cv.T
+    target = p[rows, cols]
+    row_max = p.max(axis=1, keepdims=True)
+    p -= row_max
+    np.exp(p, out=p)
+    sums = p.sum(axis=1, keepdims=True)
+    p /= sums
+    lse = np.log(sums[:, 0]) + row_max[:, 0]
+    n = len(rows)
+    count = np.bincount(rows, minlength=len(uv))
+
+    def bw(g):
+        scale = g / n
+        d = p * (count * scale).astype(p.dtype)[:, None]
+        np.subtract.at(d, (rows, cols), scale)
+        return (d @ cv if u.requires_grad else None,
+                d.T @ uv if c.requires_grad else None)
+
+    return _emit((lse[rows] - target).sum() / n, (u, c), bw)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 1) -> Tensor:

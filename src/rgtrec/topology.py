@@ -58,20 +58,17 @@ def pgnn_layer(h_prev: T.Tensor, anchors: np.ndarray, omega: np.ndarray,
     """One anchor-aggregation layer.
 
     For every node k the layer averages, over anchors a, the transformed
-    weighted concatenation omega[k,a] * W [h_k || h_a]; by linearity this
-    equals concat(rowsum(omega) * H, omega @ H_anchors) @ W^T / num_anchors.
+    weighted concatenation omega[k,a] * W [h_k || h_a].  With W = [W_own |
+    W_mix], r = rowsum(omega) / m and M = omega / m over the m anchors, that is
+    r * (H W_own^T) + M (H[anchors] W_mix^T), one ``tensor.anchor_layer``
+    record.
     """
     d = h_prev.shape[1]
     if layer_weight.shape != (d, 2 * d):
         raise T.ShapeMismatchError(
             f"layer weight must be ({d}, {2 * d}), got {layer_weight.shape}")
-    omega = np.asarray(omega, dtype=h_prev.dtype)
-    m = len(anchors)
-    h_anchor = T.take(h_prev, anchors)
-    own = T.mul(h_prev, omega.sum(axis=1, keepdims=True))
-    mixed = T.spmm(omega, h_anchor)
-    stacked = T.concat([own, mixed], axis=1)
-    return T.div(T.linear(stacked, layer_weight), float(m))
+    mix = np.asarray(omega, dtype=h_prev.dtype) / len(anchors)
+    return T.anchor_layer(h_prev, layer_weight, anchors, mix.sum(axis=1, keepdims=True), mix)
 
 
 class TopologyEncoder:

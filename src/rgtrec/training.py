@@ -85,7 +85,11 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name in _CONFIG_FIELDS:
-            object.__setattr__(self, name, _coerce(name, str(getattr(self, name))))
+            try:
+                text = str(getattr(self, name))
+            except ValueError:  # str() refuses an int of more than 4,300 digits
+                raise ConfigError(f"{name}: too many digits to read as config text") from None
+            object.__setattr__(self, name, _coerce(name, text))
         self.validate()
 
     def validate(self) -> None:

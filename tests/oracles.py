@@ -99,6 +99,32 @@ def check_gradients(build_loss, params: dict[str, T.Tensor], h: float = 1e-5,
     return worst
 
 
+FUSED_TOL = {np.dtype(np.float32): 1e-5, np.dtype(np.float64): 1e-12}
+
+
+def value_and_grads(build, params: dict[str, T.Tensor], cotangent=None):
+    """``build()``'s values and each parameter's gradient of ``build()`` when
+    it is a scalar, else of ``sum(build() * cotangent)``."""
+    with T.Tape() as tape:
+        out = build()
+        loss = out if cotangent is None else T.tsum(T.mul(out, cotangent))
+        grads = T.backward(loss, tape)
+    return out.values, {k: grads[p] for k, p in params.items()}
+
+
+def assert_matches_reference(fused, reference, dtype) -> None:
+    """Each array of the ``(values, {name: gradient})`` pair ``fused`` is in
+    ``dtype`` and within ``FUSED_TOL[dtype]`` of ``reference``'s, relative
+    to the reference array's largest entry."""
+    tol = FUSED_TOL[np.dtype(dtype)]
+    pairs = [("value", fused[0], reference[0])]
+    pairs += [(k, fused[1][k], reference[1][k]) for k in reference[1]]
+    for name, got, want in pairs:
+        assert got.dtype == dtype, name
+        scale = max(float(np.abs(want).max(initial=0.0)), 1e-30)
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol * scale, err_msg=name)
+
+
 def per_head_light_self_attention(h_in: T.Tensor, g, params) -> T.Tensor:
     """Light self-attention as one loop over heads (the unfused layout).
 
@@ -106,7 +132,7 @@ def per_head_light_self_attention(h_in: T.Tensor, g, params) -> T.Tensor:
     ``wq``/``wk``/``wv`` matrices, gathered per slot and normalized with a
     composed per-segment softmax; head outputs are concatenated by column.
     Built from elementwise tape ops only, not from the graph kernels; the
-    per-node sums are ``T.spmm`` products with a dense one-hot (node, slot)
+    per-node sums are ``spmm`` products with a dense one-hot (node, slot)
     matrix.
     """
     src = np.repeat(np.arange(g.num_nodes), np.diff(g.csr_offsets))
@@ -123,10 +149,10 @@ def per_head_light_self_attention(h_in: T.Tensor, g, params) -> T.Tensor:
         seg_max = np.full(g.num_nodes, -np.inf)
         np.maximum.at(seg_max, src, raw.values)
         e = T.exp(T.sub(raw, T.Tensor(seg_max[src], dtype=raw.dtype)))
-        sums = T.spmm(scatter, e)
+        sums = spmm(scatter, e)
         alpha = T.div(e, T.take(sums, src))
         weighted = T.mul(T.take(v, dst), T.reshape(alpha, (-1, 1)))
-        head_outputs.append(T.spmm(scatter, weighted))
+        head_outputs.append(spmm(scatter, weighted))
     stacked = T.concat(head_outputs, axis=1) if len(head_outputs) > 1 else head_outputs[0]
     return T.linear(stacked, params.wo)
 
@@ -240,13 +266,76 @@ def keep_mask_lightgcn(g, s0: T.Tensor, num_layers: int) -> T.Tensor:
     return T.div(out, float(len(layers)))
 
 
+def spmm(op, x) -> T.Tensor:
+    """``op @ x`` for a constant operator ``op``, a scipy sparse matrix or a
+    dense array, as a taped op; the backward is ``op.T @ grad``."""
+    x = T.as_tensor(x)
+    return T._emit(op @ x.values, (x,), lambda g: (op.T @ g,))
+
+
+def logsumexp_rows(a) -> T.Tensor:
+    """log(sum(exp(a), axis=1)) of a 2-D tensor, shifted by each row's maximum,
+    as a taped op whose gradient is the row softmax scaled by the incoming
+    gradient."""
+    a = T.as_tensor(a)
+    if a.values.ndim != 2:
+        raise T.ShapeMismatchError(f"logsumexp_rows expects a 2-D tensor, got {a.shape}")
+    if a.shape[1] == 0:
+        raise ValueError("logsumexp_rows: empty rows")
+    av = a.values
+    row_max = av.max(axis=1, keepdims=True)
+    out = np.log(np.exp(av - row_max).sum(axis=1)) + row_max[:, 0]
+
+    def bw(g):
+        return (np.exp(av - out[:, None]) * g[:, None],)
+
+    return T._emit(out, (a,), bw)
+
+
+def chain_layer_mean(op, s0: T.Tensor, num_layers: int) -> T.Tensor:
+    """``tensor.layer_mean`` as a chain: one ``spmm`` record per layer, then
+    one ``add`` per layer and a ``div`` for the mean."""
+    layers = [s0]
+    s = s0
+    for _ in range(num_layers):
+        s = spmm(op, s)
+        layers.append(s)
+    out = layers[0]
+    for layer in layers[1:]:
+        out = T.add(out, layer)
+    return T.div(out, float(len(layers)))
+
+
+def concat_pgnn_layer(h: T.Tensor, anchors: np.ndarray, omega: np.ndarray,
+                      w: T.Tensor) -> T.Tensor:
+    """The anchor layer as ``concat(rowsum(omega) * H, omega @ H[anchors]) @
+    W^T / num_anchors``, one record per step of that chain."""
+    omega = np.asarray(omega, dtype=h.dtype)
+    own = T.mul(h, omega.sum(axis=1, keepdims=True))
+    mixed = spmm(omega, T.take(h, anchors))
+    return T.div(T.linear(T.concat([own, mixed], axis=1), w), float(len(anchors)))
+
+
+def logsumexp_loss_rec(s: T.Tensor, batch_pairs: np.ndarray,
+                       candidate_item_nodes: np.ndarray) -> T.Tensor:
+    """The recommendation loss as a chain: the ``U × candidates`` scores of the
+    distinct batch users, their ``logsumexp_rows`` gathered back to the pairs,
+    minus each pair's score as a row-wise dot product, averaged."""
+    users, positives = batch_pairs[:, 0], batch_pairs[:, 1]
+    uniq, inverse = np.unique(users, return_inverse=True)
+    scores = T.linear(T.take(s, uniq), T.take(s, candidate_item_nodes))
+    lse = T.take(logsumexp_rows(scores), inverse)
+    pos = T.tsum(T.mul(T.take(s, users), T.take(s, positives)), axis=1)
+    return T.tmean(T.sub(lse, pos))
+
+
 def per_pair_loss_rec(s: T.Tensor, batch_pairs: np.ndarray,
                       candidate_item_nodes: np.ndarray) -> T.Tensor:
     """The recommendation loss with one candidate score row per (user,
     positive) pair, so a user with several positives is scored once per pair."""
     users, positives = batch_pairs[:, 0], batch_pairs[:, 1]
     cands = T.take(s, candidate_item_nodes)
-    lse = T.logsumexp_rows(T.linear(T.take(s, users), cands))
+    lse = logsumexp_rows(T.linear(T.take(s, users), cands))
     pos = T.tsum(T.mul(T.take(s, users), T.take(s, positives)), axis=1)
     return T.tmean(T.sub(lse, pos))
 

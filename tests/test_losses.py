@@ -8,7 +8,8 @@ from rgtrec import tensor as T
 from rgtrec.data import build_graph_from_edges
 from rgtrec.seeding import substream
 from rgtrec.training import TrainConfig, reconstruction_triples
-from oracles import check_gradients, per_pair_loss_rec
+from oracles import assert_matches_reference, check_gradients, logsumexp_loss_rec
+from oracles import per_pair_loss_rec, value_and_grads
 
 
 def softplus(x):
@@ -274,9 +275,57 @@ class TestLossRecPerUser:
             size=(self.NUM_USERS + self.NUM_ITEMS, 4)))
         with T.Tape() as tape:
             L.loss_rec(s, batch, self.ALL_ITEMS)
-        shapes = [r.out.shape for r in tape.records
-                  if r.backward_fn.__qualname__.split(".")[0] == "linear"]
-        assert shapes == [(3, self.NUM_ITEMS)]
+        tables = [[x.shape for x in r.inputs] for r in tape.records
+                  if r.backward_fn.__qualname__.split(".")[0] == "softmax_cross_entropy"]
+        assert tables == [[(3, 4), (self.NUM_ITEMS, 4)]]
+
+
+class TestFusedCrossEntropy:
+    """``loss_rec`` is one ``T.softmax_cross_entropy`` record after its two
+    gathers; the logsumexp chain ``oracles.logsumexp_loss_rec`` is its
+    reference."""
+
+    NUM_USERS, NUM_ITEMS = 10, 40
+
+    def case(self, name, rng):
+        """Pairs with repeated batch users against sampled candidates (as with
+        ``rec_candidates`` > 0) or against the full item range."""
+        users = rng.integers(0, self.NUM_USERS, size=60)
+        assert len(np.unique(users)) < len(users)
+        batch = np.stack([users, self.NUM_USERS + rng.integers(0, self.NUM_ITEMS, 60)], axis=1)
+        items = np.arange(self.NUM_USERS, self.NUM_USERS + self.NUM_ITEMS)
+        if name == "sampled_candidates":
+            items = np.union1d(batch[:, 1], rng.choice(items, size=6, replace=False))
+        return batch, items
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", ["full_items", "sampled_candidates"])
+    def test_matches_logsumexp_chain(self, dtype, name):
+        rng = np.random.default_rng(30)
+        batch, items = self.case(name, rng)
+        s0 = rng.normal(size=(self.NUM_USERS + self.NUM_ITEMS, 5)) * 2
+        results = []
+        for loss in (L.loss_rec, logsumexp_loss_rec):
+            s = T.parameter(s0, dtype)
+            results.append(value_and_grads(lambda: loss(s, batch, items), {"s": s}))
+        assert_matches_reference(*results, dtype)
+
+    @pytest.mark.parametrize("name", ["full_items", "sampled_candidates"])
+    def test_finite_differences(self, name):
+        rng = np.random.default_rng(31)
+        batch, items = self.case(name, rng)
+        s = T.parameter(rng.normal(size=(self.NUM_USERS + self.NUM_ITEMS, 4)))
+        check_gradients(lambda: L.loss_rec(s, batch, items), {"s": s})
+
+    def test_candidates_must_be_sorted_and_unique(self):
+        s = T.Tensor(np.zeros((5, 2)))
+        for cands in ([3, 2, 4], [2, 3, 3, 4]):
+            with pytest.raises(ValueError, match="sorted and unique"):
+                L.loss_rec(s, np.array([[0, 3]]), np.array(cands))
+
+    def test_empty_batch_is_refused(self):
+        with pytest.raises(ValueError, match="non-empty batch"):
+            L.loss_rec(T.Tensor(np.zeros((5, 2))), np.empty((0, 2), np.int64), np.arange(2, 5))
 
 
 class TestLossBpr:

@@ -71,4 +71,4 @@ def test_traced_benchmark_run_passes_its_checks():
     metrics = _run_benchmark("lastfm_train", "1")
     for name in ("tensor.backward_s", "tensor.adam_s"):
         assert metrics[name]["value"] > 0, name
-    assert metrics["tensor.tape_records_per_step"]["value"] == 139
+    assert metrics["tensor.tape_records_per_step"]["value"] == 104

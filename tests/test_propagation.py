@@ -6,7 +6,8 @@ from rgtrec import tensor as T
 from rgtrec.attention import AttentionParams, residual_gt
 from rgtrec.data import build_graph_from_edges
 from rgtrec.topology import TopologyEncoder, sample_anchors
-from oracles import check_gradients, dense_sym_norm_adjacency, keep_mask_lightgcn
+from oracles import assert_matches_reference, chain_layer_mean, check_gradients
+from oracles import dense_sym_norm_adjacency, keep_mask_lightgcn, value_and_grads
 
 
 def random_graph(rng, num_users, num_items, p=0.3, min_degree_one=True):
@@ -159,12 +160,13 @@ class TestLightGCNOperator:
             for got, want in zip(*results):
                 np.testing.assert_array_equal(got, want)
 
-    def test_one_record_per_layer(self):
+    def test_one_record_for_any_layer_count(self):
         g = random_graph(np.random.default_rng(2), 4, 5)
         s0 = T.parameter(np.ones((g.num_nodes, 2)))
-        with T.Tape() as tape:
-            P.lightgcn_propagate(g, s0, 3)
-        assert len(tape) == 3 + 3 + 1  # a product per layer, the layer sum, the mean
+        for layers in (1, 2, 3):
+            with T.Tape() as tape:
+                P.lightgcn_propagate(g, s0, layers)
+            assert len(tape) == 1, layers  # every layer and the mean
 
     def test_float32_and_float64_get_their_own_operators(self):
         # one graph serves both precisions in turn; each must match a fresh graph
@@ -181,3 +183,41 @@ class TestLightGCNOperator:
                 assert params.wq.dtype == local.dtype == out.dtype == dtype
                 outs.append(out.values)
             np.testing.assert_array_equal(*outs)
+
+
+def graph_with_isolated_nodes(rng, num_users, num_items, p=0.3):
+    """A random graph whose last user and last item have no edges."""
+    edges = [(u, num_users + 1 + i)
+             for u in range(num_users) for i in range(num_items) if rng.random() < p]
+    edges = edges or [(0, num_users + 1)]
+    return build_graph_from_edges(num_users + 1, num_items + 1, np.array(edges))
+
+
+class TestFusedLayerMean:
+    """``lightgcn_propagate`` is one ``T.layer_mean`` record; the spmm/add/div
+    chain ``oracles.chain_layer_mean`` over the same operator is its reference."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_matches_chain(self, dtype, layers):
+        rng = np.random.default_rng(80 + layers)
+        for _ in range(5):
+            g = graph_with_isolated_nodes(rng, int(rng.integers(2, 10)), int(rng.integers(2, 10)))
+            start = rng.normal(size=(g.num_nodes, 3))
+            cotangent = T.Tensor(rng.normal(size=(g.num_nodes, 3)).astype(dtype))
+            op = P.lightgcn_operator(g, dtype)
+            results = []
+            for propagate in (lambda s0: P.lightgcn_propagate(g, s0, layers),
+                              lambda s0: chain_layer_mean(op, s0, layers)):
+                s0 = T.parameter(start, dtype)
+                results.append(value_and_grads(lambda: propagate(s0), {"s0": s0}, cotangent))
+            assert_matches_reference(*results, dtype)
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_finite_differences(self, layers):
+        rng = np.random.default_rng(90 + layers)
+        g = graph_with_isolated_nodes(rng, 4, 5)
+        s0 = T.parameter(rng.normal(size=(g.num_nodes, 3)))
+        cotangent = T.Tensor(rng.normal(size=(g.num_nodes, 3)))
+        check_gradients(lambda: T.tsum(T.mul(P.lightgcn_propagate(g, s0, layers), cotangent)),
+                        {"s0": s0})

@@ -5,7 +5,8 @@ from rgtrec import tensor as T
 from rgtrec import topology as topo
 from rgtrec.data import build_graph_from_edges
 from rgtrec.seeding import substream
-from oracles import bfs_distances, check_gradients, neighbors
+from oracles import assert_matches_reference, bfs_distances, check_gradients
+from oracles import concat_pgnn_layer, neighbors, value_and_grads
 
 
 def random_bipartite(rng, num_users, num_items, p=0.2):
@@ -167,6 +168,57 @@ class TestPgnnLayer:
         bad = T.parameter(np.zeros((3, 5)))
         with pytest.raises(T.ShapeMismatchError):
             topo.pgnn_layer(h, anchors, omega, bad)
+
+
+def anchor_case(case, rng, num_nodes=7, d=3):
+    """Anchors and weights omega: distinct random anchors with random weights,
+    the same anchors with zero weights, or every node an anchor of itself
+    alone (identity weights)."""
+    if case == "identity":
+        return np.arange(num_nodes), np.eye(num_nodes)
+    anchors = np.sort(rng.choice(num_nodes, size=3, replace=False))
+    omega = rng.uniform(0, 1, size=(num_nodes, 3))
+    return anchors, omega * (case == "random")
+
+
+class TestFusedAnchorLayer:
+    """``pgnn_layer`` is one ``T.anchor_layer`` record; the concat chain
+    ``oracles.concat_pgnn_layer`` is its reference."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["random", "zero", "identity"])
+    def test_matches_concat_chain(self, dtype, case):
+        rng = np.random.default_rng(100)
+        anchors, omega = anchor_case(case, rng)
+        h0, w0 = rng.normal(size=(7, 3)), rng.normal(size=(3, 6))
+        cotangent = T.Tensor(rng.normal(size=(7, 3)).astype(dtype))
+        results = []
+        for layer in (topo.pgnn_layer, concat_pgnn_layer):
+            h, w = T.parameter(h0, dtype), T.parameter(w0, dtype)
+            results.append(value_and_grads(lambda: layer(h, anchors, omega, w),
+                                           {"h": h, "w": w}, cotangent))
+        assert_matches_reference(*results, dtype)
+
+    def test_constant_table_gives_the_weight_gradient(self):
+        rng = np.random.default_rng(101)
+        anchors, omega = anchor_case("random", rng)
+        h, w0 = T.Tensor(rng.normal(size=(7, 3))), rng.normal(size=(3, 6))
+        cotangent = T.Tensor(rng.normal(size=(7, 3)))
+        results = []
+        for layer in (topo.pgnn_layer, concat_pgnn_layer):
+            w = T.parameter(w0)
+            results.append(value_and_grads(lambda: layer(h, anchors, omega, w), {"w": w},
+                                           cotangent))
+        assert_matches_reference(*results, np.float64)
+
+    @pytest.mark.parametrize("case", ["random", "zero", "identity"])
+    def test_finite_differences(self, case):
+        rng = np.random.default_rng(102)
+        anchors, omega = anchor_case(case, rng)
+        h, w = T.parameter(rng.normal(size=(7, 3))), T.parameter(rng.normal(size=(3, 6)))
+        cotangent = T.Tensor(rng.normal(size=(7, 3)))
+        check_gradients(lambda: T.tsum(T.mul(topo.pgnn_layer(h, anchors, omega, w), cotangent)),
+                        {"h": h, "w": w})
 
 
 class TestTopologyEncoder:

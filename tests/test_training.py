@@ -96,6 +96,15 @@ class TestConfig:
             with pytest.raises(TR.ConfigError, match=f"^{re.escape(message)}$"):
                 build()
 
+    @pytest.mark.parametrize("key", ["seed", "lr", "precision", "use_topology"])
+    def test_int_too_long_for_text_is_a_config_error(self, key):
+        # str() refuses an int of more than 4,300 digits with a plain ValueError
+        for build in (lambda: TR.load_config(None, {key: 10 ** 5000}),
+                      lambda: TrainConfig(**{key: 10 ** 5000})):
+            with pytest.raises(TR.ConfigError,
+                               match=f"^{key}: too many digits to read as config text$"):
+                build()
+
 
 # typed and text values for any key: ints for float keys, integral floats for
 # int keys, bools, numpy scalars, words, blanks and non-finite numbers

@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import (DataFormatError, TEST, VAL, build_graph, load_interactions,
                    load_prepared, save_prepared, split)
-from .evaluation import evaluate, write_metrics_csv, write_metric_series_csv
+from .evaluation import evaluate, write_csv
 from .sampling import dump_subgraph_tsv
 from .training import (ConfigError, TrainConfig, checkpoint_config, draw_subgraphs,
                        dump_config, fit, init_pair, load_checkpoint_into, load_config,
@@ -74,20 +74,12 @@ def _resolve_config(args: argparse.Namespace) -> TrainConfig:
     return load_config(getattr(args, "config", None), overrides=_collect_overrides(args))
 
 
-def _parse_ratios(text: str) -> tuple[float, float, float]:
+def _parse_ratios(text: str) -> list[float]:
+    """The comma-separated numbers of ``--ratios``; ``split`` checks their values."""
     try:
-        parts = [float(x) for x in text.split(",")]
+        return [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad ratio value in {text!r}: {exc}") from exc
-    if len(parts) != 3:
-        raise ConfigError(f"expected three comma-separated ratios, got {text!r}")
-    if not np.isfinite(parts).all():
-        raise ConfigError(f"ratios must be finite, got {text!r}")
-    if any(r < 0 for r in parts):
-        raise ConfigError(f"ratios must be non-negative, got {text!r}")
-    if abs(sum(parts) - 1.0) > 1e-9:
-        raise ConfigError(f"ratios must sum to 1, got {text!r}")
-    return tuple(parts)  # type: ignore[return-value]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,7 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_prepare(args) -> int:
     ds = load_interactions(args.input, format=args.format)
-    ds = split(ds, ratios=_parse_ratios(args.ratios), seed=args.seed)
+    ratios = _parse_ratios(args.ratios)
+    try:
+        ds = split(ds, ratios=ratios, seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     save_prepared(ds, args.out)
     counts = np.bincount(ds.split_assignment, minlength=3)
     print(f"users={ds.num_users} items={ds.num_items} interactions={ds.num_interactions}")
@@ -163,7 +159,7 @@ def cmd_train(args) -> int:
 
     pair, history = fit(ds, cfg, out_dir=out)
     results = dict(zip(("val", "test"), _evaluate_splits(pair, ds, cfg, VAL, TEST)))
-    write_metrics_csv(out / "metrics.csv", results)
+    write_csv(out / "metrics.csv", _metric_rows(results))
 
     kept = (f"best epoch {pair.epoch - 1}" if (ds.split_assignment == VAL).any()
             else "no validation split: the last epoch is kept")
@@ -198,10 +194,17 @@ def cmd_evaluate(args) -> int:
     pair = init_pair(graph, cfg)
     load_checkpoint_into(args.checkpoint, pair)
     (result,) = _evaluate_splits(pair, ds, cfg, VAL if args.split == "val" else TEST)
-    write_metrics_csv(args.out or sys.stdout, {args.split: result})
+    write_csv(args.out or sys.stdout, _metric_rows({args.split: result}))
     if args.out:
         print(f"metrics written to {args.out}")
     return 0
+
+
+def _metric_rows(results: dict) -> list[dict]:
+    """One (split, K, recall, ndcg) row per K of each named split, six decimals."""
+    return [{"split": name, "K": k, "recall": f"{result.macro('recall', k):.6f}",
+             "ndcg": f"{result.macro('ndcg', k):.6f}"}
+            for name, result in results.items() for k in result.ks]
 
 
 def _columns(k: int, **results) -> dict:
@@ -230,7 +233,7 @@ def run_plan(base: TrainConfig, patches: list[tuple[dict, dict]], data_dir, out_
             runs[key] = _evaluate_splits(pair, ds, cfg, VAL, TEST)
         rows.append({**labels, **columns(*runs[key])})
         log.info("%s", rows[-1])
-    write_metric_series_csv(out / csv_name, rows)
+    write_csv(out / csv_name, rows)
     print(f"{len(rows)} rows written to {out / csv_name}")
     return rows
 

@@ -144,32 +144,17 @@ def evaluate(s: np.ndarray, ds: InteractionDataset, split: int,
                          recall=recall, ndcg=ndcg)
 
 
-def write_metrics_csv(out, results: dict[str, RankingResult]) -> None:
-    """CSV rows of (split, K, recall, ndcg), to a path or an open text stream."""
+def write_csv(out, rows: list[dict]) -> None:
+    """Dict ``rows`` as CSV under the first row's keys, lines ending in "\\n",
+    to a path (its directory made) or an open text stream."""
+    if not rows:
+        raise ValueError("no rows to write")
     if not hasattr(out, "write"):
         path = Path(out)
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", newline="", encoding="utf-8") as fh:
-            write_metrics_csv(fh, results)
+            write_csv(fh, rows)
         return
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["split", "K", "recall", "ndcg"])
-    for split_name, result in results.items():
-        for k in result.ks:
-            writer.writerow([split_name, k,
-                             f"{result.macro('recall', k):.6f}",
-                             f"{result.macro('ndcg', k):.6f}"])
-
-
-def write_metric_series_csv(path, rows: list[dict]) -> None:
-    """Generic long-format series emitter (e.g. ablation variants per seed)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if not rows:
-        raise ValueError("no rows to write")
-    keys = list(rows[0])
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)

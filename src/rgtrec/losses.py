@@ -117,9 +117,11 @@ def loss_rec(s: T.Tensor, batch_pairs: np.ndarray,
 
 
 def loss_bpr(s_pathway: T.Tensor, triples: np.ndarray) -> T.Tensor:
-    """Mean -log sigmoid(score(u, p+) - score(u, p-)) over sampled triples."""
+    """Mean -log sigmoid(score(u, p+) - score(u, p-)) over (user, positive,
+    negative) node rows.  No rows give 0, with a warning."""
     if len(triples) == 0:
-        raise ValueError("ranking loss needs a non-empty triple batch")
+        log.warning("ranking triple set is empty; ranking loss is 0")
+        return T.Tensor(0.0, dtype=s_pathway.dtype)
     pos = _pair_scores(s_pathway, triples[:, 0], triples[:, 1])
     neg = _pair_scores(s_pathway, triples[:, 0], triples[:, 2])
     return T.tmean(T.softplus(T.sub(neg, pos)))

@@ -362,37 +362,19 @@ def draw_subgraphs(probs: np.ndarray, cfg: TrainConfig,
             sample_complement(probs, cfg.rho_c, seed))
 
 
-def _has_negative(graph: BipartiteGraph, users: np.ndarray, skipped: str) -> np.ndarray:
-    """Which user nodes can have a negative: not those with every item, counted in ``skipped``."""
-    full = graph.degree[users] >= graph.num_items
-    if full.any():
-        log.warning(skipped, len(np.unique(users[full])))
-    return ~full
-
-
-def negative_sample(graph: BipartiteGraph, batch_users: np.ndarray,
+def negative_sample(graph: BipartiteGraph, pairs: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
-    """(user, positive item node, negative item node) triples.
-
-    The positive is uniform over the user's train items; the negative is
-    uniform over the items the user never interacted with in train.  Users
-    without train items are skipped, users with every item with a warning.
-    """
-    users = np.asarray(batch_users, dtype=np.int64)
-    users = users[(graph.degree[users] > 0) & _has_negative(
-        graph, users, "skipped %d users that interact with every item")]
-    pos = graph.csr_neighbors[graph.csr_offsets[users] + rng.integers(graph.degree[users])]
-    neg = graph.sample_non_neighbors(users, rng)
-    return np.stack([users, pos, neg], axis=1)
-
-
-def reconstruction_triples(graph: BipartiteGraph, edges: np.ndarray,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Masked-out (user, item node) ``edges`` with a negative item node, uniform over
-    the user's non-neighbours; edges of users with every item are dropped, with a warning."""
-    edges = edges[_has_negative(graph, edges[:, 0], "reconstruction skips the edges of %d "
-                                "users that interact with every item")]
-    return np.column_stack([edges, graph.sample_non_neighbors(edges[:, 0], rng)])
+    """(user node, item node, negative item node) rows: each (user node, item
+    node) row of ``pairs`` with a negative uniform over the user's
+    non-neighbours.  Users with every item have none; their rows are dropped,
+    with one warning that counts them."""
+    pairs = np.asarray(pairs, dtype=np.int64)
+    full = graph.degree[pairs[:, 0]] >= graph.num_items
+    if full.any():
+        log.warning("dropped the rows of %d users that interact with every item",
+                    len(np.unique(pairs[full, 0])))
+        pairs = pairs[~full]
+    return np.column_stack([pairs, graph.sample_non_neighbors(pairs[:, 0], rng)])
 
 
 def _candidate_items(ds: InteractionDataset, batch_pairs: np.ndarray,
@@ -437,16 +419,20 @@ def step_loss(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph, 
               step: int) -> tuple[T.Tensor, LossReport]:
     """The weighted objective of a batch of (user, item) train pairs over the
     ``epoch_views`` of ``epoch``, recorded on the active tape.  The step draws
-    its softmax candidates, ranking triples and reconstruction negatives, in that
-    order, before the forward pass; they depend only on ``(cfg.seed, epoch, step)``.
+    its softmax candidates, then one uniform train item per batch user, then
+    (through ``negative_sample``) a negative for each of those ranking rows and
+    for each masked-out edge, in that order, before the forward pass; the draws
+    depend only on ``(cfg.seed, epoch, step)``.
     Only the teacher runs the rationale pathway (topology plus transformer on the
     full graph), which the ranking loss reads; the EMA forward records nothing."""
     g_rationale, g_masked, g_complement, masked_out = views
     batch_nodes = np.stack([batch[:, 0], ds.num_users + batch[:, 1]], axis=1)
     rng = substream(cfg.seed, "step", epoch, step)
     candidates = _candidate_items(ds, batch_nodes, cfg, rng)
-    triples = negative_sample(graph, batch[:, 0], rng)
-    recon = reconstruction_triples(graph, masked_out, rng)
+    users = batch_nodes[:, 0]
+    pos = graph.csr_neighbors[graph.csr_offsets[users] + rng.integers(graph.degree[users])]
+    triples = negative_sample(graph, np.stack([users, pos], axis=1), rng)
+    recon = negative_sample(graph, masked_out, rng)
 
     teacher = pair.teacher
     h_bar = teacher.topo.encode(teacher.emb) if teacher.topo is not None else teacher.emb

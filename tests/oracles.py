@@ -503,22 +503,20 @@ def rejection_non_neighbors(g, user_nodes: np.ndarray, rng: np.random.Generator,
     return out
 
 
-def rejection_negative_sample(ds, batch_users: np.ndarray,
+def rejection_negative_sample(ds, pairs: np.ndarray,
                               rng: np.random.Generator) -> np.ndarray:
-    """(user, positive item node, negative item node) triples, one user at a
-    time: a uniform train item, then uniform items until one is not a train
-    item.  Users with no or every train item are skipped."""
+    """(user, item node, negative item node) rows, one (user, item node) row of
+    ``pairs`` at a time: uniform items until one is not a train item of the
+    user.  Rows of users with every train item are dropped."""
     positives = ds.positives_by_user(TRAIN)
     triples = []
-    for u in batch_users.tolist():
-        items = positives[u]
-        if len(items) == 0 or len(items) >= ds.num_items:
+    for u, item_node in np.asarray(pairs).tolist():
+        taken = set(positives[u].tolist())
+        if len(taken) >= ds.num_items:
             continue
-        pos = int(items[rng.integers(len(items))])
-        taken = set(items.tolist())
         while True:
             neg = int(rng.integers(ds.num_items))
             if neg not in taken:
                 break
-        triples.append((u, ds.num_users + pos, ds.num_users + neg))
+        triples.append((u, item_node, ds.num_users + neg))
     return np.asarray(triples, dtype=np.int64).reshape(-1, 3)

@@ -27,8 +27,7 @@ from rgtrec.mf_baseline import BPRMatrixFactorization
 from rgtrec.seeding import substream
 from rgtrec.synthetic import make_block_dataset
 from rgtrec.training import (TrainConfig, checkpoint_config, fit, init_pair,
-                             load_checkpoint_into, negative_sample, predict_embeddings,
-                             reconstruction_triples)
+                             load_checkpoint_into, negative_sample, predict_embeddings)
 from oracles import (bfs_distances, check_gradients, dense_sym_norm_adjacency, ndcg_at_k,
                      neighbors, plackett_luce_topk_inclusion, recall_at_k)
 
@@ -92,8 +91,8 @@ def test_c1_gradient_integrity():
     rng = np.random.default_rng(101)
 
     def mae_loss(g, h):
-        return L.loss_mae(h, reconstruction_triples(g, g.edge_list[: max(1, g.num_edges // 3)],
-                                                    substream(7, "acc-mae")))
+        return L.loss_mae(h, negative_sample(g, g.edge_list[: max(1, g.num_edges // 3)],
+                                             substream(7, "acc-mae")))
 
     def cir_loss(g, h):
         other = T.take(h, np.arange(g.num_nodes)[::-1].copy())
@@ -104,8 +103,7 @@ def test_c1_gradient_integrity():
         return L.loss_rec(h, pairs, np.arange(g.num_users, g.num_nodes))
 
     def bpr_loss(g, h):
-        triples = negative_sample(g, g.edge_list[:4, 0],
-                                  substream(8, "acc-bpr"))
+        triples = negative_sample(g, g.edge_list[:4], substream(8, "acc-bpr"))
         return L.loss_bpr(h, triples)
 
     def distill_loss(g, h):

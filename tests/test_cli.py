@@ -90,17 +90,26 @@ class TestPrepare:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    def test_bad_ratios_exit_two(self, raw_file, tmp_path):
-        code = main(["prepare", "--input", str(raw_file), "--out", str(tmp_path / "d"),
-                     "--ratios", "0.5,0.5"])
-        assert code == 2
+    def test_bad_ratios_exit_two(self, raw_file, tmp_path, capsys):
+        # split checks the values; prepare reports its refusal as a config error
+        for ratios, message in [("0.5,0.5", "ratios must have three entries"),
+                                ("-0.5,1,0.5", "negative split ratio in (-0.5, 1.0, 0.5)"),
+                                ("0.5,0.25,0.5", "split ratios must sum to 1, got 1.25"),
+                                ("0.5,x,0.5", "bad ratio value in '0.5,x,0.5': could not "
+                                              "convert string to float: 'x'")]:
+            code = main(["prepare", "--input", str(raw_file), "--out", str(tmp_path / "d"),
+                         f"--ratios={ratios}"])
+            assert code == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+            assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("ratios", ["nan,0.5,0.5", "0.5,nan,nan", "inf,0,0", "1,-inf,inf"])
     def test_non_finite_ratios_exit_two(self, raw_file, tmp_path, capsys, ratios):
         code = main(["prepare", "--input", str(raw_file), "--out", str(tmp_path / "d"),
                      "--ratios", ratios])
         assert code == 2
-        assert capsys.readouterr().err == f"config error: ratios must be finite, got {ratios!r}\n"
+        parsed = tuple(float(x) for x in ratios.split(","))
+        assert capsys.readouterr().err == f"config error: non-finite split ratio in {parsed}\n"
         assert not (tmp_path / "d").exists()
 
     def test_tab_inside_a_csv_token_exits_one(self, tmp_path, capsys):
@@ -285,7 +294,9 @@ class TestTrain:
         rows = (out / "metrics.csv").read_text().splitlines()[1:]
         assert rows and all(row.endswith(",nan,nan") for row in rows)
 
-    def test_user_with_every_item_trains(self, tmp_path, caplog):
+    @staticmethod
+    def train_with_a_user_with_every_item(tmp_path, flags):
+        """``train`` on the 12 x 24 block set, all in train, where user 0 has all 24 items."""
         ds = make_block_dataset(num_users=12, num_items=24, num_blocks=3,
                                 interactions_per_user=16, seed=0)
         pairs = {(int(u), int(i)) for u, i in ds.interactions} | {(0, i) for i in range(24)}
@@ -296,11 +307,23 @@ class TestTrain:
                      "--ratios", "1,0,0"]) == 0
         # rho_m = 0.6 masks out 40% of the edges, so some of user 0's are
         # among them in the first step
+        return main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
+                     "--rho-m", "0.6"] + TINY_FLAGS + flags)
+
+    def test_user_with_every_item_trains(self, tmp_path, caplog):
         with caplog.at_level("WARNING"):
-            code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
-                         "--rho-m", "0.6"] + TINY_FLAGS)
+            assert self.train_with_a_user_with_every_item(tmp_path, []) == 0
+        assert "dropped the rows of 1 users that interact with every item" in caplog.text
+        assert (tmp_path / "run" / "model.ckpt").exists()
+
+    def test_user_with_every_item_alone_in_a_batch_trains(self, tmp_path, caplog):
+        # a one-row batch of user 0 has no ranking row: the term scores 0
+        with caplog.at_level("WARNING"):
+            code = self.train_with_a_user_with_every_item(
+                tmp_path, ["--batch-size", "1", "--epochs", "2"])
         assert code == 0
-        assert "reconstruction skips the edges of 1 users" in caplog.text
+        assert "ranking triple set is empty" in caplog.text
+        assert (tmp_path / "run" / "model.ckpt").exists()
 
     def test_nonfinite_gradient_exits_one_with_crash_checkpoint(self, prepared, tmp_path,
                                                                 capsys, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rgtrec import evaluation as E
+from rgtrec.cli import _metric_rows
 from rgtrec.data import InteractionDataset, TRAIN, VAL, TEST, split
 from rgtrec.synthetic import make_block_dataset
 from oracles import (ndcg_at_k, per_user_evaluate, rank_items, recall_at_k,
@@ -324,19 +325,22 @@ class TestWriters:
         s = np.random.default_rng(8).normal(size=(6, 3))
         result = E.evaluate(s, ds, VAL, ks=(1, 2))
         out = tmp_path / "metrics.csv"
-        E.write_metrics_csv(out, {"val": result})
+        E.write_csv(out, _metric_rows({"val": result}))
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "split,K,recall,ndcg"
+        assert lines[1] == f"val,1,{result.macro('recall', 1):.6f},{result.macro('ndcg', 1):.6f}"
         assert len(lines) == 3
         # a stream gets the same bytes, lines ending in "\n" alone
         stream = io.StringIO()
-        E.write_metrics_csv(stream, {"val": result})
+        E.write_csv(stream, _metric_rows({"val": result}))
         assert out.read_bytes() == stream.getvalue().encode()
         assert b"\r" not in out.read_bytes()
 
     def test_series_csv(self, tmp_path):
         rows = [{"variant": "full", "seed": 0, "recall@40": 0.5},
                 {"variant": "full", "seed": 1, "recall@40": 0.6}]
-        out = tmp_path / "series.csv"
-        E.write_metric_series_csv(out, rows)
-        assert out.read_text().startswith("variant,seed,recall@40")
+        out = tmp_path / "sub" / "series.csv"
+        E.write_csv(out, rows)
+        assert out.read_text() == "variant,seed,recall@40\nfull,0,0.5\nfull,1,0.6\n"
+        with pytest.raises(ValueError, match="no rows"):
+            E.write_csv(out, [])

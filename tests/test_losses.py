@@ -7,7 +7,7 @@ from rgtrec import losses as L
 from rgtrec import tensor as T
 from rgtrec.data import build_graph_from_edges
 from rgtrec.seeding import substream
-from rgtrec.training import TrainConfig, reconstruction_triples
+from rgtrec.training import TrainConfig, negative_sample
 from oracles import assert_matches_reference, check_gradients, logsumexp_loss_rec
 from oracles import per_pair_loss_rec, value_and_grads
 
@@ -27,7 +27,7 @@ def complete_minus_one(num_users=3, num_items=4):
 def reconstruction(g, edges, seed):
     """The (user, item node, negative item node) rows a training step scores
     for the masked-out ``edges``."""
-    return reconstruction_triples(g, np.asarray(edges), substream(seed, "mae"))
+    return negative_sample(g, np.asarray(edges), substream(seed, "mae"))
 
 
 class TestLossMae:
@@ -94,7 +94,7 @@ class TestLossMae:
         out = L.loss_mae(T.Tensor(s), triples)
         expect = softplus(-float(s[0] @ s[2])) + softplus(float(s[0] @ s[3]))
         assert float(out.values) == pytest.approx(expect, abs=1e-12)
-        assert caplog.text.count("skips the edges of 1 users") == 1
+        assert caplog.text.count("dropped the rows of 1 users") == 1
 
     def test_only_saturated_users_give_zero_with_warning(self, caplog):
         g = build_graph_from_edges(2, 2, np.array([[0, 2], [1, 2], [1, 3]]))
@@ -104,7 +104,7 @@ class TestLossMae:
             out = L.loss_mae(s, triples)
         assert triples.shape == (0, 3)
         assert float(out.values) == 0.0
-        assert "skips the edges of 1 users" in caplog.text
+        assert "dropped the rows of 1 users" in caplog.text
         assert "empty" in caplog.text
 
     def test_gradients(self):
@@ -361,6 +361,15 @@ class TestLossBpr:
             return L.loss_bpr(s, triples)
 
         check_gradients(build, {"s": s})
+
+    def test_empty_triple_set_returns_zero_with_warning(self, caplog):
+        for dtype in (np.float32, np.float64):  # the zero is in the table's dtype
+            caplog.clear()
+            s = T.Tensor(np.zeros((7, 2), dtype))
+            with caplog.at_level("WARNING"):
+                out = L.loss_bpr(s, np.empty((0, 3), np.int64))
+            assert float(out.values) == 0.0 and out.dtype == dtype
+            assert len(caplog.records) == 1 and "empty" in caplog.text
 
 
 def random_tables(rng, num=6, d=3):

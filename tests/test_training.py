@@ -144,41 +144,33 @@ class TestConfigValueProperties:
 
 
 class TestNegativeSample:
+    """``negative_sample`` appends one negative to each (user node, item node) row."""
+
     def test_forced_negative(self):
         inter = np.array([[0, 0]])
         ds = InteractionDataset(1, 2, inter,
                                 split_assignment=np.array([TRAIN], dtype=np.int8))
-        triples = TR.negative_sample(build_graph(ds), np.array([0]), substream(0, "neg"))
-        assert triples.shape == (1, 3)
-        assert triples[0, 2] == 1 + 1  # item node of the only non-positive
+        triples = TR.negative_sample(build_graph(ds), np.array([[0, 1]]), substream(0, "neg"))
+        assert triples.tolist() == [[0, 1, 1 + 1]]  # the item node of the only non-positive
 
     def test_negatives_never_in_train(self):
         ds = tiny_dataset()
         positives = ds.positives_by_user(TRAIN)
-        rng = substream(1, "neg")
-        users = np.repeat(np.arange(ds.num_users), 50)
-        triples = TR.negative_sample(build_graph(ds), users, rng)
-        for u, pos_node, neg_node in triples:
+        graph = build_graph(ds)
+        pairs = np.repeat(graph.edge_list, 20, axis=0)
+        triples = TR.negative_sample(graph, pairs, substream(1, "neg"))
+        np.testing.assert_array_equal(triples[:, :2], pairs)
+        for u, _, neg_node in triples:
             assert (neg_node - ds.num_users) not in set(int(x) for x in positives[u])
-            assert (pos_node - ds.num_users) in set(int(x) for x in positives[u])
-
-    def test_positive_frequencies_uniform(self):
-        inter = np.array([[0, i] for i in range(4)])
-        ds = InteractionDataset(1, 8, inter,
-                                split_assignment=np.zeros(4, dtype=np.int8))
-        rng = substream(2, "neg")
-        triples = TR.negative_sample(build_graph(ds), np.zeros(10_000, dtype=np.int64), rng)
-        counts = np.bincount(triples[:, 1] - ds.num_users, minlength=4)
-        result = stats.chisquare(counts)
-        assert result.pvalue > 0.01
 
     def test_all_items_user_skipped(self, caplog):
         inter = np.array([[0, 0], [0, 1]])
         ds = InteractionDataset(1, 2, inter,
                                 split_assignment=np.zeros(2, dtype=np.int8))
         with caplog.at_level("WARNING"):
-            triples = TR.negative_sample(build_graph(ds), np.array([0]), substream(3, "neg"))
-        assert len(triples) == 0
+            triples = TR.negative_sample(build_graph(ds), np.array([[0, 1], [0, 2]]),
+                                         substream(3, "neg"))
+        assert triples.shape == (0, 3)
         assert "every item" in caplog.text
 
     def test_saturated_user_skipped_among_others(self, caplog):
@@ -187,20 +179,83 @@ class TestNegativeSample:
         ds = InteractionDataset(3, 3, inter, split_assignment=np.array(
             [TRAIN, TRAIN, TRAIN, TRAIN, VAL], dtype=np.int8))
         with caplog.at_level("WARNING"):
-            triples = TR.negative_sample(build_graph(ds), np.array([0, 1, 2, 0, 1]),
+            triples = TR.negative_sample(build_graph(ds),
+                                         np.array([[0, 3], [1, 4], [0, 5], [1, 4]]),
                                          substream(4, "neg"))
         assert triples[:, :2].tolist() == [[1, 3 + 1]] * 2
         assert set(triples[:, 2].tolist()) <= {3 + 0, 3 + 2}
-        assert "skipped 1 users that interact with every item" in caplog.text
+        assert len(caplog.records) == 1
+        assert "dropped the rows of 1 users that interact with every item" in caplog.text
 
     def test_matches_rejection_reference(self):
         ds = tiny_dataset()
-        users = np.full(4000, 5)
-        ours = TR.negative_sample(build_graph(ds), users, substream(5, "neg"))
-        reference = rejection_negative_sample(ds, users, substream(6, "neg"))
+        graph = build_graph(ds)
+        pairs = np.tile(graph.edge_list[graph.edge_list[:, 0] == 5], (300, 1))
+        ours = TR.negative_sample(graph, pairs, substream(5, "neg"))
+        reference = rejection_negative_sample(ds, pairs, substream(6, "neg"))
+        np.testing.assert_array_equal(reference[:, :2], pairs)
+        items = np.union1d(ours[:, 2], reference[:, 2])
+        table = [[np.count_nonzero(t[:, 2] == i) for i in items] for t in (ours, reference)]
+        assert stats.chi2_contingency(table).pvalue > 0.01
+
+
+def ranking_rows(ds, batch, monkeypatch, seed=1):
+    """The (user, positive, negative) node rows that ``step_loss`` scores with
+    the ranking loss for ``batch`` in step 0 of epoch 0."""
+    graph = build_graph(ds)
+    cfg = tiny_cfg(seed=seed)
+    pair = TR.init_pair(graph, cfg)
+    views = TR.epoch_views(pair.teacher, graph, cfg, 0)
+    seen, original = [], TR.loss_bpr
+
+    def capturing(s, triples):
+        seen.append(triples)
+        return original(s, triples)
+
+    monkeypatch.setattr(TR, "loss_bpr", capturing)
+    with T.Tape():
+        TR.step_loss(pair, ds, graph, views, np.asarray(batch, dtype=np.int64), cfg, 0, 0)
+    (triples,) = seen
+    return triples
+
+
+class TestRankingRows:
+    """Each batch user's ranking positive is uniform over its train items."""
+
+    def test_positive_is_a_train_item(self, monkeypatch):
+        ds = tiny_dataset()
+        positives = ds.positives_by_user(TRAIN)
+        batch = np.repeat(ds.pairs(TRAIN), 5, axis=0)
+        triples = ranking_rows(ds, batch, monkeypatch)
+        assert triples[:, 0].tolist() == batch[:, 0].tolist()
+        for u, pos_node, neg_node in triples:
+            assert (pos_node - ds.num_users) in set(int(x) for x in positives[u])
+            assert (neg_node - ds.num_users) not in set(int(x) for x in positives[u])
+
+    def test_positive_frequencies_uniform(self, monkeypatch):
+        # user 0 has items 0-3; users 1-3 fill out the graph the views sample
+        inter = np.array([[0, i] for i in range(4)] + [[u, i] for u in (1, 2, 3)
+                                                       for i in range(4, 8)])
+        ds = InteractionDataset(4, 8, inter,
+                                split_assignment=np.zeros(len(inter), dtype=np.int8))
+        triples = ranking_rows(ds, np.zeros((10_000, 2), dtype=np.int64), monkeypatch)
+        counts = np.bincount(triples[:, 1] - ds.num_users, minlength=4)
+        result = stats.chisquare(counts)
+        assert result.pvalue > 0.01
+
+    def test_matches_rejection_reference(self, monkeypatch):
+        ds = tiny_dataset()
+        batch = np.tile(ds.pairs(TRAIN)[ds.pairs(TRAIN)[:, 0] == 5][:1], (4000, 1))
+        ours = ranking_rows(ds, batch, monkeypatch)
+        # the reference draws one uniform train item a user at a time, then
+        # rejects items until one is not a train item
+        rng = substream(6, "neg")
+        items = ds.positives_by_user(TRAIN)[5]
+        pos = [ds.num_users + int(items[rng.integers(len(items))]) for _ in range(len(batch))]
+        reference = rejection_negative_sample(ds, np.stack([batch[:, 0], pos], axis=1), rng)
         for column in (1, 2):
-            items = np.union1d(ours[:, column], reference[:, column])
-            table = [[np.count_nonzero(t[:, column] == i) for i in items]
+            values = np.union1d(ours[:, column], reference[:, column])
+            table = [[np.count_nonzero(t[:, column] == i) for i in values]
                      for t in (ours, reference)]
             assert stats.chi2_contingency(table).pvalue > 0.01
 

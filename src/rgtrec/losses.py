@@ -99,7 +99,9 @@ def loss_rec(s: T.Tensor, batch_pairs: np.ndarray,
     record scores each distinct batch user once against the candidates
     (``U × candidates``, not ``pairs × candidates``) and reads each positive's
     score from those rows; a user's softmax is weighted by its pair count,
-    exactly as if the row were repeated.
+    exactly as if the row were repeated.  It scores a block of users at a
+    time and, when a gradient is recorded, turns each block into its
+    gradient at once, so no ``U × candidates`` table outlives its block.
     """
     if len(batch_pairs) == 0:
         raise ValueError("recommendation loss needs a non-empty batch")

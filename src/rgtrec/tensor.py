@@ -324,11 +324,21 @@ def _check_node_table(g, x: np.ndarray, heads: int, what: str) -> None:
             f"{what}: expected ({g.num_nodes}, a multiple of {heads} heads), got {x.shape}")
 
 
+_SLOT_BLOCK = 4096  # slots gathered at a time by _slot_dots
+
+
 def _slot_dots(a: np.ndarray, b: np.ndarray, g, heads: int) -> np.ndarray:
-    """Per-head <a[src(s)], b[dst(s)]> for every slot s: shape (num_slots, heads)."""
-    shape = (len(g.csr_neighbors), heads, a.shape[1] // heads)
-    return np.einsum("shd,shd->sh", np.take(a, g.directed_src, axis=0).reshape(shape),
-                     np.take(b, g.csr_neighbors, axis=0).reshape(shape))
+    """Per-head <a[src(s)], b[dst(s)]> for every slot s: shape (num_slots, heads).
+    The slot rows are gathered and reduced ``_SLOT_BLOCK`` slots at a time, so
+    no (num_slots, width) gather is made."""
+    num_slots, width = len(g.csr_neighbors), a.shape[1] // heads
+    out = np.empty((num_slots, heads), dtype=np.result_type(a.dtype, b.dtype))
+    for lo in range(0, num_slots, _SLOT_BLOCK):
+        src, dst = g.directed_src[lo:lo + _SLOT_BLOCK], g.csr_neighbors[lo:lo + _SLOT_BLOCK]
+        shape = (len(src), heads, width)
+        np.einsum("shd,shd->sh", np.take(a, src, axis=0).reshape(shape),
+                  np.take(b, dst, axis=0).reshape(shape), out=out[lo:lo + len(src)])
+    return out
 
 
 def _heads_layout(g, heads: int):
@@ -510,36 +520,61 @@ def anchor_layer(h, w, anchors: np.ndarray, own: np.ndarray, mix: np.ndarray) ->
     return _emit(out, (h, w), bw)
 
 
+_CE_ROWS = 256  # users per block of softmax_cross_entropy, as evaluation._CHUNK
+
+
 def softmax_cross_entropy(u, c, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     """Mean over pairs j of ``logsumexp(u[rows[j]] @ c.T) - u[rows[j]] @
     c[cols[j]]``: each pair's target column against every candidate row of
     ``c`` (candidates, d), with one score row per row of ``u`` (users, d).
     There must be at least one pair and one candidate.
 
-    One record computes ``u @ c.T``, reads the targets' scores from it and
-    keeps the row softmax P in place of the scores.  The backward is ``D =
-    (count * P - onehot) / n``, with ``count`` the pairs of each row of ``u``
-    and n the pairs, then ``D @ c`` and ``D.T @ u``.
+    One record takes the users ``_CE_ROWS`` rows at a time; nothing of size
+    users x candidates outlives a block.  A block's scores ``S = U_b Cᵀ`` give
+    its rows' log-sum-exp and its pairs' target scores, kept in pair order.
+    The loss is a scalar, so, as in Cut Cross-Entropy (arXiv 2411.09009), a
+    recorded call then turns S in place into ``D = (count * softmax(S) -
+    onehot) / n`` (``count`` the pairs of each row of ``u``, n the pairs)
+    and writes ``D C`` into ``du`` and adds ``Dᵀ U_b`` into ``dc``, the only
+    tables the record keeps; its backward scales them by the seed gradient.
     """
     u, c = as_tensor(u), as_tensor(c)
     uv, cv = u.values, c.values
-    p = uv @ cv.T
-    target = p[rows, cols]
-    row_max = p.max(axis=1, keepdims=True)
-    p -= row_max
-    np.exp(p, out=p)
-    sums = p.sum(axis=1, keepdims=True)
-    p /= sums
-    lse = np.log(sums[:, 0]) + row_max[:, 0]
+    dtype = np.result_type(uv.dtype, cv.dtype)
     n = len(rows)
     count = np.bincount(rows, minlength=len(uv))
+    record = (u.requires_grad or c.requires_grad) and active_tape() is not None
+    du = np.empty(uv.shape, dtype) if record and u.requires_grad else None
+    dc = np.zeros(cv.shape, dtype) if record and c.requires_grad else None
+    lse = np.empty(len(uv), dtype)
+    target = np.empty(n, dtype)
+    by_row = np.argsort(rows, kind="stable")
+    sorted_rows = rows[by_row]
+    block = np.empty((min(len(uv), _CE_ROWS), len(cv)), dtype)
+    for lo in range(0, len(uv), _CE_ROWS):
+        users = slice(lo, lo + _CE_ROWS)
+        ub = uv[users]
+        first, last = np.searchsorted(sorted_rows, (lo, lo + _CE_ROWS))
+        pairs = by_row[first:last]
+        at = (rows[pairs] - lo, cols[pairs])
+        s = np.matmul(ub, cv.T, out=block[:len(ub)])
+        target[pairs] = s[at]
+        row_max = s.max(axis=1, keepdims=True)
+        s -= row_max
+        np.exp(s, out=s)
+        sums = s.sum(axis=1, keepdims=True)
+        lse[users] = np.log(sums[:, 0]) + row_max[:, 0]
+        if not record:
+            continue
+        s *= (count[users, None] / n / sums).astype(dtype, copy=False)
+        np.subtract.at(s, at, dtype.type(1.0 / n))
+        if du is not None:
+            np.matmul(s, cv, out=du[users])
+        if dc is not None:
+            dc += s.T @ ub
 
     def bw(g):
-        scale = g / n
-        d = p * (count * scale).astype(p.dtype)[:, None]
-        np.subtract.at(d, (rows, cols), scale)
-        return (d @ cv if u.requires_grad else None,
-                d.T @ uv if c.requires_grad else None)
+        return (g * du if du is not None else None, g * dc if dc is not None else None)
 
     return _emit((lse[rows] - target).sum() / n, (u, c), bw)
 

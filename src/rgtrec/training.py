@@ -362,18 +362,24 @@ def draw_subgraphs(probs: np.ndarray, cfg: TrainConfig,
             sample_complement(probs, cfg.rho_c, seed))
 
 
+def _drop_full_users(graph: BipartiteGraph, pairs: np.ndarray, what: str) -> np.ndarray:
+    """``pairs`` without the rows of users who interact with every item, who
+    have no negative; one warning counts those users."""
+    full = graph.degree[pairs[:, 0]] >= graph.num_items
+    if full.any():
+        log.warning("dropped the %s of %d users that interact with every item",
+                    what, len(np.unique(pairs[full, 0])))
+        pairs = pairs[~full]
+    return pairs
+
+
 def negative_sample(graph: BipartiteGraph, pairs: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
     """(user node, item node, negative item node) rows: each (user node, item
     node) row of ``pairs`` with a negative uniform over the user's
     non-neighbours.  Users with every item have none; their rows are dropped,
     with one warning that counts them."""
-    pairs = np.asarray(pairs, dtype=np.int64)
-    full = graph.degree[pairs[:, 0]] >= graph.num_items
-    if full.any():
-        log.warning("dropped the rows of %d users that interact with every item",
-                    len(np.unique(pairs[full, 0])))
-        pairs = pairs[~full]
+    pairs = _drop_full_users(graph, np.asarray(pairs, dtype=np.int64), "rows")
     return np.column_stack([pairs, graph.sample_non_neighbors(pairs[:, 0], rng)])
 
 
@@ -408,10 +414,14 @@ def _check_report(report: LossReport, num_nodes: int, temperature: float) -> Non
 
 def epoch_views(state: ModelState, graph: BipartiteGraph, cfg: TrainConfig, epoch: int):
     """The epoch's rationale, masked and complement subgraphs, drawn from its
-    starting rationale scores, and the (user, item node) edges masked out."""
+    starting rationale scores, and the (user, item node) edges masked out.
+    The masked-out edges of users who interact with every item have no
+    negative to reconstruct against, so they are dropped here, with one
+    warning per epoch."""
     sub_r, sub_m, sub_c = draw_subgraphs(rationale_score_table(state, graph), cfg, epoch)
+    masked_out = graph.edge_list[sub_m.complement_indices(graph.num_edges)]
     return (sub_r.materialize(graph), sub_m.materialize(graph), sub_c.materialize(graph),
-            graph.edge_list[sub_m.complement_indices(graph.num_edges)])
+            _drop_full_users(graph, masked_out, "masked-out edges"))
 
 
 def step_loss(pair: DistillPair, ds: InteractionDataset, graph: BipartiteGraph, views: tuple,

@@ -322,8 +322,15 @@ class TestTrain:
             code = self.train_with_a_user_with_every_item(
                 tmp_path, ["--batch-size", "1", "--epochs", "2"])
         assert code == 0
-        assert "ranking triple set is empty" in caplog.text
         assert (tmp_path / "run" / "model.ckpt").exists()
+        messages = [r.getMessage() for r in caplog.records]
+        # user 0's masked-out edges are dropped once per epoch, not once per step
+        assert messages.count(
+            "dropped the masked-out edges of 1 users that interact with every item") == 2
+        # each of user 0's 24 one-row batches per epoch drops its ranking row
+        empty = messages.count("ranking triple set is empty; ranking loss is 0")
+        assert empty == 48
+        assert messages.count("dropped the rows of 1 users that interact with every item") == empty
 
     def test_nonfinite_gradient_exits_one_with_crash_checkpoint(self, prepared, tmp_path,
                                                                 capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,114 @@ class TestFusedCrossEntropy:
     def test_empty_batch_is_refused(self):
         with pytest.raises(ValueError, match="non-empty batch"):
             L.loss_rec(T.Tensor(np.zeros((5, 2))), np.empty((0, 2), np.int64), np.arange(2, 5))
+
+
+class TestBlockedCrossEntropy:
+    """``T.softmax_cross_entropy`` takes the users ``T._CE_ROWS`` rows at a time
+    and makes its gradient block by block in the forward.  The reference is
+    ``oracles.logsumexp_loss_rec`` over the stacked table ``[u; c]``, whose
+    gradient splits into the two operands' (a user row without pairs gets a
+    zero row)."""
+
+    @staticmethod
+    def case(num_users, num_candidates, num_pairs, seed, width=5):
+        rng = np.random.default_rng(seed)
+        u0 = rng.normal(size=(num_users, width)) * 2
+        c0 = rng.normal(size=(num_candidates, width)) * 2
+        rows = rng.integers(0, num_users, num_pairs)
+        return u0, c0, rows, rng.integers(0, num_candidates, num_pairs)
+
+    @staticmethod
+    def blocked(u0, c0, rows, cols, dtype, seed_grad=None):
+        u, c = T.parameter(u0, dtype), T.parameter(c0, dtype)
+
+        def build():
+            loss = T.softmax_cross_entropy(u, c, rows, cols)
+            return loss if seed_grad is None else T.mul(loss, seed_grad)
+
+        return value_and_grads(build, {"u": u, "c": c})
+
+    @staticmethod
+    def reference(u0, c0, rows, cols, dtype, seed_grad=None):
+        num_users = len(u0)
+        s = T.parameter(np.concatenate([u0, c0]), dtype)
+        pairs = np.stack([rows, num_users + cols], axis=1)
+        candidates = num_users + np.arange(len(c0))
+
+        def build():
+            loss = logsumexp_loss_rec(s, pairs, candidates)
+            return loss if seed_grad is None else T.mul(loss, seed_grad)
+
+        value, grads = value_and_grads(build, {"s": s})
+        return value, {"u": grads["s"][:num_users], "c": grads["s"][num_users:]}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_more_users_than_one_block(self, dtype):
+        num_users = 2 * T._CE_ROWS + 37
+        u0, c0, rows, cols = self.case(num_users, 90, 1500, seed=40)
+        assert len(np.unique(rows)) < num_users  # some rows have no pairs
+        assert_matches_reference(self.blocked(u0, c0, rows, cols, dtype),
+                                 self.reference(u0, c0, rows, cols, dtype), dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_user_row_without_pairs_gets_zero_gradient(self, dtype):
+        u0, c0, _, _ = self.case(5, 12, 0, seed=41)
+        rows, cols = np.array([0, 4, 1, 4, 3, 0]), np.array([2, 2, 11, 5, 0, 7])
+        fused = self.blocked(u0, c0, rows, cols, dtype)
+        assert not fused[1]["u"][2].any()
+        assert_matches_reference(fused, self.reference(u0, c0, rows, cols, dtype), dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_seed_gradient_scales_the_saved_gradients(self, dtype):
+        u0, c0, rows, cols = self.case(T._CE_ROWS + 9, 40, 400, seed=42)
+        scaled = self.blocked(u0, c0, rows, cols, dtype, seed_grad=0.3)
+        _, unit = self.blocked(u0, c0, rows, cols, dtype)
+        for name in ("u", "c"):
+            np.testing.assert_array_equal(scaled[1][name], dtype(0.3) * unit[name])
+        assert_matches_reference(scaled, self.reference(u0, c0, rows, cols, dtype, 0.3), dtype)
+
+    def test_no_gradient_work_without_a_recorded_gradient(self):
+        u0, c0, rows, cols = self.case(300, 2000, 600, seed=43, width=128)
+
+        def traced_peak(requires_grad, tape):
+            u, c = T.Tensor(u0, requires_grad), T.Tensor(c0, requires_grad)
+            tracemalloc.start()
+            try:
+                if tape:
+                    with T.Tape() as t:
+                        loss = T.softmax_cross_entropy(u, c, rows, cols)
+                    assert len(t) == int(requires_grad)
+                else:
+                    loss = T.softmax_cross_entropy(u, c, rows, cols)
+                return float(loss.values), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        value, with_grads = traced_peak(True, True)
+        # the gradient tables du and dc are each allocated only with a record
+        for requires_grad, tape in ((False, True), (True, False)):
+            other, peak = traced_peak(requires_grad, tape)
+            assert other == value
+            assert peak <= with_grads - c0.nbytes - u0.nbytes
+
+    def test_peak_stays_below_one_users_by_candidates_table(self):
+        num_users, num_candidates = 600, 4800
+        u0, c0, rows, cols = self.case(num_users, num_candidates, 6000, seed=44, width=64)
+        table = num_users * num_candidates * np.dtype(np.float32).itemsize  # 11.5 MB
+        u, c = T.parameter(u0, np.float32), T.parameter(c0, np.float32)
+        tracemalloc.start()
+        try:
+            with T.Tape() as tape:
+                loss = T.softmax_cross_entropy(u, c, rows, cols)
+                saved = [cell.cell_contents for r in tape.records
+                         for cell in r.backward_fn.__closure__ or ()]
+                grads = T.backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grads[u].shape == u.shape and grads[c].shape == c.shape
+        assert peak < table, f"traced peak {peak / 1e6:.1f} MB"
+        assert max(a.size for a in saved if isinstance(a, np.ndarray)) < num_users * num_candidates
 
 
 class TestLossBpr:

@@ -14,6 +14,7 @@ from rgtrec import tensor as T
 from rgtrec.data import build_graph_from_edges
 from oracles import check_gradients, logsumexp_rows, matmul_triple_loop, max_rel_err
 from oracles import per_head_edge_dot, per_head_edge_spmm
+from oracles import _slot_dots as one_gather_slot_dots
 from oracles import segment_softmax as generic_segment_softmax
 
 
@@ -632,6 +633,35 @@ class TestAllHeadsOperator:
             assert np.shares_memory(op.indptr, cached[0])
         slot_sums = T._slot_sum_op(g, np.float64)
         assert slot_sums.indptr.dtype == slot_sums.indices.dtype == np.int32
+
+
+class TestBlockedSlotDots:
+    """``_slot_dots`` gathers and reduces ``T._SLOT_BLOCK`` slots at a time; it
+    equals the one-gather reference ``oracles._slot_dots`` bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_equals_one_gather(self, dtype, heads):
+        rng = np.random.default_rng(70 + heads)
+        num_users, num_items = 40, 90
+        edges = np.argwhere(rng.random((num_users, num_items)) < 0.7)
+        edges[:, 1] += num_users
+        g = build_graph_from_edges(num_users, num_items, edges)
+        assert len(g.csr_neighbors) > T._SLOT_BLOCK
+        assert len(g.csr_neighbors) % T._SLOT_BLOCK
+        a, b = (rng.normal(size=(g.num_nodes, 3 * heads)).astype(dtype) for _ in range(2))
+        got = T._slot_dots(a, b, g, heads)
+        want = one_gather_slot_dots(a, b, g, heads)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_graph_without_slots(self, heads):
+        g = build_graph_from_edges(3, 4, np.zeros((0, 2), dtype=np.int64))
+        a = np.ones((g.num_nodes, 2 * heads))
+        got = T._slot_dots(a, a, g, heads)
+        assert got.shape == (0, heads)
+        assert np.array_equal(got, one_gather_slot_dots(a, a, g, heads))
 
 
 GLIBC_MALLINFO2 = (platform.libc_ver()[0] == "glibc"
